@@ -10,6 +10,7 @@ not feed the arithmetic.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -79,6 +80,10 @@ class WorkloadSegment:
     noise_amplitude: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("ipc_demand", "fp_fraction", "noise_amplitude"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.duration < 1:
             raise ValueError(f"segment duration must be >= 1 cycle, got {self.duration}")
         if self.ipc_demand < 0:
@@ -174,25 +179,48 @@ def simulate_interval(
         raise ValueError(f"tau must be >= 1, got {tau}")
     if dead_cycles < 0:
         raise ValueError(f"dead_cycles must be >= 0, got {dead_cycles}")
-    if cursor.remaining <= 0:
+    need = cursor.total_cycles - cursor.position
+    if need <= 0:
         return None
+    if tau < need:
+        need = tau
 
     index = cursor.next_index
     start = cursor.position
-    spans = cursor.take(tau)
     cursor.next_index += 1
-    covered = sum(cycles for cycles, _ in spans)
-
-    demand_cycles = sum(cycles * seg.ipc_demand for cycles, seg in spans)
-    base_demand = demand_cycles / covered
-    if demand_cycles > 0:
-        fp_fraction = (
-            sum(cycles * seg.ipc_demand * seg.fp_fraction for cycles, seg in spans)
-            / demand_cycles
-        )
+    segment = cursor._segments[cursor._seg]
+    if cursor._offset + need <= segment.duration:
+        # The interval ends inside the current segment: the one-span case of
+        # the blend below, spelled out term for term so it rounds the same.
+        # A sum() over one span is ``0 + term``, which turns -0.0 into 0.0.
+        cursor._offset += need
+        cursor.position += need
+        if cursor._offset == segment.duration:
+            cursor._seg += 1
+            cursor._offset = 0
+        covered = need
+        demand_cycles = 0 + covered * segment.ipc_demand
+        base_demand = demand_cycles / covered
+        if demand_cycles > 0:
+            fp_fraction = (0 + demand_cycles * segment.fp_fraction) / demand_cycles
+        else:
+            fp_fraction = 0.0
+        noise_amp = (0 + covered * segment.noise_amplitude) / covered
     else:
-        fp_fraction = 0.0
-    noise_amp = sum(cycles * seg.noise_amplitude for cycles, seg in spans) / covered
+        spans = cursor.take(tau)
+        covered = sum(cycles for cycles, _ in spans)
+        demand_cycles = sum(cycles * seg.ipc_demand for cycles, seg in spans)
+        base_demand = demand_cycles / covered
+        if demand_cycles > 0:
+            fp_fraction = (
+                sum(cycles * seg.ipc_demand * seg.fp_fraction for cycles, seg in spans)
+                / demand_cycles
+            )
+        else:
+            fp_fraction = 0.0
+        noise_amp = (
+            sum(cycles * seg.noise_amplitude for cycles, seg in spans) / covered
+        )
 
     jitter = rng.uniform(-noise_amp, noise_amp)
     ipc = achieved_ipc(core, base_demand * (1.0 + jitter))

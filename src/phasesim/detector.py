@@ -12,10 +12,9 @@ around so a recurring phase can be recognised instead of minting a new id.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Reversible, Sequence
 
 
 class Normalization(Enum):
@@ -88,10 +87,10 @@ class IntervalSample:
             raise ValueError(
                 f"retired_instructions must be >= 0, got {self.retired_instructions}"
             )
-        for name in ("util_int", "util_fp"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if not 0.0 <= self.util_int <= 1.0:
+            raise ValueError(f"util_int must lie in [0, 1], got {self.util_int}")
+        if not 0.0 <= self.util_fp <= 1.0:
+            raise ValueError(f"util_fp must lie in [0, 1], got {self.util_fp}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,10 @@ class DetectorConfig:
     recurrence_matching: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("delta_th", "delta_over", "delta_under", "steady_band"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.delta_th <= 0:
             raise ValueError(f"delta_th must be > 0, got {self.delta_th}")
         if not 0.0 <= self.delta_under < self.delta_over <= 1.0:
@@ -236,7 +239,7 @@ def classify_similarity(
 def match_recurring_phase(
     candidate_th: float,
     candidate_util: float,
-    closed_phases: Sequence[PhaseState],
+    closed_phases: Reversible[PhaseState],
     config: DetectorConfig,
 ) -> int | None:
     """Find a closed phase the candidate interval could be resuming.
@@ -259,13 +262,6 @@ def match_recurring_phase(
     return None
 
 
-_VERDICT_TO_KIND = {
-    Similarity.THROUGHPUT: PhaseEventKind.THROUGHPUT_CHANGE,
-    Similarity.OVER_UTIL: PhaseEventKind.OVER_UTILIZATION,
-    Similarity.UNDER_UTIL: PhaseEventKind.UNDER_UTILIZATION,
-}
-
-
 class PhaseDetector:
     """Streaming phase classifier.
 
@@ -284,8 +280,14 @@ class PhaseDetector:
         #: Percent deviation computed at the most recent interval, None while
         #: the deviation was undefined (first interval ever).
         self.last_delta: float | None = None
-        self._closed: list[int] = []  # closure order, oldest first
-        self._history: deque[float] = deque(maxlen=self.config.util_window)
+        # Closed phases in closure order, oldest first. A closed phase's
+        # state cannot change until it is re-opened and leaves this table.
+        self._closed: dict[int, PhaseState] = {}
+        # The utilization window as two run lengths: how many of the newest
+        # intervals since the last phase boundary sat above delta_over, and
+        # below delta_under. A full window of either is a run of util_window.
+        self._over_run = 0
+        self._under_run = 0
         self._next_id = 0
 
     @property
@@ -300,59 +302,76 @@ class PhaseDetector:
         return float(sample.retired_instructions)
 
     def observe(self, sample: IntervalSample) -> tuple[int, list[PhaseEvent]]:
-        """Assign one interval to a phase, returning (phase_id, events)."""
+        """Assign one interval to a phase, returning (phase_id, events).
+
+        Equivalent to :func:`classify_similarity` over a window of the last
+        ``util_window`` effective utilizations, :func:`update_running_average`
+        and :func:`match_recurring_phase`, with the arithmetic inlined.
+        """
         expected = 0 if self.last_index is None else self.last_index + 1
         if sample.index != expected:
             raise ValueError(
                 f"out-of-order sample: got index {sample.index}, expected {expected}"
             )
-        self.last_index = sample.index
+        self.last_index = expected
 
-        th = self.normalized_throughput(sample)
-        u = effective_utilization(sample.util_int, sample.util_fp)
+        config = self.config
+        if config.normalization is Normalization.PER_CYCLE:
+            th = sample.retired_instructions / sample.tau
+        else:
+            th = float(sample.retired_instructions)
+        # effective_utilization: the busier unit, the integer one on a tie.
+        u = sample.util_fp if sample.util_fp > sample.util_int else sample.util_int
+        self._over_run = self._over_run + 1 if u > config.delta_over else 0
+        self._under_run = self._under_run + 1 if u < config.delta_under else 0
 
         if self.current_phase_id is None:
             self._seed_phase(self._fresh_id(), th, u)
             self.last_delta = None
-            self._history.append(u)
             return self.current_phase_id, []
 
-        current = self.current_phase
-        if current.running_avg > 0:
-            d = throughput_delta(th, current.running_avg)
+        current = self.phases[self.current_phase_id]
+        avg = current.running_avg
+        if avg > 0:
+            d = (th - avg) * 100.0 / avg  # throughput_delta
         else:
             # A phase seeded on zero throughput: nothing changed while the
             # stream stays idle, any activity at all is a phase change.
             d = 0.0 if th == 0 else math.inf
         self.last_delta = d
-        self._history.append(u)
 
-        verdict = classify_similarity(d, self._history, self.config)
-        if verdict is Similarity.SIMILAR:
-            updated = update_running_average(current, th)
-            updated = replace(
-                updated,
-                util_avg=(u + updated.util_avg * (updated.count - 1)) / updated.count,
+        if abs(d) > config.delta_th:
+            kind = PhaseEventKind.THROUGHPUT_CHANGE
+        elif self._over_run >= config.util_window:
+            kind = PhaseEventKind.OVER_UTILIZATION
+        elif self._under_run >= config.util_window:
+            kind = PhaseEventKind.UNDER_UTILIZATION
+        else:
+            pid = current.phase_id
+            count = current.count
+            new_count = count + 1
+            self.phases[pid] = PhaseState(
+                pid,
+                (th + avg * count) / new_count,
+                new_count,
+                (u + current.util_avg * count) / new_count,
             )
-            self.phases[current.phase_id] = updated
-            return current.phase_id, []
+            return pid, []
 
         old_id = current.phase_id
-        self._closed.append(old_id)
+        self._closed[old_id] = current
         matched: int | None = None
-        if self.config.recurrence_matching:
-            matched = match_recurring_phase(
-                th, u, [self.phases[i] for i in self._closed], self.config
-            )
+        if config.recurrence_matching:
+            matched = match_recurring_phase(th, u, self._closed.values(), config)
         if matched is None:
             new_id = self._fresh_id()
         else:
             new_id = matched
-            self._closed.remove(matched)
+            del self._closed[matched]
         self._seed_phase(new_id, th, u)
-        self._history.clear()
+        self._over_run = self._under_run = 0
 
-        events = [PhaseEvent(sample.index, _VERDICT_TO_KIND[verdict], old_id, new_id, d)]
+        events = [PhaseEvent(sample.index, kind, old_id, new_id, d)]
         if matched is not None:
             events.append(
                 PhaseEvent(sample.index, PhaseEventKind.PHASE_RECURRED, old_id, new_id, d)
@@ -370,10 +389,12 @@ class PhaseDetector:
             raise ValueError(f"ratio must be positive, got {ratio}")
         for pid, state in self.phases.items():
             self.phases[pid] = replace(state, running_avg=state.running_avg * ratio)
+        for pid in self._closed:
+            self._closed[pid] = self.phases[pid]
 
     def closed_phases(self) -> list[PhaseState]:
         """Closed phases, oldest-closed first."""
-        return [self.phases[i] for i in self._closed]
+        return list(self._closed.values())
 
     def _fresh_id(self) -> int:
         pid = self._next_id

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,7 +74,7 @@ _SCATTER_PRIORITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScatterRow:
     interval_index: int
     start_cycle: int
@@ -175,6 +176,11 @@ def _simulate(config: ExperimentConfig) -> RunResult:
             break
 
         phase_id, det_events = detector.observe(sample)
+        if not det_events and controller is None:
+            # Nothing to plumb: no controller verdict, and the scheduler only
+            # reacts to detector events.
+            rows.append(_scatter_row(sample, phase_id, det_events))
+            continue
         interval_events: list[PhaseEvent | MigrationEvent] = list(det_events)
         phase_changed = any(e.kind in PHASE_CHANGE_KINDS for e in det_events)
 
@@ -251,21 +257,20 @@ def detect_over_samples(
         ):
             detector.rescale_phase_averages(sample.tau / prev_tau)
         phase_id, det_events = detector.observe(sample)
-        interval_events: list[PhaseEvent | MigrationEvent] = list(det_events)
-        if prev_tau is not None and sample.tau == prev_tau * 2:
-            d_here = detector.last_delta if detector.last_delta is not None else 0.0
-            interval_events.append(
-                PhaseEvent(
-                    sample.index, PhaseEventKind.TAU_DOUBLED, phase_id, phase_id, d_here
-                )
-            )
-        elif prev_tau is not None and sample.tau * 2 == prev_tau:
-            d_here = detector.last_delta if detector.last_delta is not None else 0.0
-            interval_events.append(
-                PhaseEvent(
-                    sample.index, PhaseEventKind.TAU_HALVED, phase_id, phase_id, d_here
-                )
-            )
+        interval_events: list[PhaseEvent | MigrationEvent] = det_events
+        if prev_tau is not None and sample.tau != prev_tau:
+            if sample.tau == prev_tau * 2:
+                kind = PhaseEventKind.TAU_DOUBLED
+            elif sample.tau * 2 == prev_tau:
+                kind = PhaseEventKind.TAU_HALVED
+            else:
+                kind = None
+            if kind is not None:
+                d_here = detector.last_delta if detector.last_delta is not None else 0.0
+                interval_events = [
+                    *det_events,
+                    PhaseEvent(sample.index, kind, phase_id, phase_id, d_here),
+                ]
         prev_tau = sample.tau
         rows.append(_scatter_row(sample, phase_id, interval_events))
         emitted.extend(interval_events)
@@ -288,21 +293,26 @@ def _scatter_row(
     phase_id: int,
     interval_events: list[PhaseEvent | MigrationEvent],
 ) -> ScatterRow:
-    tokens = []
-    for event in interval_events:
-        token = "migration" if isinstance(event, MigrationEvent) else event.kind.value
-        if token in _SCATTER_PRIORITY:
-            tokens.append(token)
-    annotation = min(tokens, key=_SCATTER_PRIORITY.__getitem__) if tokens else "none"
+    annotation = "none"
+    if interval_events:
+        tokens = []
+        for event in interval_events:
+            token = "migration" if isinstance(event, MigrationEvent) else event.kind.value
+            if token in _SCATTER_PRIORITY:
+                tokens.append(token)
+        if tokens:
+            annotation = min(tokens, key=_SCATTER_PRIORITY.__getitem__)
     return ScatterRow(
-        interval_index=sample.index,
-        start_cycle=sample.start_cycle,
-        tau=sample.tau,
-        throughput_raw=sample.retired_instructions,
-        throughput_per_cycle=sample.retired_instructions / sample.tau,
-        utilization=max(sample.util_int, sample.util_fp),
-        phase_id=phase_id,
-        event=annotation,
+        sample.index,
+        sample.start_cycle,
+        sample.tau,
+        sample.retired_instructions,
+        sample.retired_instructions / sample.tau,
+        # float() so the CSV writer, which writes repr(float), sees a float
+        # even when a caller built the sample from integer occupancies.
+        float(max(sample.util_int, sample.util_fp)),
+        phase_id,
+        annotation,
     )
 
 
@@ -321,25 +331,26 @@ def _build_summary(
         token = "migration" if isinstance(event, MigrationEvent) else event.kind.value
         event_counts[token] = event_counts.get(token, 0) + 1
 
-    per_phase: dict[int, dict[str, float]] = {}
+    # Per phase: [intervals, raw sum, per-cycle sum, utilization sum], each
+    # sum accumulated in row order from 0.0.
+    per_phase: dict[int, list] = {}
     for row in rows:
-        acc = per_phase.setdefault(
-            row.phase_id,
-            {"intervals": 0, "raw": 0.0, "per_cycle": 0.0, "util": 0.0},
-        )
-        acc["intervals"] += 1
-        acc["raw"] += row.throughput_raw
-        acc["per_cycle"] += row.throughput_per_cycle
-        acc["util"] += row.utilization
+        acc = per_phase.get(row.phase_id)
+        if acc is None:
+            acc = per_phase[row.phase_id] = [0, 0.0, 0.0, 0.0]
+        acc[0] += 1
+        acc[1] += row.throughput_raw
+        acc[2] += row.throughput_per_cycle
+        acc[3] += row.utilization
     phases = [
         {
             "phase_id": pid,
-            "intervals": int(acc["intervals"]),
-            "mean_throughput_raw": acc["raw"] / acc["intervals"],
-            "mean_throughput_per_cycle": acc["per_cycle"] / acc["intervals"],
-            "mean_utilization": acc["util"] / acc["intervals"],
+            "intervals": count,
+            "mean_throughput_raw": raw / count,
+            "mean_throughput_per_cycle": per_cycle / count,
+            "mean_utilization": util / count,
         }
-        for pid, acc in sorted(per_phase.items())
+        for pid, (count, raw, per_cycle, util) in sorted(per_phase.items())
     ]
 
     summary = {
@@ -362,6 +373,9 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
+_SCATTER_FIELDS = operator.attrgetter(*SCATTER_COLUMNS)
+
+
 def emit_scatter_csv(rows: list[ScatterRow], path: str | Path) -> None:
     """Write the scatter table; rows must arrive ordered by interval index."""
     for previous, current in zip(rows, rows[1:]):
@@ -372,19 +386,8 @@ def emit_scatter_csv(rows: list[ScatterRow], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SCATTER_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                (
-                    row.interval_index,
-                    row.start_cycle,
-                    row.tau,
-                    row.throughput_raw,
-                    _format_float(row.throughput_per_cycle),
-                    _format_float(row.utilization),
-                    row.phase_id,
-                    row.event,
-                )
-            )
+        # The csv module writes a float as repr(float), like _format_float.
+        writer.writerows(map(_SCATTER_FIELDS, rows))
 
 
 def emit_events_csv(

@@ -170,7 +170,7 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
                     noise_amplitude=float(raw.get("noise_amplitude", 0.0)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: segment {i}: {exc}") from exc
     try:
         return WorkloadSpec(
@@ -178,7 +178,7 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
             segments=tuple(segments),
             seed=int(payload.get("seed", 0)),
         )
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -343,7 +343,7 @@ def _load_jsonl(path: Path) -> Iterator[IntervalSample]:
                     util_fp=float(record["util_fp"]),
                     source_core=str(record["source_core"]),
                 )
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, TypeError, ValueError) as exc:
                 raise TraceValidationError(str(exc), row_index) from exc
             _check_stream(sample, previous, row_index)
             previous = sample

@@ -120,6 +120,34 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+    def test_nan_ipc_demand_exits_one_naming_the_field(self, tmp_path, capsys):
+        # JSON accepts NaN; the segment must refuse it before it reaches the
+        # core model's arithmetic.
+        spec = tmp_path / "nan.json"
+        spec.write_text(
+            '{"schema_version": 1, "name": "nan", "segments": '
+            '[{"duration": 1000000, "ipc_demand": NaN}]}'
+        )
+        config = write_config(
+            tmp_path, f"workload.spec = {spec.name}\nfixed_tau = 100000\n"
+        )
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "ipc_demand must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_detector_threshold_exits_one_naming_the_field(
+        self, tmp_path, capsys
+    ):
+        config = write_config(tmp_path, FIXED_STEADY + "detector.delta_th = nan\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "delta_th must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGenWorkloadCommand:
     def test_spec_then_simulate(self, tmp_path):
         spec_path = tmp_path / "steady.json"

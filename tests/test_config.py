@@ -102,6 +102,14 @@ detector.recurrence_matching = no
                 {"detector.delta_under": "0.8", "detector.delta_over": "0.5"}
             )
 
+    @pytest.mark.parametrize(
+        "field", ["delta_th", "delta_over", "delta_under", "steady_band"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_detector_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            parse_config_pairs({f"detector.{field}": value})
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "missing.conf")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -199,3 +200,11 @@ class TestWorkloadSegmentValidation:
     def test_rejects_full_noise(self):
         with pytest.raises(ValueError):
             WorkloadSegment(10, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["ipc_demand", "fp_fraction", "noise_amplitude"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"ipc_demand": 1.0, "fp_fraction": 0.0, "noise_amplitude": 0.0}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WorkloadSegment(10, **kwargs)

@@ -1,0 +1,279 @@
+"""Differential tests of the per-interval hot path against reference loops.
+
+``PhaseDetector.observe`` and ``simulate_interval`` inline their arithmetic
+for speed. The references below are the straightforward versions, built here
+from the public helpers and from ``SegmentCursor.take``: a sliding
+``deque(maxlen=util_window)`` judged by ``classify_similarity``,
+``update_running_average`` plus a separate utilization mean,
+``match_recurring_phase`` over the closed phases, and the span-sum blend of
+every segment an interval touches. Results must be equal, not close: the
+artifacts are byte-identical only if every float rounds the same way.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from collections import deque
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import build_stream
+from phasesim import (
+    DetectorConfig,
+    IntervalSample,
+    Normalization,
+    PhaseDetector,
+    PhaseEvent,
+    PhaseEventKind,
+    PhaseState,
+    SegmentCursor,
+    Similarity,
+    WorkloadSegment,
+    a_core,
+    achieved_ipc,
+    b_core,
+    classify_similarity,
+    effective_utilization,
+    fu_utilization,
+    match_recurring_phase,
+    simulate_interval,
+    throughput_delta,
+    update_running_average,
+)
+
+_VERDICT_KIND = {
+    Similarity.THROUGHPUT: PhaseEventKind.THROUGHPUT_CHANGE,
+    Similarity.OVER_UTIL: PhaseEventKind.OVER_UTILIZATION,
+    Similarity.UNDER_UTIL: PhaseEventKind.UNDER_UTILIZATION,
+}
+
+
+class ReferenceDetector:
+    """The detector as the helpers describe it, one step at a time."""
+
+    def __init__(self, config: DetectorConfig) -> None:
+        self.config = config
+        self.phases: dict[int, PhaseState] = {}
+        self.current: int | None = None
+        self.closed: list[int] = []
+        self.window: deque[float] = deque(maxlen=config.util_window)
+        self.last_delta: float | None = None
+        self.next_id = 0
+
+    def _seed(self, phase_id: int, th: float, u: float) -> None:
+        self.phases[phase_id] = PhaseState(phase_id, th, 1, u)
+        self.current = phase_id
+
+    def observe(self, sample: IntervalSample) -> tuple[int, list[PhaseEvent]]:
+        if self.config.normalization is Normalization.PER_CYCLE:
+            th = sample.retired_instructions / sample.tau
+        else:
+            th = float(sample.retired_instructions)
+        u = effective_utilization(sample.util_int, sample.util_fp)
+        if self.current is None:
+            self._seed(self.next_id, th, u)
+            self.next_id += 1
+            self.window.append(u)
+            return self.current, []
+
+        phase = self.phases[self.current]
+        if phase.running_avg > 0:
+            d = throughput_delta(th, phase.running_avg)
+        else:
+            d = 0.0 if th == 0 else math.inf
+        self.last_delta = d
+        self.window.append(u)
+        verdict = classify_similarity(d, self.window, self.config)
+        if verdict is Similarity.SIMILAR:
+            updated = update_running_average(phase, th)
+            self.phases[phase.phase_id] = replace(
+                updated, util_avg=(u + phase.util_avg * phase.count) / updated.count
+            )
+            return phase.phase_id, []
+
+        old_id = phase.phase_id
+        self.closed.append(old_id)
+        matched = None
+        if self.config.recurrence_matching:
+            matched = match_recurring_phase(
+                th, u, [self.phases[i] for i in self.closed], self.config
+            )
+        if matched is None:
+            new_id = self.next_id
+            self.next_id += 1
+        else:
+            new_id = matched
+            self.closed.remove(matched)
+        self._seed(new_id, th, u)
+        self.window.clear()
+        events = [PhaseEvent(sample.index, _VERDICT_KIND[verdict], old_id, new_id, d)]
+        if matched is not None:
+            events.append(
+                PhaseEvent(sample.index, PhaseEventKind.PHASE_RECURRED, old_id, new_id, d)
+            )
+        return new_id, events
+
+
+def assert_matches_reference(config: DetectorConfig, samples) -> None:
+    detector = PhaseDetector(config)
+    reference = ReferenceDetector(config)
+    for sample in samples:
+        assert detector.observe(sample) == reference.observe(sample)
+        assert repr(detector.last_delta) == repr(reference.last_delta)
+        assert repr(detector.phases) == repr(reference.phases)
+        assert detector.closed_phases() == [reference.phases[i] for i in reference.closed]
+        assert detector.current_phase_id == reference.current
+
+
+# (delta_under, delta_over) pairs; utilizations are drawn from a palette that
+# holds both bounds exactly, so "at the bound" (never a trip) gets exercised.
+UTIL_BOUNDS = [(0.30, 0.95), (0.4, 0.5), (0.0, 1.0), (0.25, 0.75)]
+# Per-cycle throughput levels: idle, near-equal pairs and large jumps.
+LEVELS = [0.0, 0.5, 1.0, 1.04, 1.5, 2.5, 4.0]
+TAUS = [1_000, 2_000, 4_000]
+
+
+@st.composite
+def detector_runs(draw):
+    under, over = draw(st.sampled_from(UTIL_BOUNDS))
+    config = DetectorConfig(
+        delta_th=draw(st.sampled_from([3.0, 20.0, 100.0])),
+        delta_over=over,
+        delta_under=under,
+        util_window=draw(st.integers(1, 4)),
+        normalization=draw(st.sampled_from(list(Normalization))),
+        recurrence_matching=draw(st.booleans()),
+    )
+    util = st.one_of(
+        st.sampled_from([0.0, -0.0, under, over, 1.0, (under + over) / 2]),
+        st.floats(0.0, 1.0),
+    )
+    samples = []
+    start = 0
+    for index in range(draw(st.integers(1, 60))):
+        tau = draw(st.sampled_from(TAUS))
+        level = draw(st.sampled_from(LEVELS))
+        retired = int(level * tau) + draw(st.integers(0, 30)) * (level > 0)
+        samples.append(
+            IntervalSample(index, start, tau, retired, draw(util), draw(util), "A0")
+        )
+        start += tau
+    return config, samples
+
+
+class TestDetectorMatchesReference:
+    @given(detector_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_streams(self, run):
+        config, samples = run
+        assert_matches_reference(config, samples)
+
+    @pytest.mark.parametrize("bound", ["delta_over", "delta_under"])
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_utilization_exactly_at_a_bound_never_trips(self, bound, window):
+        config = DetectorConfig(util_window=window)
+        at = getattr(config, bound)
+        samples = build_stream([1.0] * 12, utils=[at] * 12)
+        assert_matches_reference(config, samples)
+        detector = PhaseDetector(config)
+        assert all(detector.observe(s)[1] == [] for s in samples)
+
+    @pytest.mark.parametrize("recurrence", [True, False])
+    def test_window_of_one_trips_on_every_out_of_band_interval(self, recurrence):
+        config = DetectorConfig(util_window=1, recurrence_matching=recurrence)
+        utils = [0.6, 0.97, 0.97, 0.1, 0.6, 0.97, 0.1, 0.1]
+        assert_matches_reference(config, build_stream([1.0] * len(utils), utils=utils))
+
+    @pytest.mark.parametrize("recurrence", [True, False])
+    def test_zero_throughput_phases_recur(self, recurrence):
+        config = DetectorConfig(recurrence_matching=recurrence)
+        ths = [0.0] * 4 + [1.0] * 4 + [0.0] * 4 + [2.5] * 3 + [0.0] * 3 + [1.0] * 2
+        assert_matches_reference(config, build_stream(ths))
+
+
+def span_formula_interval(core, cursor, tau, rng, dead_cycles):
+    """One interval by the span-sum blend over ``cursor.take``."""
+    if cursor.remaining <= 0:
+        return None
+    index = cursor.next_index
+    start = cursor.position
+    spans = cursor.take(tau)
+    cursor.next_index += 1
+    covered = sum(cycles for cycles, _ in spans)
+    demand_cycles = sum(cycles * seg.ipc_demand for cycles, seg in spans)
+    base_demand = demand_cycles / covered
+    if demand_cycles > 0:
+        fp_fraction = (
+            sum(cycles * seg.ipc_demand * seg.fp_fraction for cycles, seg in spans)
+            / demand_cycles
+        )
+    else:
+        fp_fraction = 0.0
+    noise_amp = sum(cycles * seg.noise_amplitude for cycles, seg in spans) / covered
+    jitter = rng.uniform(-noise_amp, noise_amp)
+    ipc = achieved_ipc(core, base_demand * (1.0 + jitter))
+    live = max(covered - dead_cycles, 0)
+    scale = live / covered
+    util_int, util_fp = fu_utilization(
+        core, ipc * (1.0 - fp_fraction) * scale, ipc * fp_fraction * scale
+    )
+    return IntervalSample(
+        index, start, covered, int(round(ipc * live)), util_int, util_fp, core.name
+    )
+
+
+# Signed zeros are included on purpose: a sum() over one span turns a -0.0
+# term into 0.0, and the single-segment path must do the same.
+segments = st.builds(
+    WorkloadSegment,
+    duration=st.integers(1, 400),
+    ipc_demand=st.one_of(st.sampled_from([0.0, -0.0, 2.0]), st.floats(0.0, 6.0)),
+    fp_fraction=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)),
+    noise_amplitude=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.9)),
+)
+
+
+class TestSimulateIntervalMatchesSpanFormulas:
+    @given(
+        segs=st.lists(segments, min_size=1, max_size=5),
+        taus=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+        dead=st.lists(st.integers(0, 400), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        strong=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_interval_equals_the_blend(self, segs, taus, dead, seed, strong):
+        core = a_core("A0") if strong else b_core("B0")
+        cursor, twin = SegmentCursor(segs), SegmentCursor(segs)
+        rng, twin_rng = random.Random(seed), random.Random(seed)
+        for step in range(10_000):
+            tau, dead_cycles = taus[step % len(taus)], dead[step % len(dead)]
+            sample = simulate_interval(core, cursor, tau, rng, dead_cycles=dead_cycles)
+            expected = span_formula_interval(core, twin, tau, twin_rng, dead_cycles)
+            # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not.
+            assert repr(sample) == repr(expected)
+            assert (cursor.position, cursor.next_index) == (twin.position, twin.next_index)
+            if sample is None:
+                break
+        assert cursor.remaining == 0
+        assert rng.random() == twin_rng.random()
+
+    def test_single_segment_intervals_use_no_spans(self, monkeypatch):
+        # Intervals inside one segment never ask the cursor for spans.
+        calls = []
+        take = SegmentCursor.take
+
+        def counting_take(self, tau):
+            calls.append(tau)
+            return take(self, tau)
+
+        monkeypatch.setattr(SegmentCursor, "take", counting_take)
+        cursor = SegmentCursor([WorkloadSegment(250, 1.5, 0.2, 0.1)] * 2)
+        rng = random.Random(0)
+        while simulate_interval(a_core("A0"), cursor, 100, rng) is not None:
+            pass
+        assert calls == [100]  # only the interval over cycles 200-300

@@ -92,6 +92,19 @@ class TestWorkloadSpecIO:
         with pytest.raises(ValueError):
             load_workload_spec(path)
 
+    @pytest.mark.parametrize("where", ["duration", "seed"])
+    def test_rejects_an_integer_too_large_for_a_float(self, tmp_path, where):
+        # JSON reads 1e400 as inf, which no integer field can hold.
+        path = tmp_path / "spec.json"
+        save_workload_spec(steady(), path)
+        text = path.read_text()
+        key = f'"{where}": '
+        start = text.index(key) + len(key)
+        end = min(text.index(",", start), text.index("\n", start))
+        path.write_text(text[:start] + "1e400" + text[end:])
+        with pytest.raises(ValueError, match="infinity"):
+            load_workload_spec(path)
+
 
 class TestTraceFormats:
     def test_detect_format_by_extension(self, tmp_path):
@@ -196,6 +209,14 @@ class TestTraceErrors:
         path.write_text('{"index": 0}\n')
         with pytest.raises(TraceParseError):
             list(load_trace(path, fmt="jsonl"))
+
+    def test_jsonl_infinite_integer_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        save_trace(build_stream([1.0]), path)
+        path.write_text(path.read_text().replace('"tau": 100000', '"tau": 1e400'))
+        with pytest.raises(TraceValidationError) as exc:
+            list(load_trace(path))
+        assert exc.value.row_index == 0
 
     def test_jsonl_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
