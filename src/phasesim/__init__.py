@@ -25,7 +25,6 @@ from .detector import (
     PHASE_CHANGE_KINDS,
     DetectorConfig,
     IntervalSample,
-    Normalization,
     PhaseDetector,
     PhaseEvent,
     PhaseEventKind,
@@ -51,11 +50,7 @@ from .experiment import (
     run_experiment,
     write_artifacts,
 )
-from .interval_control import (
-    IntervalController,
-    rescale_on_tau_change,
-    steadiness_check,
-)
+from .interval_control import IntervalController, steadiness_check
 from .scheduler import (
     MachineState,
     MigrationEvent,

@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 
 from .core_model import CoreClass, CoreSpec, a_core, b_core
-from .detector import DetectorConfig, Normalization
+from .detector import DetectorConfig
 
 
 class ConfigError(Exception):
@@ -211,13 +211,6 @@ def _parse_detector_value(field_name: str, value: str, key: str) -> object:
         return _parse_int(value, key)
     if field_name in ("delta_th", "delta_over", "delta_under", "steady_band"):
         return _parse_float(value, key)
-    if field_name == "normalization":
-        try:
-            return Normalization(value)
-        except ValueError:
-            raise ConfigError(
-                f"{key}: expected raw or per_cycle, got {value!r}"
-            ) from None
     if field_name == "recurrence_matching":
         return _parse_bool(value, key)
     raise ConfigError(f"unknown detector option {key!r}")

@@ -3,8 +3,9 @@
 A program phase is a contiguous stretch of intervals whose behaviour stays
 similar. Each interval carries an instruction count and the occupancy of the
 integer and floating-point units; an interval stays in the current phase
-unless its throughput deviates from the phase's running average by more than
-a threshold, or the effective utilization pins above/below the configured
+unless its throughput, in instructions per cycle so that intervals of
+different lengths compare, deviates from the phase's running average by more
+than a threshold, or the effective utilization pins above/below the configured
 bounds for a full window of consecutive intervals. Closed phases are kept
 around so a recurring phase can be recognised instead of minting a new id.
 """
@@ -15,13 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Reversible, Sequence
-
-
-class Normalization(Enum):
-    """How an interval's instruction count becomes a throughput figure."""
-
-    RAW = "raw"
-    PER_CYCLE = "per_cycle"
 
 
 class Similarity(Enum):
@@ -111,7 +105,6 @@ class DetectorConfig:
     steady_upper_bound: int = 75
     tau_min: int = 100_000
     tau_max: int = 6_400_000
-    normalization: Normalization = Normalization.PER_CYCLE
     recurrence_matching: bool = True
 
     def __post_init__(self) -> None:
@@ -136,12 +129,21 @@ class DetectorConfig:
             )
         if self.tau_min < 1:
             raise ValueError(f"tau_min must be >= 1, got {self.tau_min}")
-        quotient, remainder = divmod(self.tau_max, self.tau_min)
-        if remainder != 0 or quotient < 1 or quotient & (quotient - 1) != 0:
+        if not self.on_ladder(self.tau_max):
             raise ValueError(
                 f"tau_max must be tau_min times a power of two, got "
                 f"tau_min={self.tau_min}, tau_max={self.tau_max}"
             )
+
+    def on_ladder(self, tau: int) -> bool:
+        """True when ``tau`` is ``tau_min * 2**k`` and at most ``tau_max``."""
+        quotient, remainder = divmod(tau, self.tau_min)
+        return (
+            remainder == 0
+            and quotient >= 1
+            and quotient & (quotient - 1) == 0
+            and tau <= self.tau_max
+        )
 
 
 @dataclass(frozen=True)
@@ -296,11 +298,6 @@ class PhaseDetector:
             raise ValueError("no interval observed yet")
         return self.phases[self.current_phase_id]
 
-    def normalized_throughput(self, sample: IntervalSample) -> float:
-        if self.config.normalization is Normalization.PER_CYCLE:
-            return sample.retired_instructions / sample.tau
-        return float(sample.retired_instructions)
-
     def observe(self, sample: IntervalSample) -> tuple[int, list[PhaseEvent]]:
         """Assign one interval to a phase, returning (phase_id, events).
 
@@ -316,10 +313,7 @@ class PhaseDetector:
         self.last_index = expected
 
         config = self.config
-        if config.normalization is Normalization.PER_CYCLE:
-            th = sample.retired_instructions / sample.tau
-        else:
-            th = float(sample.retired_instructions)
+        th = sample.retired_instructions / sample.tau
         # effective_utilization: the busier unit, the integer one on a tie.
         u = sample.util_fp if sample.util_fp > sample.util_int else sample.util_int
         self._over_run = self._over_run + 1 if u > config.delta_over else 0
@@ -377,20 +371,6 @@ class PhaseDetector:
                 PhaseEvent(sample.index, PhaseEventKind.PHASE_RECURRED, old_id, new_id, d)
             )
         return new_id, events
-
-    def rescale_phase_averages(self, ratio: float) -> None:
-        """Multiply every stored phase average by ``ratio``.
-
-        Raw-count throughput scales with the interval length, so when the
-        profiling interval changes the stored averages must follow to keep
-        comparisons meaningful. Per-cycle throughput needs no such upkeep.
-        """
-        if ratio <= 0:
-            raise ValueError(f"ratio must be positive, got {ratio}")
-        for pid, state in self.phases.items():
-            self.phases[pid] = replace(state, running_avg=state.running_avg * ratio)
-        for pid in self._closed:
-            self._closed[pid] = self.phases[pid]
 
     def closed_phases(self) -> list[PhaseState]:
         """Closed phases, oldest-closed first."""

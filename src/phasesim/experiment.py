@@ -21,8 +21,8 @@ from .config import ConfigError, ExperimentConfig, Mode
 from .core_model import CoreSpec, SegmentCursor, simulate_interval
 from .detector import (
     PHASE_CHANGE_KINDS,
+    DetectorConfig,
     IntervalSample,
-    Normalization,
     PhaseDetector,
     PhaseEvent,
     PhaseEventKind,
@@ -192,10 +192,6 @@ def _simulate(config: ExperimentConfig) -> RunResult:
             else:
                 kind = controller.observe_average(detector.current_phase.running_avg)
                 if kind is not None:
-                    ratio = 2.0 if kind is PhaseEventKind.TAU_DOUBLED else 0.5
-                    if det_cfg.normalization is Normalization.RAW:
-                        detector.rescale_phase_averages(ratio)
-                        controller.rescale_baseline(ratio)
                     d_here = detector.last_delta if detector.last_delta is not None else 0.0
                     interval_events.append(
                         PhaseEvent(sample.index, kind, phase_id, phase_id, d_here)
@@ -234,15 +230,16 @@ def _simulate(config: ExperimentConfig) -> RunResult:
 
 def detect_over_samples(
     samples: Iterable[IntervalSample],
-    det_cfg,
+    det_cfg: DetectorConfig,
     label: str = "trace",
 ) -> RunResult:
     """Run the detector over recorded intervals.
 
     Interval-length events are reconstructed from the recorded lengths: the
-    first sample observed at double/half the previous length is annotated.
-    In raw mode the stored averages are rescaled by the actual length ratio
-    before that sample is classified.
+    first sample observed at double/half the previous length is annotated,
+    provided both lengths lie on the configured ladder (the only lengths the
+    interval controller ever sets). An off-ladder length, such as a final
+    interval truncated below ``tau_min``, is no tau event.
     """
     detector = PhaseDetector(det_cfg)
     rows: list[ScatterRow] = []
@@ -250,28 +247,25 @@ def detect_over_samples(
     prev_tau: int | None = None
 
     for sample in samples:
-        if (
-            prev_tau is not None
-            and sample.tau != prev_tau
-            and det_cfg.normalization is Normalization.RAW
-        ):
-            detector.rescale_phase_averages(sample.tau / prev_tau)
         phase_id, det_events = detector.observe(sample)
         interval_events: list[PhaseEvent | MigrationEvent] = det_events
-        if prev_tau is not None and sample.tau != prev_tau:
-            if sample.tau == prev_tau * 2:
+        tau = sample.tau
+        if (
+            prev_tau is not None
+            and (tau == prev_tau * 2 or tau * 2 == prev_tau)
+            and det_cfg.on_ladder(tau)
+            and det_cfg.on_ladder(prev_tau)
+        ):
+            if tau > prev_tau:
                 kind = PhaseEventKind.TAU_DOUBLED
-            elif sample.tau * 2 == prev_tau:
-                kind = PhaseEventKind.TAU_HALVED
             else:
-                kind = None
-            if kind is not None:
-                d_here = detector.last_delta if detector.last_delta is not None else 0.0
-                interval_events = [
-                    *det_events,
-                    PhaseEvent(sample.index, kind, phase_id, phase_id, d_here),
-                ]
-        prev_tau = sample.tau
+                kind = PhaseEventKind.TAU_HALVED
+            d_here = detector.last_delta if detector.last_delta is not None else 0.0
+            interval_events = [
+                *det_events,
+                PhaseEvent(sample.index, kind, phase_id, phase_id, d_here),
+            ]
+        prev_tau = tau
         rows.append(_scatter_row(sample, phase_id, interval_events))
         emitted.extend(interval_events)
 
@@ -369,10 +363,6 @@ def _build_summary(
     return summary
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
 _SCATTER_FIELDS = operator.attrgetter(*SCATTER_COLUMNS)
 
 
@@ -386,7 +376,7 @@ def emit_scatter_csv(rows: list[ScatterRow], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SCATTER_COLUMNS)
-        # The csv module writes a float as repr(float), like _format_float.
+        # The csv module writes a float as repr(float).
         writer.writerows(map(_SCATTER_FIELDS, rows))
 
 
@@ -417,7 +407,7 @@ def emit_events_csv(
                         event.kind.value,
                         event.old_phase_id,
                         event.new_phase_id,
-                        _format_float(event.d_i),
+                        float(event.d_i),
                         "",
                         "",
                         "",

@@ -9,9 +9,7 @@ closely; long ones keep profiling cheap while nothing happens.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .detector import DetectorConfig, Normalization, PhaseEventKind, PhaseState
+from .detector import DetectorConfig, PhaseEventKind
 
 
 def steadiness_check(th_bar_i: float, th_bar_prev: float, steady_band: float) -> bool:
@@ -19,22 +17,6 @@ def steadiness_check(th_bar_i: float, th_bar_prev: float, steady_band: float) ->
     if th_bar_prev <= 0:
         raise ValueError(f"previous average must be positive, got {th_bar_prev}")
     return abs(th_bar_i - th_bar_prev) * 100.0 / th_bar_prev < steady_band
-
-
-def rescale_on_tau_change(
-    phase: PhaseState, ratio: float, mode: Normalization
-) -> PhaseState:
-    """Rescale a stored phase average after the interval length changes.
-
-    Raw instruction counts grow with the interval, so the average must be
-    multiplied by the length ratio (2 when doubling, 1/2 when halving) to
-    stay comparable. Per-cycle throughput is length-independent.
-    """
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    if mode is Normalization.PER_CYCLE:
-        return phase
-    return replace(phase, running_avg=phase.running_avg * ratio)
 
 
 class IntervalController:
@@ -56,13 +38,6 @@ class IntervalController:
         """Re-anchor the comparison after a phase boundary seeded a new average."""
         self.steady_count = 0
         self.prev_running_avg = running_avg
-
-    def rescale_baseline(self, ratio: float) -> None:
-        """Keep the stored baseline comparable after a raw-mode tau change."""
-        if ratio <= 0:
-            raise ValueError(f"ratio must be positive, got {ratio}")
-        if self.prev_running_avg is not None:
-            self.prev_running_avg *= ratio
 
     def observe_average(self, running_avg: float) -> PhaseEventKind | None:
         """Cast a steadiness verdict for the newest running average.

@@ -182,10 +182,6 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
 def detect_format(path: str | Path, explicit: str | None = None) -> str:
     if explicit is not None:
         if explicit not in ("csv", "jsonl"):
@@ -212,8 +208,8 @@ def save_trace(
                         s.start_cycle,
                         s.tau,
                         s.retired_instructions,
-                        _format_float(s.util_int),
-                        _format_float(s.util_fp),
+                        float(s.util_int),
+                        float(s.util_fp),
                         s.source_core,
                     )
                 )

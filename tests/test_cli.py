@@ -68,13 +68,19 @@ class TestSimulateCommand:
         config = write_config(tmp_path, FIXED_STEADY)
         assert cli.main(["simulate", "--config", str(config)]) == 1
 
-    def test_unknown_config_key_exits_one(self, tmp_path):
-        config = write_config(tmp_path, FIXED_STEADY + "wizard = yes\n")
+    @pytest.mark.parametrize(
+        "key, value",
+        [("wizard", "yes"), ("detector.normalization", "raw")],
+        ids=["wizard", "detector.normalization"],
+    )
+    def test_unknown_config_key_exits_one(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, FIXED_STEADY + f"{key} = {value}\n")
         out = tmp_path / "run"
         assert (
             cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
         )
         assert not out.exists()
+        assert repr(key) in capsys.readouterr().err
 
     def test_usage_error_exits_one(self):
         assert cli.main(["simulate", "--no-such-flag"]) == 1

@@ -8,7 +8,6 @@ from phasesim import (
     DetectorConfig,
     ExperimentConfig,
     Mode,
-    Normalization,
     default_machine,
     load_machine_file,
     parse_config_file,
@@ -39,7 +38,6 @@ out = runs/demo
 scheduler.enabled = false
 detector.delta_th = 50
 detector.util_window = 3
-detector.normalization = raw
 detector.recurrence_matching = no
 """
         path = tmp_path / "run.conf"
@@ -56,7 +54,6 @@ detector.recurrence_matching = no
         assert config.scheduler_enabled is False
         assert config.detector.delta_th == 50.0
         assert config.detector.util_window == 3
-        assert config.detector.normalization is Normalization.RAW
         assert config.detector.recurrence_matching is False
         config.validate()
 

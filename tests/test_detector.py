@@ -10,7 +10,6 @@ from conftest import build_stream, event_kinds
 from phasesim import (
     DetectorConfig,
     IntervalSample,
-    Normalization,
     PhaseDetector,
     PhaseEventKind,
     PhaseState,
@@ -84,6 +83,23 @@ class TestRunningAverage:
             state = update_running_average(state, v)
         batch = math.fsum(values) / len(values)
         assert math.isclose(state.running_avg, batch, rel_tol=1e-9, abs_tol=1e-9)
+
+
+class TestOnLadder:
+    @pytest.mark.parametrize("tau", [100_000, 200_000, 800_000, 6_400_000])
+    def test_tau_min_doublings_up_to_tau_max_are_on_it(self, tau):
+        assert DetectorConfig().on_ladder(tau)
+
+    @pytest.mark.parametrize(
+        "tau", [0, -100_000, 50_000, 150_000, 300_000, 100_001, 12_800_000]
+    )
+    def test_other_lengths_are_off_it(self, tau):
+        assert not DetectorConfig().on_ladder(tau)
+
+    @pytest.mark.parametrize("tau_max", [300_000, 50_000, 0, 100_001])
+    def test_tau_max_must_sit_on_it(self, tau_max):
+        with pytest.raises(ValueError, match="power of two"):
+            DetectorConfig(tau_max=tau_max)
 
 
 class TestUtilization:
@@ -319,14 +335,6 @@ class TestPhaseDetectorObserve:
             pids.append(pid)
         assert pids[-1] == 2
         assert all(b >= a for a, b in zip(pids, pids[1:]))
-
-    def test_rescale_phase_averages(self):
-        det = PhaseDetector(DetectorConfig(normalization=Normalization.RAW))
-        for s in build_stream([2.0] * 3):
-            det.observe(s)
-        before = det.current_phase.running_avg
-        det.rescale_phase_averages(2.0)
-        assert det.current_phase.running_avg == pytest.approx(2.0 * before)
 
     @given(
         ths=st.lists(st.floats(0.0, 8.0, allow_nan=False), min_size=1, max_size=60),

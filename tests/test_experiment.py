@@ -9,7 +9,6 @@ from phasesim import (
     ExperimentConfig,
     IntervalSample,
     Mode,
-    Normalization,
     ScatterRow,
     detect_over_samples,
     emit_scatter_csv,
@@ -29,6 +28,21 @@ def steady_config(**kwargs):
     defaults = dict(workload_preset="steady", fixed_tau=100_000)
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def replay_rows(rows):
+    """The samples a run's scatter rows describe, ready for detection."""
+    return [
+        IntervalSample(
+            index=r.interval_index,
+            start_cycle=r.start_cycle,
+            tau=r.tau,
+            retired_instructions=r.throughput_raw,
+            util_int=r.utilization,
+            util_fp=0.0,
+        )
+        for r in rows
+    ]
 
 
 class TestSimulateFixed:
@@ -131,16 +145,6 @@ class TestSimulateVariable:
         last = result.rows[-1]
         assert last.start_cycle + last.tau == 200_000_000
 
-    def test_raw_normalization_climbs_the_same_ladder(self):
-        config = steady_config(
-            mode=Mode.VARIABLE,
-            detector=DetectorConfig(normalization=Normalization.RAW),
-        )
-        result = run_experiment(config)
-        assert result.summary["sample_count"] == 356
-        assert result.summary["event_counts"] == {"tau_doubled": 4}
-        assert result.summary["phase_count"] == 1
-
     def test_under_utilization_churn_pins_tau_to_the_floor(self):
         # Demand 1.0 parks a big core at 25% utilization, below the under
         # threshold, so every window ends the phase and no streak survives.
@@ -218,22 +222,43 @@ class TestDetectOverSamples:
         # change; replaying the recorded trace can only see the new length
         # arrive, one sample later.
         sim = run_experiment(steady_config(mode=Mode.VARIABLE))
-        replay = [
-            IntervalSample(
-                index=r.interval_index,
-                start_cycle=r.start_cycle,
-                tau=r.tau,
-                retired_instructions=r.throughput_raw,
-                util_int=r.utilization,
-                util_fp=0.0,
-            )
-            for r in sim.rows
-        ]
-        result = detect_over_samples(replay, DetectorConfig())
+        result = detect_over_samples(replay_rows(sim.rows), DetectorConfig())
         doubled = [e.interval_index for e in result.events]
         assert doubled == [76, 151, 226, 301]
         assert result.summary["sample_count"] == 356
         assert result.summary["phase_count"] == 1
+
+    @pytest.mark.parametrize(
+        "taus",
+        [
+            [100_000] * 3 + [50_000],  # truncated tail below tau_min
+            [300_000] * 3 + [600_000],  # neither length on the ladder
+            [6_400_000] * 2 + [12_800_000],  # above tau_max
+        ],
+    )
+    def test_off_ladder_lengths_are_no_tau_events(self, taus):
+        samples = build_stream([1.0] * len(taus), utils=0.5, tau=taus)
+        assert detect_over_samples(samples, DetectorConfig()).events == []
+
+    def test_truncated_tail_is_neither_a_phase_nor_a_tau_change(self):
+        # 100.5 intervals of 100k cycles: the last one is cut to 50k. Its
+        # per-cycle throughput matches the phase, and half of tau_min is no
+        # length the controller ever sets.
+        sim = run_experiment(
+            steady_config(
+                preset_args={"total_cycles": 10_050_000},
+                detector=DetectorConfig(delta_th=20.0),
+            )
+        )
+        assert sim.rows[-1].tau == 50_000
+        assert sim.summary["phase_count"] == 1
+        assert sim.events == []
+
+        replay = detect_over_samples(
+            replay_rows(sim.rows), DetectorConfig(delta_th=20.0)
+        )
+        assert [r.phase_id for r in replay.rows] == [r.phase_id for r in sim.rows]
+        assert replay.events == []
 
     def test_empty_stream_gives_an_empty_run(self):
         result = detect_over_samples([], DetectorConfig())

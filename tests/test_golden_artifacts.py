@@ -50,10 +50,6 @@ SIMULATE_CASES = {
         "workload.preset = fmm_like\nstart_core = B0\n",
         ["--fixed-tau", "100000"],
     ),
-    "fmm_like_variable_raw": (
-        "workload.preset = fmm_like\ndetector.normalization = raw\n",
-        ["--variable-tau"],
-    ),
 }
 
 #: Detect cases: the trace file name (its suffix picks the format) and the
@@ -194,20 +190,6 @@ GOLDEN = {
         "events.csv": (
             "c8cb0ebf396fb844a68e6d2f7cc58643"
             "ab0e053996a3ac6a3767a802d3c1c95c"
-        ),
-        "scatter.csv": (
-            "f5096b4c752cff23cbc15b427adf706b"
-            "c44780570ea20a61852c2fc28daa6f8d"
-        ),
-        "summary.json": (
-            "7de688d7b187f25aea216a061acf8d31"
-            "b92f1b2f4440c1e3779b9de4cdf6c06a"
-        ),
-    },
-    "fmm_like_variable_raw": {
-        "events.csv": (
-            "a7f1670d9f0bb860a37618e60d440927"
-            "b3daaebe542a53135246eb17e8b4cd91"
         ),
         "scatter.csv": (
             "f5096b4c752cff23cbc15b427adf706b"

@@ -25,7 +25,6 @@ from conftest import build_stream
 from phasesim import (
     DetectorConfig,
     IntervalSample,
-    Normalization,
     PhaseDetector,
     PhaseEvent,
     PhaseEventKind,
@@ -69,10 +68,7 @@ class ReferenceDetector:
         self.current = phase_id
 
     def observe(self, sample: IntervalSample) -> tuple[int, list[PhaseEvent]]:
-        if self.config.normalization is Normalization.PER_CYCLE:
-            th = sample.retired_instructions / sample.tau
-        else:
-            th = float(sample.retired_instructions)
+        th = sample.retired_instructions / sample.tau
         u = effective_utilization(sample.util_int, sample.util_fp)
         if self.current is None:
             self._seed(self.next_id, th, u)
@@ -145,7 +141,6 @@ def detector_runs(draw):
         delta_over=over,
         delta_under=under,
         util_window=draw(st.integers(1, 4)),
-        normalization=draw(st.sampled_from(list(Normalization))),
         recurrence_matching=draw(st.booleans()),
     )
     util = st.one_of(

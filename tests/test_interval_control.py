@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from phasesim import (
     DetectorConfig,
     IntervalController,
-    Normalization,
     PhaseEventKind,
-    PhaseState,
-    rescale_on_tau_change,
     steadiness_check,
 )
 
@@ -35,24 +32,6 @@ class TestSteadinessCheck:
     def test_nonpositive_baseline_rejected(self, prev):
         with pytest.raises(ValueError):
             steadiness_check(1.0, prev, 1.0)
-
-
-class TestRescaleOnTauChange:
-    def test_raw_mode_scales_with_interval(self):
-        phase = PhaseState(phase_id=0, running_avg=400_000.0, count=3)
-        scaled = rescale_on_tau_change(phase, 2.0, Normalization.RAW)
-        assert scaled.running_avg == 800_000.0
-        halved = rescale_on_tau_change(phase, 0.5, Normalization.RAW)
-        assert halved.running_avg == 200_000.0
-
-    def test_per_cycle_mode_is_identity(self):
-        phase = PhaseState(phase_id=0, running_avg=1.6, count=3)
-        assert rescale_on_tau_change(phase, 2.0, Normalization.PER_CYCLE) is phase
-
-    def test_nonpositive_ratio_rejected(self):
-        phase = PhaseState(phase_id=0, running_avg=1.0, count=1)
-        with pytest.raises(ValueError):
-            rescale_on_tau_change(phase, 0.0, Normalization.RAW)
 
 
 class TestIntervalLadder:
@@ -166,16 +145,3 @@ class TestObserveAverage:
         ctl.reset_baseline(0.0)
         assert ctl.observe_average(0.5) is PhaseEventKind.TAU_HALVED
         assert ctl.tau == 100_000
-
-    def test_rescale_baseline_keeps_raw_streaks_alive(self):
-        cfg = DetectorConfig(
-            normalization=Normalization.RAW, steady_upper_bound=2
-        )
-        ctl = IntervalController(cfg)
-        ctl.observe_average(160_000.0)
-        ctl.observe_average(160_000.0)
-        assert ctl.observe_average(160_000.0) is PhaseEventKind.TAU_DOUBLED
-        ctl.rescale_baseline(2.0)
-        assert ctl.observe_average(320_000.0) is None
-        assert ctl.observe_average(320_000.0) is PhaseEventKind.TAU_DOUBLED
-        assert ctl.tau == 400_000
