@@ -121,12 +121,20 @@ def _parse_float(value: str, key: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
+def _parse_path(value: str, key: str, base_dir: Path) -> Path:
+    # The OS cannot open a path with a NUL byte; Python raises ValueError.
+    if "\0" in value:
+        raise ConfigError(f"{key}: path contains a NUL byte: {value!r}")
+    return base_dir / value
+
+
 def parse_config_file(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     pairs: dict[str, str] = {}
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: not UTF-8, or a NUL byte in the path.
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -153,9 +161,9 @@ def parse_config_pairs(
         if key == "workload.preset":
             config.workload_preset = value
         elif key == "workload.spec":
-            config.workload_spec_path = base_dir / value
+            config.workload_spec_path = _parse_path(value, key, base_dir)
         elif key == "workload.trace":
-            config.workload_trace_path = base_dir / value
+            config.workload_trace_path = _parse_path(value, key, base_dir)
         elif key == "workload.cycles":
             config.preset_args["total_cycles"] = _parse_int(value, key)
         elif key == "workload.demand":
@@ -165,7 +173,7 @@ def parse_config_pairs(
         elif key == "workload.noise":
             config.preset_args["noise"] = _parse_float(value, key)
         elif key == "machine":
-            config.machine_cores = load_machine_file(base_dir / value)
+            config.machine_cores = load_machine_file(_parse_path(value, key, base_dir))
         elif key == "start_core":
             config.start_core = value
         elif key == "mode":
@@ -180,7 +188,7 @@ def parse_config_pairs(
         elif key == "seed":
             config.seed = _parse_int(value, key)
         elif key == "out":
-            config.out_dir = base_dir / value
+            config.out_dir = _parse_path(value, key, base_dir)
         elif key == "scheduler.enabled":
             config.scheduler_enabled = _parse_bool(value, key)
         elif key == "scheduler.migration_penalty":
@@ -235,19 +243,23 @@ def load_machine_file(path: str | Path) -> list[CoreSpec]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: not UTF-8, or a NUL byte in the path.
         raise ConfigError(f"cannot read machine file {path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{path}: empty machine file") from None
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path}: empty machine file")
+    header = rows[0]
     if tuple(header) != MACHINE_COLUMNS:
         raise ConfigError(
             f"{path}: bad header {header!r}, expected {list(MACHINE_COLUMNS)}"
         )
     cores: list[CoreSpec] = []
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in enumerate(rows[1:], start=2):
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) != len(MACHINE_COLUMNS):

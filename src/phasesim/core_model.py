@@ -233,11 +233,5 @@ def simulate_interval(
     util_int, util_fp = fu_utilization(core, int_rate, fp_rate)
 
     return IntervalSample(
-        index=index,
-        start_cycle=start,
-        tau=covered,
-        retired_instructions=retired,
-        util_int=util_int,
-        util_fp=util_fp,
-        source_core=core.name,
+        index, start, covered, retired, util_int, util_fp, core.name
     )

@@ -52,7 +52,8 @@ class UtilizationClass(Enum):
     OVER = "over"
 
 
-@dataclass(frozen=True)
+# Not frozen: built once per interval; frozen costs an object.__setattr__ per field.
+@dataclass(slots=True)
 class IntervalSample:
     """Measurements for one profiling interval.
 
@@ -146,7 +147,8 @@ class DetectorConfig:
         )
 
 
-@dataclass(frozen=True)
+# Not frozen: built per similar interval; frozen costs an object.__setattr__ per field.
+@dataclass(slots=True)
 class PhaseState:
     """Incremental statistics for one phase.
 
@@ -382,7 +384,5 @@ class PhaseDetector:
         return pid
 
     def _seed_phase(self, phase_id: int, th: float, u: float) -> None:
-        self.phases[phase_id] = PhaseState(
-            phase_id=phase_id, running_avg=th, count=1, util_avg=u
-        )
+        self.phases[phase_id] = PhaseState(phase_id, th, 1, u)
         self.current_phase_id = phase_id

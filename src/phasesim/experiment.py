@@ -74,7 +74,8 @@ _SCATTER_PRIORITY = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: built once per interval; frozen costs an object.__setattr__ per field.
+@dataclass(slots=True)
 class ScatterRow:
     interval_index: int
     start_cycle: int

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -24,6 +25,7 @@ TRACE_COLUMNS = (
     "util_fp",
     "source_core",
 )
+_TRACE_KEYS = frozenset(TRACE_COLUMNS)
 
 
 class TraceError(Exception):
@@ -149,7 +151,7 @@ def save_workload_spec(spec: WorkloadSpec, path: str | Path) -> None:
 def load_workload_spec(path: str | Path) -> WorkloadSpec:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
         raise ValueError(f"{path}: not valid workload JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: workload spec must be a JSON object")
@@ -264,37 +266,43 @@ def _load_csv(path: Path) -> Iterator[IntervalSample]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            return
-        if tuple(header) != TRACE_COLUMNS:
-            raise TraceParseError(
-                f"bad header {header!r}, expected {list(TRACE_COLUMNS)}", 1
-            )
-        previous: IntervalSample | None = None
-        for row_index, row in enumerate(reader):
-            line_number = row_index + 2
-            if len(row) != len(TRACE_COLUMNS):
+            header = next(reader, None)
+            if header is None:
+                return
+            if tuple(header) != TRACE_COLUMNS:
                 raise TraceParseError(
-                    f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}", line_number
+                    f"bad header {header!r}, expected {list(TRACE_COLUMNS)}", 1
                 )
-            try:
-                sample = IntervalSample(
-                    index=int(row[0]),
-                    start_cycle=int(row[1]),
-                    tau=int(row[2]),
-                    retired_instructions=int(row[3]),
-                    util_int=float(row[4]),
-                    util_fp=float(row[5]),
-                    source_core=row[6],
-                )
-            except (TypeError, ValueError) as exc:
-                if _is_parse_failure(row):
-                    raise TraceParseError(str(exc), line_number) from exc
-                raise TraceValidationError(str(exc), row_index) from exc
-            _check_stream(sample, previous, row_index)
-            previous = sample
-            yield sample
+            previous: IntervalSample | None = None
+            for row_index, row in enumerate(reader):
+                line_number = row_index + 2
+                if len(row) != len(TRACE_COLUMNS):
+                    raise TraceParseError(
+                        f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}",
+                        line_number,
+                    )
+                try:
+                    sample = IntervalSample(
+                        int(row[0]),
+                        int(row[1]),
+                        int(row[2]),
+                        int(row[3]),
+                        float(row[4]),
+                        float(row[5]),
+                        row[6],
+                    )
+                except (TypeError, ValueError) as exc:
+                    if _is_parse_failure(row):
+                        raise TraceParseError(str(exc), line_number) from exc
+                    raise TraceValidationError(str(exc), row_index) from exc
+                _check_stream(sample, previous, row_index)
+                previous = sample
+                yield sample
+        except csv.Error as exc:
+            raise TraceParseError(f"{exc} in {path}", reader.line_num) from exc
+        except UnicodeDecodeError as exc:
+            # The decoder works on whole chunks, so the line is unknown.
+            raise TraceError(f"{path} is not valid UTF-8: {exc.reason}") from exc
 
 
 def _is_parse_failure(row: list[str]) -> bool:
@@ -310,38 +318,92 @@ def _load_jsonl(path: Path) -> Iterator[IntervalSample]:
     with open(path, "r", encoding="utf-8") as handle:
         previous: IntervalSample | None = None
         row_index = 0
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(str(exc), line_number) from exc
-            if not isinstance(record, dict):
-                raise TraceParseError("each line must be a JSON object", line_number)
-            if "schema_version" not in record:
-                raise TraceParseError("missing schema_version", line_number)
-            if record["schema_version"] != TRACE_SCHEMA_VERSION:
-                raise TraceParseError(
-                    f"unsupported schema_version {record['schema_version']!r}",
-                    line_number,
-                )
-            missing = [c for c in TRACE_COLUMNS if c not in record]
-            if missing:
-                raise TraceParseError(f"missing fields {missing}", line_number)
-            try:
-                sample = IntervalSample(
-                    index=int(record["index"]),
-                    start_cycle=int(record["start_cycle"]),
-                    tau=int(record["tau"]),
-                    retired_instructions=int(record["retired_instructions"]),
-                    util_int=float(record["util_int"]),
-                    util_fp=float(record["util_fp"]),
-                    source_core=str(record["source_core"]),
-                )
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise TraceValidationError(str(exc), row_index) from exc
-            _check_stream(sample, previous, row_index)
-            previous = sample
-            row_index += 1
-            yield sample
+        try:
+            for line_number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceParseError(str(exc), line_number) from exc
+                except (RecursionError, ValueError) as exc:
+                    # Nesting too deep, or an integer past the interpreter's
+                    # digit limit.
+                    raise TraceParseError(f"{exc} in {path}", line_number) from exc
+                if not isinstance(record, dict):
+                    raise TraceParseError("each line must be a JSON object", line_number)
+                if "schema_version" not in record:
+                    raise TraceParseError("missing schema_version", line_number)
+                version = record["schema_version"]
+                if version != TRACE_SCHEMA_VERSION or type(version) is not int:
+                    raise TraceParseError(
+                        f"unsupported schema_version {version!r}", line_number
+                    )
+                if not _TRACE_KEYS <= record.keys():
+                    missing = [c for c in TRACE_COLUMNS if c not in record]
+                    raise TraceParseError(f"missing fields {missing}", line_number)
+                index = record["index"]
+                start_cycle = record["start_cycle"]
+                tau = record["tau"]
+                retired = record["retired_instructions"]
+                util_int = record["util_int"]
+                util_fp = record["util_fp"]
+                source_core = record["source_core"]
+                # Type identity, not isinstance: a JSON true or false is a bool,
+                # which isinstance would pass as an int.
+                if not (
+                    type(index) is int
+                    and type(start_cycle) is int
+                    and type(tau) is int
+                    and type(retired) is int
+                    and type(source_core) is str
+                ):
+                    raise TraceValidationError(_json_type_error(record), row_index)
+                if type(util_int) is not float or type(util_fp) is not float:
+                    util_int = _json_number(record, "util_int", row_index)
+                    util_fp = _json_number(record, "util_fp", row_index)
+                try:
+                    sample = IntervalSample(
+                        index, start_cycle, tau, retired, util_int, util_fp, source_core
+                    )
+                except ValueError as exc:
+                    raise TraceValidationError(str(exc), row_index) from exc
+                _check_stream(sample, previous, row_index)
+                previous = sample
+                row_index += 1
+                yield sample
+        except UnicodeDecodeError as exc:
+            # The decoder works on whole chunks, so the line is unknown.
+            raise TraceError(f"{path} is not valid UTF-8: {exc.reason}") from exc
+
+
+_JSON_INT_FIELDS = ("index", "start_cycle", "tau", "retired_instructions")
+
+
+def _json_type_error(record: dict) -> str:
+    """Describe the first integer or string field of a JSONL record whose
+    JSON type is wrong."""
+    for name in _JSON_INT_FIELDS:
+        if type(record[name]) is not int:
+            return f"{name} must be a JSON integer, got {reprlib.repr(record[name])}"
+    return (
+        "source_core must be a JSON string, "
+        f"got {reprlib.repr(record['source_core'])}"
+    )
+
+
+def _json_number(record: dict, name: str, row_index: int) -> float:
+    """A JSONL utilization field as a float; only JSON numbers qualify."""
+    value = record[name]
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise TraceValidationError(
+                f"{name} does not fit a float, got {reprlib.repr(value)}", row_index
+            ) from None
+    raise TraceValidationError(
+        f"{name} must be a JSON number, got {reprlib.repr(value)}", row_index
+    )

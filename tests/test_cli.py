@@ -20,6 +20,13 @@ mode = fixed_tau
 fixed_tau = 100000
 """
 
+TRACE_HEADER = (
+    b"index,start_cycle,tau,retired_instructions,util_int,util_fp,source_core\n"
+)
+MACHINE_HEADER = (
+    b"name,core_class,issue_width,int_window,fp_window,int_fu_count,fp_fu_count\n"
+)
+
 
 class TestSimulateCommand:
     def test_happy_path(self, tmp_path, capsys):
@@ -125,6 +132,51 @@ class TestSimulateCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config_text, files, named",
+        [
+            (b"fixed_tau = 100000\n# caf\xe9\n", {}, "run.conf"),
+            (
+                b"machine = m.csv\n",
+                {"m.csv": MACHINE_HEADER + b"A\xff,A,4,80,32,,\n"},
+                "m.csv",
+            ),
+            (
+                b"machine = m.csv\n",
+                {"m.csv": MACHINE_HEADER + b"A0,A,4,80,32,," + b"9" * 140_000 + b"\n"},
+                "m.csv",
+            ),
+            (
+                b"workload.spec = s.json\nfixed_tau = 100000\n",
+                {"s.json": b"[" * 100_000},
+                "s.json",
+            ),
+            (b"machine = m\0.csv\n", {}, "machine:"),
+            (b"workload.trace = t\0.csv\n", {}, "workload.trace:"),
+        ],
+        ids=[
+            "config_invalid_utf8",
+            "machine_invalid_utf8",
+            "machine_field_over_limit",
+            "spec_deep_nesting",
+            "machine_nul_path",
+            "trace_nul_path",
+        ],
+    )
+    def test_unreadable_config_input_exits_one(
+        self, tmp_path, capsys, config_text, files, named
+    ):
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        config = tmp_path / "run.conf"
+        config.write_bytes(config_text)
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert named in err
+        assert not out.exists()
 
     def test_nan_ipc_demand_exits_one_naming_the_field(self, tmp_path, capsys):
         # JSON accepts NaN; the segment must refuse it before it reaches the
@@ -260,13 +312,33 @@ class TestDetectCommand:
         )
         assert code == 2
 
-    def test_malformed_trace_exits_two(self, tmp_path):
-        trace = tmp_path / "bad.csv"
-        trace.write_text("index,tau\n0,100\n")
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("bad.csv", b"index,tau\n0,100\n"),
+            ("bad.csv", TRACE_HEADER + b"0,0,100000,100000,0.5,0.0,A\xff\n"),
+            ("bad.jsonl", b'{"schema_version": 1, "source_core": "A\xff"}\n'),
+            ("bad.csv", TRACE_HEADER + b"0,0,100000,100000,0.5,0.0," + b"A" * 140_000),
+            ("bad.jsonl", b"[" * 100_000 + b"\n"),
+            ("bad.jsonl", b'{"schema_version": 1, "tau": ' + b"1" * 5000 + b"}\n"),
+        ],
+        ids=[
+            "bad_header",
+            "csv_invalid_utf8",
+            "jsonl_invalid_utf8",
+            "csv_field_over_limit",
+            "jsonl_deep_nesting",
+            "jsonl_long_integer",
+        ],
+    )
+    def test_malformed_trace_exits_two(self, tmp_path, capsys, name, content):
+        trace = tmp_path / name
+        trace.write_bytes(content)
         code = cli.main(
             ["detect", "--trace", str(trace), "--out", str(tmp_path / "out")]
         )
         assert code == 2
+        assert "internal error" not in capsys.readouterr().err
 
     def test_no_trace_anywhere_exits_one(self, tmp_path):
         assert cli.main(["detect", "--out", str(tmp_path / "out")]) == 1

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasesim import (
     ConfigError,
@@ -110,6 +112,33 @@ detector.recurrence_matching = no
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config_file(tmp_path / "missing.conf")
+
+    @given(
+        text=st.binary(max_size=400)
+        | st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "workload.preset", "workload.spec", "workload.trace",
+                        "workload.cycles", "workload.demand", "machine", "mode",
+                        "fixed_tau", "seed", "out", "scheduler.enabled",
+                        "detector.delta_th", "detector.tau_max",
+                        "detector.recurrence_matching",
+                    ]
+                ),
+                st.text(max_size=30),
+            ),
+            max_size=6,
+        ).map(lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs).encode())
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_parse_or_raise_config_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "run.conf"
+        path.write_bytes(text)
+        try:
+            parse_config_file(path)
+        except ConfigError:
+            pass
 
 
 class TestExperimentConfigValidate:

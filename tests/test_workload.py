@@ -10,6 +10,7 @@ from conftest import build_stream
 from phasesim import (
     PRESETS,
     IntervalSample,
+    TraceError,
     TraceParseError,
     TraceValidationError,
     WorkloadSegment,
@@ -210,6 +211,16 @@ class TestTraceErrors:
         with pytest.raises(TraceParseError):
             list(load_trace(path, fmt="jsonl"))
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"', "2"])
+    def test_jsonl_schema_version_must_be_the_integer_one(self, tmp_path, version):
+        path = tmp_path / "trace.jsonl"
+        save_trace(build_stream([1.0]), path)
+        path.write_text(
+            path.read_text().replace('"schema_version": 1', f'"schema_version": {version}')
+        )
+        with pytest.raises(TraceParseError, match="unsupported schema_version"):
+            list(load_trace(path))
+
     def test_jsonl_infinite_integer_is_a_validation_error(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         save_trace(build_stream([1.0]), path)
@@ -218,9 +229,78 @@ class TestTraceErrors:
             list(load_trace(path))
         assert exc.value.row_index == 0
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("tau", 100000.7, "100000.7"),
+            ("tau", True, "True"),
+            ("index", False, "False"),
+            ("start_cycle", "0", "'0'"),
+            ("retired_instructions", None, "None"),
+            ("source_core", None, "None"),
+            ("source_core", 7, "7"),
+            ("util_int", "0.5", "'0.5'"),
+            ("util_fp", True, "True"),
+            ("util_int", [0.5], "[0.5]"),
+            ("util_fp", 10**400, "does not fit a float"),
+        ],
+    )
+    def test_jsonl_value_of_the_wrong_type_is_a_validation_error(
+        self, tmp_path, field, value, shown
+    ):
+        path = tmp_path / "trace.jsonl"
+        save_trace(build_stream([1.0]), path)
+        record = json.loads(path.read_text())
+        record[field] = value
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(TraceValidationError) as exc:
+            list(load_trace(path))
+        assert exc.value.row_index == 0
+        assert field in str(exc.value)
+        assert shown in str(exc.value)
+
+    def test_jsonl_integer_utilization_reads_as_a_float(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        save_trace(build_stream([1.0], utils=1.0), path)
+        path.write_text(path.read_text().replace('"util_int": 1.0', '"util_int": 1'))
+        (sample,) = load_trace(path)
+        assert type(sample.util_int) is float and sample.util_int == 1.0
+
     def test_jsonl_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text("{not json}\n")
         with pytest.raises(TraceParseError) as exc:
             list(load_trace(path, fmt="jsonl"))
         assert exc.value.line_number == 1
+
+
+TRACE_HEADER = (
+    b"index,start_cycle,tau,retired_instructions,util_int,util_fp,source_core\n"
+)
+ONE_ROW = {
+    "csv": TRACE_HEADER + b"0,0,100000,100000,0.5,0.0,A0\n",
+    "jsonl": (
+        b'{"schema_version": 1, "index": 0, "start_cycle": 0, "tau": 100000, '
+        b'"retired_instructions": 100000, "util_int": 0.5, "util_fp": 0.0, '
+        b'"source_core": "A0"}\n'
+    ),
+}
+
+
+class TestTraceLoaderFuzz:
+    """Whatever the bytes, a trace either loads or raises TraceError."""
+
+    @given(
+        fmt=st.sampled_from(["csv", "jsonl"]),
+        prefix=st.sampled_from(["", "header", "row"]),
+        tail=st.binary(max_size=400),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, tmp_path_factory, fmt, prefix, tail):
+        head = {"": b"", "header": TRACE_HEADER, "row": ONE_ROW[fmt]}[prefix]
+        path = tmp_path_factory.mktemp("fuzz") / f"trace.{fmt}"
+        path.write_bytes(head + tail)
+        try:
+            list(load_trace(path))
+        except TraceError:
+            pass
