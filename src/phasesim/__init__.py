@@ -29,13 +29,8 @@ from .detector import (
     PhaseEvent,
     PhaseEventKind,
     PhaseState,
-    Similarity,
     UtilizationClass,
-    classify_similarity,
-    effective_utilization,
     match_recurring_phase,
-    throughput_delta,
-    update_running_average,
     utilization_class,
 )
 from .experiment import (
@@ -53,7 +48,6 @@ from .experiment import (
 from .interval_control import IntervalController, steadiness_check
 from .scheduler import (
     MachineState,
-    MigrationEvent,
     SchedulingConflictError,
     apply_migration,
     decide_migration,

@@ -94,10 +94,6 @@ class ExperimentConfig:
         raise ConfigError(f"start_core {name!r} not in machine")
 
 
-_DETECTOR_KEYS = {f.name for f in fields(DetectorConfig)}
-_PRESET_ARG_KEYS = {"cycles", "demand", "fp_fraction", "noise"}
-
-
 def _parse_bool(value: str, key: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -119,6 +115,13 @@ def _parse_float(value: str, key: str) -> float:
         return float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+
+
+#: Each detector option parsed by the type of its default.
+_DETECTOR_PARSERS = {
+    f.name: {bool: _parse_bool, int: _parse_int, float: _parse_float}[type(f.default)]
+    for f in fields(DetectorConfig)
+}
 
 
 def _parse_path(value: str, key: str, base_dir: Path) -> Path:
@@ -195,33 +198,18 @@ def parse_config_pairs(
             config.migration_penalty = _parse_int(value, key)
         elif key.startswith("detector."):
             field_name = key[len("detector.") :]
-            if field_name not in _DETECTOR_KEYS:
+            if field_name not in _DETECTOR_PARSERS:
                 raise ConfigError(f"unknown detector option {key!r}")
-            detector_overrides[field_name] = _parse_detector_value(field_name, value, key)
+            detector_overrides[field_name] = _DETECTOR_PARSERS[field_name](value, key)
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
     if detector_overrides:
         try:
-            config.detector = DetectorConfig(
-                **{
-                    **{f.name: getattr(config.detector, f.name) for f in fields(DetectorConfig)},
-                    **detector_overrides,
-                }
-            )
+            config.detector = DetectorConfig(**detector_overrides)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return config
-
-
-def _parse_detector_value(field_name: str, value: str, key: str) -> object:
-    if field_name in ("util_window", "steady_upper_bound", "tau_min", "tau_max"):
-        return _parse_int(value, key)
-    if field_name in ("delta_th", "delta_over", "delta_under", "steady_band"):
-        return _parse_float(value, key)
-    if field_name == "recurrence_matching":
-        return _parse_bool(value, key)
-    raise ConfigError(f"unknown detector option {key!r}")
 
 
 MACHINE_COLUMNS = (

@@ -13,18 +13,9 @@ around so a recurring phase can be recognised instead of minting a new id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Reversible, Sequence
-
-
-class Similarity(Enum):
-    """Verdict for one interval against the current phase."""
-
-    SIMILAR = "similar"
-    THROUGHPUT = "throughput"
-    OVER_UTIL = "over_util"
-    UNDER_UTIL = "under_util"
+from typing import Reversible
 
 
 class PhaseEventKind(Enum):
@@ -34,6 +25,7 @@ class PhaseEventKind(Enum):
     TAU_DOUBLED = "tau_doubled"
     TAU_HALVED = "tau_halved"
     PHASE_RECURRED = "phase_recurred"
+    MIGRATION = "migration"
 
 
 #: Event kinds that close the current phase and open another one.
@@ -163,46 +155,39 @@ class PhaseState:
     util_avg: float = 0.0
 
 
-@dataclass(frozen=True)
+# Not frozen: built at every phase change; frozen costs an object.__setattr__ per field.
+@dataclass(slots=True)
 class PhaseEvent:
-    """Something the detector or interval controller decided at an interval.
+    """Something the detector, interval controller or scheduler decided at an
+    interval.
 
     For phase changes ``old_phase_id``/``new_phase_id`` are the closed and
     opened phases; for interval-length events they are both the current
     phase. ``d_i`` is the percent throughput deviation observed at the
-    triggering interval.
+    triggering interval. A migration leaves those three ``None`` and names
+    the ``process`` moved ``from_core`` ``to_core`` and the utilization
+    event kind that was its ``reason``.
     """
 
     interval_index: int
     kind: PhaseEventKind
-    old_phase_id: int
-    new_phase_id: int
-    d_i: float
+    old_phase_id: int | None
+    new_phase_id: int | None
+    d_i: float | None
+    process: str | None = None
+    from_core: str | None = None
+    to_core: str | None = None
+    reason: PhaseEventKind | None = None
 
-
-def throughput_delta(th_i: float, th_bar_prev: float) -> float:
-    """Percent deviation of an interval's throughput from the phase average.
-
-    Callers must treat a phase's very first interval specially: with no
-    accumulated throughput (``th_bar_prev <= 0``) the deviation is undefined.
-    """
-    if th_bar_prev <= 0:
-        raise ValueError(
-            f"throughput average must be positive, got {th_bar_prev}"
-        )
-    return (th_i - th_bar_prev) * 100.0 / th_bar_prev
-
-
-def update_running_average(state: PhaseState, th_i: float) -> PhaseState:
-    """Fold one interval's throughput into the phase's incremental mean."""
-    new_count = state.count + 1
-    avg = (th_i + state.running_avg * state.count) / new_count
-    return replace(state, running_avg=avg, count=new_count)
-
-
-def effective_utilization(util_int: float, util_fp: float) -> float:
-    """Collapse the two unit occupancies into one figure: the busier wins."""
-    return max(util_int, util_fp)
+    def __post_init__(self) -> None:
+        if self.kind is PhaseEventKind.MIGRATION:
+            if self.from_core == self.to_core:
+                raise ValueError("migration must change cores")
+            if self.reason not in (
+                PhaseEventKind.OVER_UTILIZATION,
+                PhaseEventKind.UNDER_UTILIZATION,
+            ):
+                raise ValueError(f"migrations are utilization-driven, got {self.reason}")
 
 
 def utilization_class(u: float, config: DetectorConfig) -> UtilizationClass:
@@ -211,33 +196,6 @@ def utilization_class(u: float, config: DetectorConfig) -> UtilizationClass:
     if u < config.delta_under:
         return UtilizationClass.UNDER
     return UtilizationClass.NORMAL
-
-
-def classify_similarity(
-    d_i: float, util_history: Sequence[float], config: DetectorConfig
-) -> Similarity:
-    """Decide whether the newest interval still belongs to the current phase.
-
-    ``util_history`` holds the effective utilization of up to ``util_window``
-    most recent intervals, newest last; the utilization verdicts only fire
-    once the window is full. When several conditions trip at once the
-    reported reason is throughput first, then over-, then under-utilization.
-    """
-    if not util_history:
-        raise ValueError("util_history must hold at least one value")
-    if len(util_history) > config.util_window:
-        raise ValueError(
-            f"util_history holds {len(util_history)} values, "
-            f"window is {config.util_window}"
-        )
-    if abs(d_i) > config.delta_th:
-        return Similarity.THROUGHPUT
-    if len(util_history) == config.util_window:
-        if all(u > config.delta_over for u in util_history):
-            return Similarity.OVER_UTIL
-        if all(u < config.delta_under for u in util_history):
-            return Similarity.UNDER_UTIL
-    return Similarity.SIMILAR
 
 
 def match_recurring_phase(
@@ -303,9 +261,11 @@ class PhaseDetector:
     def observe(self, sample: IntervalSample) -> tuple[int, list[PhaseEvent]]:
         """Assign one interval to a phase, returning (phase_id, events).
 
-        Equivalent to :func:`classify_similarity` over a window of the last
-        ``util_window`` effective utilizations, :func:`update_running_average`
-        and :func:`match_recurring_phase`, with the arithmetic inlined.
+        The interval leaves the current phase when its throughput deviates
+        from the phase average by more than ``delta_th`` percent, or when the
+        last ``util_window`` intervals since the phase opened all sat above
+        ``delta_over`` (or all below ``delta_under``); the new phase is a
+        :func:`match_recurring_phase` hit or a fresh id.
         """
         expected = 0 if self.last_index is None else self.last_index + 1
         if sample.index != expected:
@@ -316,7 +276,7 @@ class PhaseDetector:
 
         config = self.config
         th = sample.retired_instructions / sample.tau
-        # effective_utilization: the busier unit, the integer one on a tie.
+        # Effective utilization: the busier unit, the integer one on a tie.
         u = sample.util_fp if sample.util_fp > sample.util_int else sample.util_int
         self._over_run = self._over_run + 1 if u > config.delta_over else 0
         self._under_run = self._under_run + 1 if u < config.delta_under else 0
@@ -329,7 +289,7 @@ class PhaseDetector:
         current = self.phases[self.current_phase_id]
         avg = current.running_avg
         if avg > 0:
-            d = (th - avg) * 100.0 / avg  # throughput_delta
+            d = (th - avg) * 100.0 / avg
         else:
             # A phase seeded on zero throughput: nothing changed while the
             # stream stays idle, any activity at all is a phase change.

@@ -13,7 +13,8 @@ import csv
 import json
 import operator
 import random
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -28,7 +29,7 @@ from .detector import (
     PhaseEventKind,
 )
 from .interval_control import IntervalController
-from .scheduler import MachineState, MigrationEvent, apply_migration, decide_migration
+from .scheduler import MachineState, apply_migration, decide_migration
 from .workload import (
     WorkloadSpec,
     generate_workload,
@@ -90,11 +91,12 @@ class ScatterRow:
 @dataclass
 class RunResult:
     rows: list[ScatterRow]
-    events: list[PhaseEvent | MigrationEvent]
-    migrations: list[MigrationEvent]
+    events: list[PhaseEvent]
     summary: dict
-    out_dir: Path | None = None
-    phases: dict = field(default_factory=dict)
+
+    @property
+    def migrations(self) -> list[PhaseEvent]:
+        return [e for e in self.events if e.kind is PhaseEventKind.MIGRATION]
 
 
 def run_experiment(
@@ -162,8 +164,7 @@ def _simulate(config: ExperimentConfig) -> RunResult:
 
     current_core: CoreSpec = start
     rows: list[ScatterRow] = []
-    emitted: list[PhaseEvent | MigrationEvent] = []
-    migrations: list[MigrationEvent] = []
+    emitted: list[PhaseEvent] = []
     dead_cycles = 0
 
     while True:
@@ -182,7 +183,7 @@ def _simulate(config: ExperimentConfig) -> RunResult:
             # reacts to detector events.
             rows.append(_scatter_row(sample, phase_id, det_events))
             continue
-        interval_events: list[PhaseEvent | MigrationEvent] = list(det_events)
+        interval_events = list(det_events)
         phase_changed = any(e.kind in PHASE_CHANGE_KINDS for e in det_events)
 
         if controller is not None:
@@ -193,9 +194,8 @@ def _simulate(config: ExperimentConfig) -> RunResult:
             else:
                 kind = controller.observe_average(detector.current_phase.running_avg)
                 if kind is not None:
-                    d_here = detector.last_delta if detector.last_delta is not None else 0.0
                     interval_events.append(
-                        PhaseEvent(sample.index, kind, phase_id, phase_id, d_here)
+                        PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
                     )
 
         if machine is not None:
@@ -210,7 +210,6 @@ def _simulate(config: ExperimentConfig) -> RunResult:
                     apply_migration(machine, migration)
                     current_core = machine.core(migration.to_core)
                     dead_cycles = machine.migration_penalty
-                    migrations.append(migration)
                     interval_events.append(migration)
 
         rows.append(_scatter_row(sample, phase_id, interval_events))
@@ -219,14 +218,13 @@ def _simulate(config: ExperimentConfig) -> RunResult:
     summary = _build_summary(
         rows,
         emitted,
-        migrations,
         phase_count=len(detector.phases),
         label=spec.name,
         mode=config.mode.value,
         seed=config.seed,
         extra={"start_core": start.name, "scheduler_enabled": config.scheduler_enabled},
     )
-    return RunResult(rows, emitted, migrations, summary, phases=dict(detector.phases))
+    return RunResult(rows, emitted, summary)
 
 
 def detect_over_samples(
@@ -244,12 +242,12 @@ def detect_over_samples(
     """
     detector = PhaseDetector(det_cfg)
     rows: list[ScatterRow] = []
-    emitted: list[PhaseEvent | MigrationEvent] = []
+    emitted: list[PhaseEvent] = []
     prev_tau: int | None = None
 
     for sample in samples:
         phase_id, det_events = detector.observe(sample)
-        interval_events: list[PhaseEvent | MigrationEvent] = det_events
+        interval_events = det_events
         tau = sample.tau
         if (
             prev_tau is not None
@@ -257,14 +255,10 @@ def detect_over_samples(
             and det_cfg.on_ladder(tau)
             and det_cfg.on_ladder(prev_tau)
         ):
-            if tau > prev_tau:
-                kind = PhaseEventKind.TAU_DOUBLED
-            else:
-                kind = PhaseEventKind.TAU_HALVED
-            d_here = detector.last_delta if detector.last_delta is not None else 0.0
+            kind = PhaseEventKind.TAU_DOUBLED if tau > prev_tau else PhaseEventKind.TAU_HALVED
             interval_events = [
                 *det_events,
-                PhaseEvent(sample.index, kind, phase_id, phase_id, d_here),
+                PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta),
             ]
         prev_tau = tau
         rows.append(_scatter_row(sample, phase_id, interval_events))
@@ -273,28 +267,23 @@ def detect_over_samples(
     summary = _build_summary(
         rows,
         emitted,
-        migrations=[],
         phase_count=len(detector.phases),
         label=label,
         mode="detect",
         seed=None,
         extra={},
     )
-    return RunResult(rows, emitted, [], summary, phases=dict(detector.phases))
+    return RunResult(rows, emitted, summary)
 
 
 def _scatter_row(
     sample: IntervalSample,
     phase_id: int,
-    interval_events: list[PhaseEvent | MigrationEvent],
+    interval_events: list[PhaseEvent],
 ) -> ScatterRow:
     annotation = "none"
     if interval_events:
-        tokens = []
-        for event in interval_events:
-            token = "migration" if isinstance(event, MigrationEvent) else event.kind.value
-            if token in _SCATTER_PRIORITY:
-                tokens.append(token)
+        tokens = [e.kind.value for e in interval_events if e.kind.value in _SCATTER_PRIORITY]
         if tokens:
             annotation = min(tokens, key=_SCATTER_PRIORITY.__getitem__)
     return ScatterRow(
@@ -313,8 +302,7 @@ def _scatter_row(
 
 def _build_summary(
     rows: list[ScatterRow],
-    emitted: list[PhaseEvent | MigrationEvent],
-    migrations: list[MigrationEvent],
+    emitted: list[PhaseEvent],
     phase_count: int,
     label: str,
     mode: str,
@@ -323,8 +311,7 @@ def _build_summary(
 ) -> dict:
     event_counts: dict[str, int] = {}
     for event in emitted:
-        token = "migration" if isinstance(event, MigrationEvent) else event.kind.value
-        event_counts[token] = event_counts.get(token, 0) + 1
+        event_counts[event.kind.value] = event_counts.get(event.kind.value, 0) + 1
 
     # Per phase: [intervals, raw sum, per-cycle sum, utilization sum], each
     # sum accumulated in row order from 0.0.
@@ -356,7 +343,7 @@ def _build_summary(
         "sample_count": len(rows),
         "cycles_covered": sum(row.tau for row in rows),
         "phase_count": phase_count,
-        "migration_count": len(migrations),
+        "migration_count": event_counts.get("migration", 0),
         "event_counts": event_counts,
         "phases": phases,
     }
@@ -381,39 +368,15 @@ def emit_scatter_csv(rows: list[ScatterRow], path: str | Path) -> None:
         writer.writerows(map(_SCATTER_FIELDS, rows))
 
 
-def emit_events_csv(
-    events: list[PhaseEvent | MigrationEvent], path: str | Path
-) -> None:
+_EVENT_FIELDS = operator.attrgetter("interval_index", "kind.value", *EVENT_COLUMNS[2:])
+
+
+def emit_events_csv(events: list[PhaseEvent], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(EVENT_COLUMNS)
-        for event in events:
-            if isinstance(event, MigrationEvent):
-                writer.writerow(
-                    (
-                        event.interval_index,
-                        "migration",
-                        "",
-                        "",
-                        "",
-                        event.process,
-                        event.from_core,
-                        event.to_core,
-                    )
-                )
-            else:
-                writer.writerow(
-                    (
-                        event.interval_index,
-                        event.kind.value,
-                        event.old_phase_id,
-                        event.new_phase_id,
-                        float(event.d_i),
-                        "",
-                        "",
-                        "",
-                    )
-                )
+        # The csv module writes None as an empty field.
+        writer.writerows(map(_EVENT_FIELDS, events))
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path) -> None:
@@ -424,16 +387,27 @@ def write_artifacts(result: RunResult, out_dir: str | Path) -> None:
     with open(out / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(result.summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    result.out_dir = out
+
+
+#: The summary keys that overhead_report reads, with their JSON types.
+_REPORT_KEYS = {"cycles_covered": int, "sample_count": int, "label": str, "mode": str}
 
 
 def load_summary(run_dir: str | Path) -> dict:
     path = Path(run_dir) / "summary.json"
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
+            summary = json.load(handle)
+        except (RecursionError, ValueError) as exc:  # ValueError: also bad UTF-8
             raise ConfigError(f"{path}: not a valid summary: {exc}") from exc
+    for key, kind in _REPORT_KEYS.items():
+        value = summary.get(key) if isinstance(summary, dict) else None
+        if type(value) is not kind:  # not isinstance: a JSON true is a bool
+            raise ConfigError(
+                f"{path}: {key} is missing or not a JSON {kind.__name__}: "
+                f"{reprlib.repr(value)}"
+            )
+    return summary
 
 
 def overhead_report(fixed_dir: str | Path, variable_dir: str | Path) -> dict:

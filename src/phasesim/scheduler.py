@@ -17,24 +17,6 @@ class SchedulingConflictError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MigrationEvent:
-    interval_index: int
-    process: str
-    from_core: str
-    to_core: str
-    reason: PhaseEventKind
-
-    def __post_init__(self) -> None:
-        if self.from_core == self.to_core:
-            raise ValueError("migration must change cores")
-        if self.reason not in (
-            PhaseEventKind.OVER_UTILIZATION,
-            PhaseEventKind.UNDER_UTILIZATION,
-        ):
-            raise ValueError(f"migrations are utilization-driven, got {self.reason}")
-
-
 @dataclass
 class MachineState:
     """Cores plus the process-to-core assignment.
@@ -90,11 +72,13 @@ class MachineState:
 
 def decide_migration(
     event: PhaseEvent, current_core: CoreSpec, machine: MachineState
-) -> MigrationEvent | None:
+) -> PhaseEvent | None:
     """Pick a migration for a utilization-driven phase event, if one helps.
 
-    Returns None when the process already sits on the right class, no core
-    of the target class is free, or the event carries no utilization cause.
+    The migration is a :class:`PhaseEvent` of kind ``MIGRATION`` whose
+    ``reason`` is the utilization event's kind. Returns None when the process
+    already sits on the right class, no core of the target class is free, or
+    the event carries no utilization cause.
     """
     if event.kind is PhaseEventKind.OVER_UTILIZATION:
         if current_core.core_class is CoreClass.A:
@@ -112,16 +96,15 @@ def decide_migration(
     process = machine.process_on(current_core.name)
     if process is None:
         return None
-    return MigrationEvent(
-        interval_index=event.interval_index,
-        process=process,
-        from_core=current_core.name,
-        to_core=free[0].name,
+    # A migration carries no phase ids and no throughput deviation.
+    return PhaseEvent(
+        event.interval_index, PhaseEventKind.MIGRATION, None, None, None,
+        process=process, from_core=current_core.name, to_core=free[0].name,
         reason=event.kind,
     )
 
 
-def apply_migration(machine: MachineState, migration: MigrationEvent) -> None:
+def apply_migration(machine: MachineState, migration: PhaseEvent) -> None:
     """Move the process; the caller charges the penalty to its next interval."""
     machine.core(migration.to_core)  # unknown target raises here
     if not machine.is_free(migration.to_core):

@@ -156,7 +156,7 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: workload spec must be a JSON object")
     version = payload.get("schema_version")
-    if version != SPEC_SCHEMA_VERSION:
+    if version != SPEC_SCHEMA_VERSION or type(version) is not int:
         raise ValueError(f"{path}: unsupported schema_version {version!r}")
     raw_segments = payload.get("segments")
     if not isinstance(raw_segments, list) or not raw_segments:
@@ -164,24 +164,41 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
     segments = []
     for i, raw in enumerate(raw_segments):
         try:
+            if not isinstance(raw, dict):
+                raise ValueError("a segment must be a JSON object")
             segments.append(
                 WorkloadSegment(
-                    duration=int(raw["duration"]),
-                    ipc_demand=float(raw["ipc_demand"]),
-                    fp_fraction=float(raw.get("fp_fraction", 0.0)),
-                    noise_amplitude=float(raw.get("noise_amplitude", 0.0)),
+                    duration=_spec_value(raw, "duration", int),
+                    ipc_demand=_spec_value(raw, "ipc_demand", float),
+                    fp_fraction=_spec_value(raw, "fp_fraction", float, 0.0),
+                    noise_amplitude=_spec_value(raw, "noise_amplitude", float, 0.0),
                 )
             )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, ValueError) as exc:
             raise ValueError(f"{path}: segment {i}: {exc}") from exc
     try:
         return WorkloadSpec(
-            name=str(payload.get("name", Path(path).stem)),
+            name=_spec_value(payload, "name", str, Path(path).stem),
             segments=tuple(segments),
-            seed=int(payload.get("seed", 0)),
+            seed=_spec_value(payload, "seed", int, 0),
         )
-    except (OverflowError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+_JSON_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
+
+
+def _spec_value(record: dict, name: str, kind: type, default=None):
+    """``record[name]``, required unless a default is given, checked to be of
+    JSON type ``kind`` (``float`` takes any JSON number). Type identity, not
+    isinstance: a JSON true is a bool."""
+    value = record[name] if default is None else record.get(name, default)
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise ValueError(
+        f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {reprlib.repr(value)}"
+    )
 
 
 def detect_format(path: str | Path, explicit: str | None = None) -> str:

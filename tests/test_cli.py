@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phasesim import cli, load_summary
+from phasesim import ConfigError, cli, load_summary, overhead_report
 
 
 def write_config(tmp_path, text, name="run.conf"):
@@ -193,6 +196,35 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
         assert code == 1
         assert "ipc_demand must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec_text, named",
+        [
+            (
+                '{"schema_version": true, "seed": true, '
+                '"segments": [{"duration": 1000000.7, "ipc_demand": true}]}',
+                "schema_version",
+            ),
+            (
+                '{"schema_version": 1, "segments": [{"duration": 1000000.7, '
+                '"ipc_demand": 1.0}]}',
+                "duration must be a JSON integer",
+            ),
+        ],
+        ids=["bool_schema_version", "float_duration"],
+    )
+    def test_spec_value_of_the_wrong_json_type_exits_one(
+        self, tmp_path, capsys, spec_text, named
+    ):
+        (tmp_path / "s.json").write_text(spec_text)
+        config = write_config(tmp_path, "workload.spec = s.json\nfixed_tau = 100000\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert named in err
         assert not out.exists()
 
     def test_nan_detector_threshold_exits_one_naming_the_field(
@@ -446,6 +478,61 @@ class TestCompareCommand:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (b"\xff", "summary.json"),
+            (b"[" * 100_000, "summary.json"),
+            (b"{}", "cycles_covered"),
+            (b"[]", "cycles_covered"),
+            (
+                b'{"cycles_covered": 2000000, "sample_count": "20", '
+                b'"label": "steady", "mode": "fixed_tau"}',
+                "sample_count",
+            ),
+        ],
+        ids=["invalid_utf8", "deep_nesting", "empty_object", "not_an_object", "string_count"],
+    )
+    def test_malformed_summary_exits_one(self, tmp_path, capsys, content, named):
+        config = write_config(tmp_path, FIXED_STEADY)
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        cli.main(["simulate", "--config", str(config), "--out", str(good)])
+        bad.mkdir()
+        (bad / "summary.json").write_bytes(content)
+        capsys.readouterr()
+        for runs in ([good, bad], [bad, good]):
+            assert cli.main(["compare-overhead", *map(str, runs)]) == 1
+            err = capsys.readouterr().err
+            assert "internal error" not in err
+            assert named in err
+
+    @given(
+        contents=st.lists(
+            st.one_of(
+                st.binary(max_size=200),
+                st.dictionaries(
+                    st.sampled_from(["cycles_covered", "sample_count", "label", "mode"]),
+                    st.one_of(
+                        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+                    ),
+                ).map(lambda summary: json.dumps(summary).encode()),
+            ),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_summaries_report_or_raise_config_error(
+        self, tmp_path_factory, contents
+    ):
+        runs = [tmp_path_factory.mktemp("run") for _ in contents]
+        for run, content in zip(runs, contents):
+            (run / "summary.json").write_bytes(content)
+        try:
+            overhead_report(*runs)
+        except ConfigError:
+            pass
+
     def test_mismatched_budgets_exit_one(self, tmp_path):
         short = write_config(
             tmp_path,
@@ -461,6 +548,52 @@ class TestCompareCommand:
         cli.main(["simulate", "--config", str(short), "--out", str(a)])
         cli.main(["simulate", "--config", str(long), "--out", str(b)])
         assert cli.main(["compare-overhead", str(a), str(b)]) == 1
+
+
+@pytest.mark.parametrize("core_class", ["A", "B"])
+@pytest.mark.parametrize("preset_name", ["fft_like", "fmm_like"])
+def test_simulate_agrees_with_detect_over_gen_workload_trace(
+    tmp_path, preset_name, core_class
+):
+    # simulate and gen-workload --emit-trace each run their own interval
+    # loop; with a fixed tau and no scheduler they must produce the same
+    # intervals, so detect over the trace writes the same scatter and events.
+    config = write_config(
+        tmp_path,
+        f"workload.preset = {preset_name}\nmode = fixed_tau\nfixed_tau = 100000\n"
+        f"scheduler.enabled = no\nstart_core = {core_class}0\n",
+    )
+    trace = tmp_path / "trace.csv"
+    simulated, replayed = tmp_path / "simulated", tmp_path / "replayed"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(simulated)]) == 0
+    gen = ["gen-workload", "--preset", preset_name, "--emit-trace"]
+    assert cli.main([*gen, "--core-class", core_class, "--out", str(trace)]) == 0
+    assert cli.main(["detect", "--trace", str(trace), "--out", str(replayed)]) == 0
+    for name in ("scatter.csv", "events.csv"):
+        assert (simulated / name).read_bytes() == (replayed / name).read_bytes(), name
+
+
+def test_documented_example_runs(tmp_path, capsys):
+    example = Path(__file__).resolve().parent.parent / "docs" / "example.conf"
+    variable, fixed = tmp_path / "variable", tmp_path / "fixed"
+    assert cli.main(["simulate", "--config", str(example), "--out", str(variable)]) == 0
+    assert (
+        cli.main(
+            ["simulate", "--config", str(example), "--fixed-tau", "100000", "--out", str(fixed)]
+        )
+        == 0
+    )
+    summary = load_summary(variable)
+    assert (
+        summary["sample_count"],
+        summary["phase_count"],
+        summary["migration_count"],
+        summary["cycles_covered"],
+    ) == (229, 3, 2, 27_000_000)
+    assert load_summary(fixed)["sample_count"] == 270
+    capsys.readouterr()
+    assert cli.main(["compare-overhead", str(fixed), str(variable)]) == 0
+    assert "overhead ratio" in capsys.readouterr().out
 
 
 class TestParserShape:

@@ -1,21 +1,17 @@
 """Differential tests of the per-interval hot path against reference loops.
 
 ``PhaseDetector.observe`` and ``simulate_interval`` inline their arithmetic
-for speed. The references below are the straightforward versions, built here
-from the public helpers and from ``SegmentCursor.take``: a sliding
-``deque(maxlen=util_window)`` judged by ``classify_similarity``,
-``update_running_average`` plus a separate utilization mean,
-``match_recurring_phase`` over the closed phases, and the span-sum blend of
-every segment an interval touches. Results must be equal, not close: the
-artifacts are byte-identical only if every float rounds the same way.
+for speed. The detector is checked against ``ReferenceDetector`` in
+``tests/reference_model.py``, a model written from the README's description
+of detection. The core model is checked against the span-sum blend of every
+segment an interval touches, built below from ``SegmentCursor.take``.
+Results must be equal, not close: the artifacts are byte-identical only if
+every float rounds the same way.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from collections import deque
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,92 +22,15 @@ from phasesim import (
     DetectorConfig,
     IntervalSample,
     PhaseDetector,
-    PhaseEvent,
-    PhaseEventKind,
-    PhaseState,
     SegmentCursor,
-    Similarity,
     WorkloadSegment,
     a_core,
     achieved_ipc,
     b_core,
-    classify_similarity,
-    effective_utilization,
     fu_utilization,
-    match_recurring_phase,
     simulate_interval,
-    throughput_delta,
-    update_running_average,
 )
-
-_VERDICT_KIND = {
-    Similarity.THROUGHPUT: PhaseEventKind.THROUGHPUT_CHANGE,
-    Similarity.OVER_UTIL: PhaseEventKind.OVER_UTILIZATION,
-    Similarity.UNDER_UTIL: PhaseEventKind.UNDER_UTILIZATION,
-}
-
-
-class ReferenceDetector:
-    """The detector as the helpers describe it, one step at a time."""
-
-    def __init__(self, config: DetectorConfig) -> None:
-        self.config = config
-        self.phases: dict[int, PhaseState] = {}
-        self.current: int | None = None
-        self.closed: list[int] = []
-        self.window: deque[float] = deque(maxlen=config.util_window)
-        self.last_delta: float | None = None
-        self.next_id = 0
-
-    def _seed(self, phase_id: int, th: float, u: float) -> None:
-        self.phases[phase_id] = PhaseState(phase_id, th, 1, u)
-        self.current = phase_id
-
-    def observe(self, sample: IntervalSample) -> tuple[int, list[PhaseEvent]]:
-        th = sample.retired_instructions / sample.tau
-        u = effective_utilization(sample.util_int, sample.util_fp)
-        if self.current is None:
-            self._seed(self.next_id, th, u)
-            self.next_id += 1
-            self.window.append(u)
-            return self.current, []
-
-        phase = self.phases[self.current]
-        if phase.running_avg > 0:
-            d = throughput_delta(th, phase.running_avg)
-        else:
-            d = 0.0 if th == 0 else math.inf
-        self.last_delta = d
-        self.window.append(u)
-        verdict = classify_similarity(d, self.window, self.config)
-        if verdict is Similarity.SIMILAR:
-            updated = update_running_average(phase, th)
-            self.phases[phase.phase_id] = replace(
-                updated, util_avg=(u + phase.util_avg * phase.count) / updated.count
-            )
-            return phase.phase_id, []
-
-        old_id = phase.phase_id
-        self.closed.append(old_id)
-        matched = None
-        if self.config.recurrence_matching:
-            matched = match_recurring_phase(
-                th, u, [self.phases[i] for i in self.closed], self.config
-            )
-        if matched is None:
-            new_id = self.next_id
-            self.next_id += 1
-        else:
-            new_id = matched
-            self.closed.remove(matched)
-        self._seed(new_id, th, u)
-        self.window.clear()
-        events = [PhaseEvent(sample.index, _VERDICT_KIND[verdict], old_id, new_id, d)]
-        if matched is not None:
-            events.append(
-                PhaseEvent(sample.index, PhaseEventKind.PHASE_RECURRED, old_id, new_id, d)
-            )
-        return new_id, events
+from reference_model import ReferenceDetector
 
 
 def assert_matches_reference(config: DetectorConfig, samples) -> None:

@@ -5,7 +5,6 @@ import pytest
 from phasesim import (
     CoreClass,
     MachineState,
-    MigrationEvent,
     PhaseEvent,
     PhaseEventKind,
     SchedulingConflictError,
@@ -19,6 +18,20 @@ from phasesim import (
 def make_machine(assignment=None):
     cores = [a_core("A0"), a_core("A1"), b_core("B0"), b_core("B1")]
     return MachineState(cores=cores, assignment=dict(assignment or {}))
+
+
+def migration_event(index, process, from_core, to_core, reason):
+    return PhaseEvent(
+        index,
+        PhaseEventKind.MIGRATION,
+        None,
+        None,
+        None,
+        process=process,
+        from_core=from_core,
+        to_core=to_core,
+        reason=reason,
+    )
 
 
 def util_event(kind, index=10):
@@ -53,11 +66,11 @@ class TestMachineState:
 class TestMigrationEvent:
     def test_must_change_cores(self):
         with pytest.raises(ValueError):
-            MigrationEvent(0, "p1", "A0", "A0", PhaseEventKind.OVER_UTILIZATION)
+            migration_event(0, "p1", "A0", "A0", PhaseEventKind.OVER_UTILIZATION)
 
     def test_must_be_utilization_driven(self):
         with pytest.raises(ValueError):
-            MigrationEvent(0, "p1", "B0", "A0", PhaseEventKind.THROUGHPUT_CHANGE)
+            migration_event(0, "p1", "B0", "A0", PhaseEventKind.THROUGHPUT_CHANGE)
 
 
 class TestDecideMigration:
@@ -69,6 +82,13 @@ class TestDecideMigration:
         assert (migration.from_core, migration.to_core) == ("B0", "A0")
         assert migration.process == "p1"
         assert migration.interval_index == 10
+        assert migration.kind is PhaseEventKind.MIGRATION
+        assert migration.reason is PhaseEventKind.OVER_UTILIZATION
+        assert (migration.old_phase_id, migration.new_phase_id, migration.d_i) == (
+            None,
+            None,
+            None,
+        )
 
     def test_over_utilized_big_core_stays(self):
         machine = make_machine({"p1": "A0"})
@@ -112,7 +132,7 @@ class TestDecideMigration:
 class TestApplyMigration:
     def test_moves_the_assignment(self):
         machine = make_machine({"p1": "B0"})
-        migration = MigrationEvent(
+        migration = migration_event(
             5, "p1", "B0", "A0", PhaseEventKind.OVER_UTILIZATION
         )
         apply_migration(machine, migration)
@@ -121,7 +141,7 @@ class TestApplyMigration:
 
     def test_occupied_target_conflicts(self):
         machine = make_machine({"p1": "B0", "q1": "A0"})
-        migration = MigrationEvent(
+        migration = migration_event(
             5, "p1", "B0", "A0", PhaseEventKind.OVER_UTILIZATION
         )
         with pytest.raises(SchedulingConflictError):
@@ -129,7 +149,7 @@ class TestApplyMigration:
 
     def test_stale_source_conflicts(self):
         machine = make_machine({"p1": "B1"})
-        migration = MigrationEvent(
+        migration = migration_event(
             5, "p1", "B0", "A0", PhaseEventKind.OVER_UTILIZATION
         )
         with pytest.raises(SchedulingConflictError):
@@ -137,7 +157,7 @@ class TestApplyMigration:
 
     def test_unknown_target_rejected(self):
         machine = make_machine({"p1": "B0"})
-        migration = MigrationEvent(
+        migration = migration_event(
             5, "p1", "B0", "Z9", PhaseEventKind.OVER_UTILIZATION
         )
         with pytest.raises(ValueError):

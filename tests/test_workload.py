@@ -95,7 +95,7 @@ class TestWorkloadSpecIO:
 
     @pytest.mark.parametrize("where", ["duration", "seed"])
     def test_rejects_an_integer_too_large_for_a_float(self, tmp_path, where):
-        # JSON reads 1e400 as inf, which no integer field can hold.
+        # JSON reads 1e400 as the float inf, which no integer field takes.
         path = tmp_path / "spec.json"
         save_workload_spec(steady(), path)
         text = path.read_text()
@@ -103,8 +103,45 @@ class TestWorkloadSpecIO:
         start = text.index(key) + len(key)
         end = min(text.index(",", start), text.index("\n", start))
         path.write_text(text[:start] + "1e400" + text[end:])
-        with pytest.raises(ValueError, match="infinity"):
+        with pytest.raises(ValueError, match=f"{where} must be a JSON integer, got inf"):
             load_workload_spec(path)
+
+    @pytest.mark.parametrize(
+        "in_segment, field, value",
+        [
+            (False, "schema_version", True),
+            (False, "schema_version", 1.0),
+            (False, "seed", True),
+            (False, "seed", 3.0),
+            (False, "name", 5),
+            (True, "duration", 1000000.7),
+            (True, "duration", True),
+            (True, "ipc_demand", True),
+            (True, "ipc_demand", "1.5"),
+            (True, "fp_fraction", False),
+            (True, "noise_amplitude", None),
+        ],
+    )
+    def test_value_of_the_wrong_json_type_is_rejected(
+        self, tmp_path, in_segment, field, value
+    ):
+        path = tmp_path / "spec.json"
+        save_workload_spec(steady(), path)
+        blob = json.loads(path.read_text())
+        (blob["segments"][0] if in_segment else blob)[field] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=field):
+            load_workload_spec(path)
+
+    def test_integer_demand_fields_read_as_floats(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"schema_version": 1, "name": "ints", "seed": 2, "segments": [{"duration": '
+            '1000000, "ipc_demand": 2, "fp_fraction": 0, "noise_amplitude": 0}]}'
+        )
+        # repr tells 2 from 2.0, which == does not.
+        expected = WorkloadSpec("ints", (WorkloadSegment(1_000_000, 2.0, 0.0, 0.0),), 2)
+        assert repr(load_workload_spec(path)) == repr(expected)
 
 
 class TestTraceFormats:
@@ -303,4 +340,54 @@ class TestTraceLoaderFuzz:
         try:
             list(load_trace(path))
         except TraceError:
+            pass
+
+
+# JSON values drawn over the spec's own keys, so the fuzz reaches the type
+# checks of every field and not only the JSON decoder.
+SPEC_KEYS = st.sampled_from(
+    [
+        "schema_version",
+        "name",
+        "seed",
+        "segments",
+        "duration",
+        "ipc_demand",
+        "fp_fraction",
+        "noise_amplitude",
+    ]
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(SPEC_KEYS, inner, max_size=8)
+    ),
+    max_leaves=8,
+)
+SPEC_OVERRIDES = st.dictionaries(SPEC_KEYS, JSON_VALUES, max_size=3)
+
+
+def spec_bytes(top: dict, segment: dict) -> bytes:
+    """A valid one-segment spec with ``top`` and ``segment`` laid over it."""
+    base_segment = {"duration": 1000, "ipc_demand": 1.0, **segment}
+    return json.dumps({"schema_version": 1, "segments": [base_segment], **top}).encode()
+
+
+class TestWorkloadSpecFuzz:
+    """Whatever the bytes, a workload spec either loads or raises ValueError."""
+
+    @given(
+        payload=st.one_of(
+            st.binary(max_size=400),
+            JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+            st.builds(spec_bytes, SPEC_OVERRIDES, SPEC_OVERRIDES),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+        path.write_bytes(payload)
+        try:
+            load_workload_spec(path)
+        except ValueError:
             pass
