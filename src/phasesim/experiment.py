@@ -352,6 +352,9 @@ def _build_summary(
 
 
 _SCATTER_FIELDS = operator.attrgetter(*SCATTER_COLUMNS)
+# Every field is an int, a float or an annotation token, none of which needs
+# CSV quoting, and "%s" writes a float as repr(float), as the csv module does.
+_SCATTER_LINE = ",".join(["%s"] * len(SCATTER_COLUMNS)) + "\n"
 
 
 def emit_scatter_csv(rows: list[ScatterRow], path: str | Path) -> None:
@@ -362,10 +365,8 @@ def emit_scatter_csv(rows: list[ScatterRow], path: str | Path) -> None:
                 f"scatter rows out of order at interval {current.interval_index}"
             )
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SCATTER_COLUMNS)
-        # The csv module writes a float as repr(float).
-        writer.writerows(map(_SCATTER_FIELDS, rows))
+        handle.write(",".join(SCATTER_COLUMNS) + "\n")
+        handle.writelines(map(_SCATTER_LINE.__mod__, map(_SCATTER_FIELDS, rows)))
 
 
 _EVENT_FIELDS = operator.attrgetter("interval_index", "kind.value", *EVENT_COLUMNS[2:])
@@ -423,9 +424,14 @@ def overhead_report(fixed_dir: str | Path, variable_dir: str | Path) -> dict:
             "runs cover different cycle budgets: "
             f"{fixed['cycles_covered']} vs {variable['cycles_covered']}"
         )
-    if variable["sample_count"] == 0:
-        raise ConfigError("variable run has no samples")
-    ratio = fixed["sample_count"] / variable["sample_count"]
+    if fixed["label"] != variable["label"]:
+        raise ConfigError(
+            f"runs of different workloads: {fixed['label']!r} vs {variable['label']!r}"
+        )
+    counts = fixed["sample_count"], variable["sample_count"]
+    if min(counts) < 1:
+        raise ConfigError(f"sample counts must be >= 1: {counts[0]} and {counts[1]}")
+    ratio = counts[0] / counts[1]
     return {
         "cycles_covered": fixed["cycles_covered"],
         "fixed": {

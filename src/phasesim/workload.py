@@ -26,6 +26,7 @@ TRACE_COLUMNS = (
     "source_core",
 )
 _TRACE_KEYS = frozenset(TRACE_COLUMNS)
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class TraceError(Exception):
@@ -174,7 +175,7 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
                     noise_amplitude=_spec_value(raw, "noise_amplitude", float, 0.0),
                 )
             )
-        except (KeyError, OverflowError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"{path}: segment {i}: {exc}") from exc
     try:
         return WorkloadSpec(
@@ -193,7 +194,9 @@ def _spec_value(record: dict, name: str, kind: type, default=None):
     """``record[name]``, required unless a default is given, checked to be of
     JSON type ``kind`` (``float`` takes any JSON number). Type identity, not
     isinstance: a JSON true is a bool."""
-    value = record[name] if default is None else record.get(name, default)
+    if default is None and name not in record:
+        raise ValueError(f"missing required field {name!r}")
+    value = record.get(name, default)
     if type(value) is kind or (kind is float and type(value) is int):
         return kind(value)
     raise ValueError(
@@ -254,11 +257,8 @@ def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[IntervalSam
     sample starting where the previous one ended) are enforced; an empty
     file yields an empty stream.
     """
-    fmt = detect_format(path, fmt)
-    if fmt == "csv":
-        yield from _load_csv(Path(path))
-    else:
-        yield from _load_jsonl(Path(path))
+    loader = _load_csv if detect_format(path, fmt) == "csv" else _load_jsonl
+    return loader(Path(path))
 
 
 def _check_stream(
@@ -337,16 +337,24 @@ def _load_jsonl(path: Path) -> Iterator[IntervalSample]:
         row_index = 0
         try:
             for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
+                # A JSON value cannot start with whitespace: a decode that ends
+                # the line equals json.loads(line); other lines go to json.loads.
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceParseError(str(exc), line_number) from exc
-                except (RecursionError, ValueError) as exc:
-                    # Nesting too deep, or an integer past the interpreter's
-                    # digit limit.
-                    raise TraceParseError(f"{exc} in {path}", line_number) from exc
+                    record, end = _raw_decode(line)
+                    exact = end == len(line) or line[end:] == "\n"
+                except (RecursionError, ValueError):
+                    exact = False
+                if not exact:
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise TraceParseError(str(exc), line_number) from exc
+                    except (RecursionError, ValueError) as exc:
+                        # Nesting too deep, or an integer past the
+                        # interpreter's digit limit.
+                        raise TraceParseError(f"{exc} in {path}", line_number) from exc
                 if not isinstance(record, dict):
                     raise TraceParseError("each line must be a JSON object", line_number)
                 if "schema_version" not in record:

@@ -227,6 +227,20 @@ class TestSimulateCommand:
         assert named in err
         assert not out.exists()
 
+    def test_segment_without_a_required_field_exits_one_naming_it(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "s.json").write_text(
+            '{"schema_version": 1, "segments": [{"ipc_demand": 1.0}]}'
+        )
+        config = write_config(tmp_path, "workload.spec = s.json\nfixed_tau = 100000\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "s.json: segment 0: missing required field 'duration'" in err
+        assert not out.exists()
+
     def test_nan_detector_threshold_exits_one_naming_the_field(
         self, tmp_path, capsys
     ):
@@ -532,6 +546,39 @@ class TestCompareCommand:
             overhead_report(*runs)
         except ConfigError:
             pass
+
+    def test_negative_sample_count_exits_one(self, tmp_path, capsys):
+        config = write_config(tmp_path, FIXED_STEADY)
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        cli.main(["simulate", "--config", str(config), "--out", str(good)])
+        bad.mkdir()
+        summary = load_summary(good)
+        summary["sample_count"] = -5
+        (bad / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        for runs in ([good, bad], [bad, good]):
+            assert cli.main(["compare-overhead", *map(str, runs)]) == 1
+            assert "sample counts must be >= 1" in capsys.readouterr().err
+
+    def test_runs_of_different_workloads_exit_one(self, tmp_path, capsys):
+        # A steady run over the same 27 000 000 cycles as the documented
+        # fft_like example: the budgets match, the workloads do not.
+        example = Path(__file__).resolve().parent.parent / "docs" / "example.conf"
+        steady = write_config(
+            tmp_path,
+            "workload.preset = steady\nworkload.cycles = 27000000\n"
+            "mode = fixed_tau\nfixed_tau = 100000\n",
+        )
+        fixed, variable = tmp_path / "fixed", tmp_path / "variable"
+        assert cli.main(["simulate", "--config", str(steady), "--out", str(fixed)]) == 0
+        assert (
+            cli.main(["simulate", "--config", str(example), "--out", str(variable)]) == 0
+        )
+        assert load_summary(fixed)["cycles_covered"] == 27_000_000
+        capsys.readouterr()
+        assert cli.main(["compare-overhead", str(fixed), str(variable)]) == 1
+        err = capsys.readouterr().err
+        assert "different workloads: 'steady' vs 'fft_like'" in err
 
     def test_mismatched_budgets_exit_one(self, tmp_path):
         short = write_config(

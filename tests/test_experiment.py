@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import csv
+import io
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_stream
 from phasesim import (
@@ -16,6 +22,7 @@ from phasesim import (
     overhead_report,
     run_experiment,
 )
+from phasesim.experiment import _SCATTER_PRIORITY, SCATTER_COLUMNS
 
 
 def fft_config(**kwargs):
@@ -312,6 +319,58 @@ class TestArtifacts:
         ]
         with pytest.raises(ValueError):
             emit_scatter_csv(rows, tmp_path / "scatter.csv")
+
+
+SCATTER_TOKENS = ["none", *_SCATTER_PRIORITY]
+SCATTER_INTS = st.integers(-(2**63), 2**63)
+SCATTER_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e22, 1e16, 0.1, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def scatter_rows(draw):
+    indexes = sorted(draw(st.lists(SCATTER_INTS, unique=True, max_size=12)))
+    return [
+        ScatterRow(
+            index,
+            draw(SCATTER_INTS),
+            draw(SCATTER_INTS),
+            draw(SCATTER_INTS),
+            draw(SCATTER_FLOATS),
+            draw(SCATTER_FLOATS),
+            draw(SCATTER_INTS),
+            draw(st.sampled_from(SCATTER_TOKENS)),
+        )
+        for index in indexes
+    ]
+
+
+def csv_module_scatter(rows) -> bytes:
+    """The scatter table as the csv module writes it: the reference for the
+    format-string writer."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(SCATTER_COLUMNS)
+    writer.writerows([getattr(row, name) for name in SCATTER_COLUMNS] for row in rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestScatterWriter:
+    @given(rows=scatter_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_the_csv_module(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("scatter") / "scatter.csv"
+        emit_scatter_csv(rows, path)
+        assert path.read_bytes() == csv_module_scatter(rows)
+
+    @pytest.mark.parametrize("token", SCATTER_TOKENS)
+    def test_annotation_tokens_need_no_quoting(self, token):
+        # The writer joins fields with commas and quotes nothing.
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([token, token])
+        assert buffer.getvalue() == f"{token},{token}\n"
 
 
 class TestOverheadReport:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,17 @@ class TestWorkloadSpecIO:
         path.write_text(json.dumps(blob))
         with pytest.raises(ValueError):
             load_workload_spec(path)
+
+    @pytest.mark.parametrize("field", ["duration", "ipc_demand"])
+    def test_missing_required_segment_field_is_named(self, tmp_path, field):
+        path = tmp_path / "spec.json"
+        save_workload_spec(steady(), path)
+        blob = json.loads(path.read_text())
+        del blob["segments"][0][field]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError) as exc:
+            load_workload_spec(path)
+        assert str(exc.value) == f"{path}: segment 0: missing required field {field!r}"
 
     @pytest.mark.parametrize("where", ["duration", "seed"])
     def test_rejects_an_integer_too_large_for_a_float(self, tmp_path, where):
@@ -310,6 +322,23 @@ class TestTraceErrors:
             list(load_trace(path, fmt="jsonl"))
         assert exc.value.line_number == 1
 
+    def test_jsonl_value_split_across_lines_is_rejected_at_its_first_line(
+        self, tmp_path
+    ):
+        # Joined as "[" + line 1 + "," + line 2 + "]", these two lines decode
+        # to two records, one per line; read line by line, line 1 is
+        # unterminated.
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            jsonl_record(0, ', "x": [1') + "\n" + "2]}, " + jsonl_record(1, "}") + "\n"
+        )
+        with pytest.raises(TraceParseError) as exc:
+            list(load_trace(path))
+        assert exc.value.line_number == 1
+        assert str(exc.value) == (
+            "line 1: Expecting ',' delimiter: line 2 column 1 (char 161)"
+        )
+
 
 TRACE_HEADER = (
     b"index,start_cycle,tau,retired_instructions,util_int,util_fp,source_core\n"
@@ -322,6 +351,95 @@ ONE_ROW = {
         b'"source_core": "A0"}\n'
     ),
 }
+
+
+def jsonl_record(index: int, tail: str = "}") -> str:
+    """The ONE_ROW record moved to position ``index`` of a contiguous stream,
+    with ``tail`` in place of its closing brace."""
+    record = ONE_ROW["jsonl"].decode().rstrip("\n")
+    moved = record.replace(
+        '"index": 0, "start_cycle": 0',
+        f'"index": {index}, "start_cycle": {index * 100_000}',
+    )
+    return moved[:-1] + tail
+
+
+def load_jsonl_with_json_loads(path):
+    """The loader with every line decoded by json.loads: what it did before
+    lines were decoded with raw_decode, and the reference for it."""
+
+    def no_raw_decode(line):
+        raise ValueError("raw_decode disabled")
+
+    with mock.patch("phasesim.workload._raw_decode", no_raw_decode):
+        return trace_outcome(path)
+
+
+def trace_outcome(path):
+    """The samples a trace loads to, or the type and text of its error."""
+    try:
+        return list(load_trace(path, fmt="jsonl"))
+    except TraceError as exc:
+        return type(exc), str(exc)
+
+
+def mostly(common, rare: list):
+    """``common`` three times in four, otherwise one of ``rare``."""
+    return st.one_of(*[st.just(common)] * 3, st.sampled_from(rare))
+
+
+# Record tails: valid and invalid values, NaN and Infinity literals, nesting
+# past the recursion limit, an integer past the digit limit, an unclosed list.
+JSONL_TAILS = mostly(
+    "}",
+    [
+        ', "x": null}',
+        ', "util_fp": NaN}',
+        ', "util_int": Infinity}',
+        ', "x": -Infinity}',
+        ', "x": ' + "[" * 20 + "]" * 20 + "}",
+        ', "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ', "x": ' + "7" * 5000 + "}",
+        ', "x": [1',
+        "",
+    ],
+)
+JSONL_LINES = st.lists(
+    st.tuples(
+        mostly("", [" ", "\t", "\ufeff"]),
+        st.one_of(
+            JSONL_TAILS,
+            # A 1-tuple: the whole text of a line that is not a record.
+            st.sampled_from(["", " ", "null", "[]", "{not json}", "2]}"]).map(
+                lambda text: (text,)
+            ),
+        ),
+        # "\x0c" is whitespace to str.strip but not to JSON.
+        mostly("", [" ", "\t", "\r", "\x0c", "x", ", {}", "}", "]"]),
+    ),
+    max_size=6,
+)
+
+
+class TestJsonlDecoding:
+    """Lines that raw_decode takes must load as with json.loads; the rest
+    must fall through to json.loads and its messages."""
+
+    @given(lines=JSONL_LINES, final_newline=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_json_loads(self, tmp_path_factory, lines, final_newline):
+        texts, records = [], 0
+        for prefix, body, suffix in lines:
+            if isinstance(body, tuple):
+                (body,) = body
+            else:
+                body = jsonl_record(records, body)
+                records += 1
+            texts.append(prefix + body + suffix)
+        text = "\n".join(texts) + ("\n" if final_newline and texts else "")
+        path = tmp_path_factory.mktemp("jsonl") / "trace.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert trace_outcome(path) == load_jsonl_with_json_loads(path)
 
 
 class TestTraceLoaderFuzz:
