@@ -46,12 +46,7 @@ from .experiment import (
     write_artifacts,
 )
 from .interval_control import IntervalController, steadiness_check
-from .scheduler import (
-    MachineState,
-    SchedulingConflictError,
-    apply_migration,
-    decide_migration,
-)
+from .scheduler import decide_migration
 from .workload import (
     PRESETS,
     TraceError,

@@ -102,11 +102,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         config.workload_spec_path = None
     if config.workload_trace_path is None:
         raise ConfigError("detect needs a trace: pass --trace or set workload.trace")
+    if config.workload_preset is not None or config.workload_spec_path is not None:
+        raise ConfigError(
+            "exactly one workload source required: detect replays "
+            "workload.trace, but the config also sets workload.preset or workload.spec"
+        )
     out_dir = Path(args.out) if args.out else config.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set out= in the config")
-    # Loaded here rather than through run_experiment so the --format
-    # override reaches the loader.
     samples = load_trace(config.workload_trace_path, fmt=args.format)
     result = detect_over_samples(
         samples, config.detector, label=config.workload_trace_path.name

@@ -81,6 +81,9 @@ class ExperimentConfig:
                 f"scheduler.migration_penalty must be >= 0, got {self.migration_penalty}"
             )
         names = [core.name for core in self.machine_cores]
+        for index, name in enumerate(names):
+            if name in names[:index]:
+                raise ConfigError(f"duplicate core name {name!r} in machine {names}")
         if self.start_core is not None and self.start_core not in names:
             raise ConfigError(
                 f"start_core {self.start_core!r} not in machine {names}"

@@ -29,11 +29,10 @@ from .detector import (
     PhaseEventKind,
 )
 from .interval_control import IntervalController
-from .scheduler import MachineState, apply_migration, decide_migration
+from .scheduler import decide_migration
 from .workload import (
     WorkloadSpec,
     generate_workload,
-    load_trace,
     load_workload_spec,
     preset,
 )
@@ -102,20 +101,18 @@ class RunResult:
 def run_experiment(
     config: ExperimentConfig, out_dir: str | Path | None = None
 ) -> RunResult:
-    """Run one experiment and write its artifacts.
+    """Simulate one preset or workload-spec source and write its artifacts.
 
-    A preset or workload-spec source is simulated on the configured machine;
-    a trace source goes straight through the detector.
+    A trace source is refused: ``detect_over_samples`` (``phasesim detect``)
+    is the one replay path.
     """
+    if config.workload_trace_path is not None:
+        raise ConfigError(
+            "workload.trace is replayed by `phasesim detect`, not simulated"
+        )
     config.validate()
     target = Path(out_dir) if out_dir is not None else config.out_dir
-    if config.workload_trace_path is not None:
-        samples = load_trace(config.workload_trace_path)
-        result = detect_over_samples(
-            samples, config.detector, label=str(config.workload_trace_path.name)
-        )
-    else:
-        result = _simulate(config)
+    result = _simulate(config)
     if target is not None:
         write_artifacts(result, target)
     return result
@@ -147,13 +144,7 @@ def _simulate(config: ExperimentConfig) -> RunResult:
 
     process = spec.name
     start = config.resolved_start_core()
-    machine: MachineState | None = None
-    if config.scheduler_enabled:
-        machine = MachineState(
-            cores=list(config.machine_cores),
-            assignment={process: start.name},
-            migration_penalty=config.migration_penalty,
-        )
+    cores = config.machine_cores
 
     detector = PhaseDetector(det_cfg)
     controller = IntervalController(det_cfg) if config.mode is Mode.VARIABLE else None
@@ -198,18 +189,12 @@ def _simulate(config: ExperimentConfig) -> RunResult:
                         PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
                     )
 
-        if machine is not None:
+        if config.scheduler_enabled:
             for event in det_events:
-                if event.kind not in (
-                    PhaseEventKind.OVER_UTILIZATION,
-                    PhaseEventKind.UNDER_UTILIZATION,
-                ):
-                    continue
-                migration = decide_migration(event, current_core, machine)
+                migration = decide_migration(event, process, current_core, cores)
                 if migration is not None:
-                    apply_migration(machine, migration)
-                    current_core = machine.core(migration.to_core)
-                    dead_cycles = machine.migration_penalty
+                    current_core = next(c for c in cores if c.name == migration.to_core)
+                    dead_cycles = config.migration_penalty
                     interval_events.append(migration)
 
         rows.append(_scatter_row(sample, phase_id, interval_events))
@@ -427,6 +412,11 @@ def overhead_report(fixed_dir: str | Path, variable_dir: str | Path) -> dict:
     if fixed["label"] != variable["label"]:
         raise ConfigError(
             f"runs of different workloads: {fixed['label']!r} vs {variable['label']!r}"
+        )
+    if (fixed["mode"], variable["mode"]) == ("variable_tau", "fixed_tau"):
+        raise ConfigError(
+            "runs in the wrong order: the first is variable_tau and the second "
+            "fixed_tau; pass the fixed_tau run first"
         )
     counts = fixed["sample_count"], variable["sample_count"]
     if min(counts) < 1:

@@ -181,6 +181,41 @@ class TestSimulateCommand:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ("machine = m.csv\n", "duplicate core name 'A0'"),
+            ("machine = m.csv\nscheduler.enabled = no\n", "duplicate core name 'A0'"),
+            ("scheduler.migration_penalty = -1\n", "migration_penalty must be >= 0"),
+        ],
+        ids=["duplicate_core_scheduler_on", "duplicate_core_scheduler_off", "negative_penalty"],
+    )
+    def test_invalid_machine_or_scheduler_setting_exits_one(
+        self, tmp_path, capsys, extra, named
+    ):
+        (tmp_path / "m.csv").write_bytes(
+            MACHINE_HEADER + b"A0,A,4,80,32,,\nA0,B,2,56,16,,\n"
+        )
+        config = write_config(tmp_path, FIXED_STEADY + extra)
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert named in err
+        assert not out.exists()
+
+    def test_trace_source_exits_one_naming_detect(self, tmp_path, capsys):
+        # A trace is replayed by detect only, even with a fixed_tau that
+        # would satisfy the simulate checks.
+        (tmp_path / "t.csv").write_bytes(TRACE_HEADER)
+        config = write_config(tmp_path, "workload.trace = t.csv\nfixed_tau = 100000\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "phasesim detect" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_ipc_demand_exits_one_naming_the_field(self, tmp_path, capsys):
         # JSON accepts NaN; the segment must refuse it before it reaches the
         # core model's arithmetic.
@@ -389,6 +424,29 @@ class TestDetectCommand:
     def test_no_trace_anywhere_exits_one(self, tmp_path):
         assert cli.main(["detect", "--out", str(tmp_path / "out")]) == 1
 
+    def test_config_with_a_second_source_exits_one(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_bytes(TRACE_HEADER)
+        config = write_config(
+            tmp_path, "workload.trace = t.csv\nworkload.preset = steady\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["detect", "--config", str(config), "--out", str(out)]) == 1
+        assert "exactly one workload source" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_flag_overrides_the_config_source(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes(TRACE_HEADER)
+        config = write_config(
+            tmp_path, "workload.preset = steady\nworkload.trace = other.csv\n"
+        )
+        out = tmp_path / "out"
+        code = cli.main(
+            ["detect", "--config", str(config), "--trace", str(tmp_path / "t.csv"),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert load_summary(out)["label"] == "t.csv"
+
     def test_empty_trace_writes_header_only_artifacts(self, tmp_path):
         trace = tmp_path / "empty.csv"
         trace.write_text("")
@@ -579,6 +637,19 @@ class TestCompareCommand:
         assert cli.main(["compare-overhead", str(fixed), str(variable)]) == 1
         err = capsys.readouterr().err
         assert "different workloads: 'steady' vs 'fft_like'" in err
+
+    def test_runs_in_the_wrong_order_exit_one(self, tmp_path, capsys):
+        config = write_config(tmp_path, FIXED_STEADY)
+        fixed, variable = tmp_path / "fixed", tmp_path / "variable"
+        cli.main(["simulate", "--config", str(config), "--out", str(fixed)])
+        cli.main(
+            ["simulate", "--config", str(config), "--variable-tau", "--out", str(variable)]
+        )
+        capsys.readouterr()
+        assert cli.main(["compare-overhead", str(variable), str(fixed)]) == 1
+        captured = capsys.readouterr()
+        assert "pass the fixed_tau run first" in captured.err
+        assert captured.out == ""
 
     def test_mismatched_budgets_exit_one(self, tmp_path):
         short = write_config(

@@ -3,21 +3,21 @@ from __future__ import annotations
 import pytest
 
 from phasesim import (
-    CoreClass,
-    MachineState,
+    ExperimentConfig,
     PhaseEvent,
     PhaseEventKind,
-    SchedulingConflictError,
     a_core,
-    apply_migration,
     b_core,
     decide_migration,
+    run_experiment,
 )
 
+#: Listed out of name order, so "first listed" and "first by name" differ.
+CORES = [b_core("B1"), a_core("A1"), b_core("B0"), a_core("A0")]
 
-def make_machine(assignment=None):
-    cores = [a_core("A0"), a_core("A1"), b_core("B0"), b_core("B1")]
-    return MachineState(cores=cores, assignment=dict(assignment or {}))
+
+def core(name):
+    return next(c for c in CORES if c.name == name)
 
 
 def migration_event(index, process, from_core, to_core, reason):
@@ -40,29 +40,6 @@ def util_event(kind, index=10):
     )
 
 
-class TestMachineState:
-    def test_duplicate_core_names_rejected(self):
-        with pytest.raises(ValueError):
-            MachineState(cores=[a_core("A0"), b_core("A0")])
-
-    def test_shared_core_rejected(self):
-        with pytest.raises(ValueError):
-            make_machine({"p1": "A0", "p2": "A0"})
-
-    def test_unknown_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            make_machine({"p1": "C9"})
-
-    def test_negative_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            MachineState(cores=[a_core("A0")], migration_penalty=-1)
-
-    def test_free_cores_keep_listed_order(self):
-        machine = make_machine({"p1": "A0"})
-        assert [c.name for c in machine.free_cores(CoreClass.A)] == ["A1"]
-        assert [c.name for c in machine.free_cores(CoreClass.B)] == ["B0", "B1"]
-
-
 class TestMigrationEvent:
     def test_must_change_cores(self):
         with pytest.raises(ValueError):
@@ -74,91 +51,71 @@ class TestMigrationEvent:
 
 
 class TestDecideMigration:
-    def test_over_utilized_small_core_moves_up(self):
-        machine = make_machine({"p1": "B0"})
+    def test_over_utilized_weak_core_moves_to_the_first_listed_strong_core(self):
         event = util_event(PhaseEventKind.OVER_UTILIZATION)
-        migration = decide_migration(event, machine.core("B0"), machine)
-        assert migration is not None
-        assert (migration.from_core, migration.to_core) == ("B0", "A0")
-        assert migration.process == "p1"
-        assert migration.interval_index == 10
-        assert migration.kind is PhaseEventKind.MIGRATION
-        assert migration.reason is PhaseEventKind.OVER_UTILIZATION
-        assert (migration.old_phase_id, migration.new_phase_id, migration.d_i) == (
-            None,
-            None,
-            None,
+        migration = decide_migration(event, "p1", core("B0"), CORES)
+        assert migration == migration_event(
+            10, "p1", "B0", "A1", PhaseEventKind.OVER_UTILIZATION
         )
 
-    def test_over_utilized_big_core_stays(self):
-        machine = make_machine({"p1": "A0"})
-        event = util_event(PhaseEventKind.OVER_UTILIZATION)
-        assert decide_migration(event, machine.core("A0"), machine) is None
-
-    def test_under_utilized_big_core_moves_down(self):
-        machine = make_machine({"p1": "A1"})
+    def test_under_utilized_strong_core_moves_to_the_first_listed_weak_core(self):
         event = util_event(PhaseEventKind.UNDER_UTILIZATION)
-        migration = decide_migration(event, machine.core("A1"), machine)
-        assert migration is not None
-        assert (migration.from_core, migration.to_core) == ("A1", "B0")
-
-    def test_under_utilized_small_core_stays(self):
-        machine = make_machine({"p1": "B1"})
-        event = util_event(PhaseEventKind.UNDER_UTILIZATION)
-        assert decide_migration(event, machine.core("B1"), machine) is None
-
-    def test_throughput_change_never_migrates(self):
-        machine = make_machine({"p1": "B0"})
-        event = util_event(PhaseEventKind.THROUGHPUT_CHANGE)
-        assert decide_migration(event, machine.core("B0"), machine) is None
-
-    def test_no_free_target_means_no_move(self):
-        machine = make_machine({"p1": "B0", "q1": "A0", "q2": "A1"})
-        event = util_event(PhaseEventKind.OVER_UTILIZATION)
-        assert decide_migration(event, machine.core("B0"), machine) is None
-
-    def test_first_free_core_wins_the_tie(self):
-        machine = make_machine({"p1": "B0", "q1": "A0"})
-        event = util_event(PhaseEventKind.OVER_UTILIZATION)
-        migration = decide_migration(event, machine.core("B0"), machine)
-        assert migration is not None and migration.to_core == "A1"
-
-    def test_unassigned_core_means_no_move(self):
-        machine = make_machine()
-        event = util_event(PhaseEventKind.OVER_UTILIZATION)
-        assert decide_migration(event, machine.core("B0"), machine) is None
-
-
-class TestApplyMigration:
-    def test_moves_the_assignment(self):
-        machine = make_machine({"p1": "B0"})
-        migration = migration_event(
-            5, "p1", "B0", "A0", PhaseEventKind.OVER_UTILIZATION
+        migration = decide_migration(event, "p1", core("A0"), CORES)
+        assert migration == migration_event(
+            10, "p1", "A0", "B1", PhaseEventKind.UNDER_UTILIZATION
         )
-        apply_migration(machine, migration)
-        assert machine.assignment == {"p1": "A0"}
-        assert machine.is_free("B0")
 
-    def test_occupied_target_conflicts(self):
-        machine = make_machine({"p1": "B0", "q1": "A0"})
-        migration = migration_event(
-            5, "p1", "B0", "A0", PhaseEventKind.OVER_UTILIZATION
-        )
-        with pytest.raises(SchedulingConflictError):
-            apply_migration(machine, migration)
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            (PhaseEventKind.OVER_UTILIZATION, "A0"),
+            (PhaseEventKind.OVER_UTILIZATION, "A1"),
+            (PhaseEventKind.UNDER_UTILIZATION, "B0"),
+            (PhaseEventKind.UNDER_UTILIZATION, "B1"),
+        ],
+    )
+    def test_process_already_on_the_target_class_stays(self, kind, name):
+        assert decide_migration(util_event(kind), "p1", core(name), CORES) is None
 
-    def test_stale_source_conflicts(self):
-        machine = make_machine({"p1": "B1"})
-        migration = migration_event(
-            5, "p1", "B0", "A0", PhaseEventKind.OVER_UTILIZATION
-        )
-        with pytest.raises(SchedulingConflictError):
-            apply_migration(machine, migration)
+    @pytest.mark.parametrize(
+        "kind, cores",
+        [
+            (PhaseEventKind.OVER_UTILIZATION, [b_core("B0"), b_core("B1")]),
+            (PhaseEventKind.UNDER_UTILIZATION, [a_core("A0"), a_core("A1")]),
+        ],
+        ids=["no_strong_core", "no_weak_core"],
+    )
+    def test_machine_without_the_target_class_declines(self, kind, cores):
+        assert decide_migration(util_event(kind), "p1", cores[0], cores) is None
 
-    def test_unknown_target_rejected(self):
-        machine = make_machine({"p1": "B0"})
-        migration = migration_event(
-            5, "p1", "B0", "Z9", PhaseEventKind.OVER_UTILIZATION
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            PhaseEventKind.THROUGHPUT_CHANGE,
+            PhaseEventKind.PHASE_RECURRED,
+            PhaseEventKind.TAU_DOUBLED,
+            PhaseEventKind.TAU_HALVED,
+        ],
+    )
+    @pytest.mark.parametrize("name", ["A0", "B0"])
+    def test_non_utilization_events_never_migrate(self, kind, name):
+        assert decide_migration(util_event(kind), "p1", core(name), CORES) is None
+
+
+class TestSchedulerInRun:
+    def test_weak_only_machine_never_migrates(self):
+        # fft_like from a weak core raises over-utilization, which finds no
+        # strong core to move to; the run is then the scheduler-off run.
+        config = dict(
+            workload_preset="fft_like",
+            fixed_tau=100_000,
+            machine_cores=[b_core("B0"), b_core("B1")],
+            start_core="B0",
         )
-        with pytest.raises(ValueError):
-            apply_migration(machine, migration)
+        result = run_experiment(ExperimentConfig(**config))
+        assert result.summary["event_counts"]["over_util"] > 0
+        assert result.migrations == []
+        assert result.summary["migration_count"] == 0
+        unscheduled = run_experiment(ExperimentConfig(scheduler_enabled=False, **config))
+        assert result.rows == unscheduled.rows
+        assert result.events == unscheduled.events
