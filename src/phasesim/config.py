@@ -81,6 +81,8 @@ class ExperimentConfig:
                 f"scheduler.migration_penalty must be >= 0, got {self.migration_penalty}"
             )
         names = [core.name for core in self.machine_cores]
+        if not names:
+            raise ConfigError("the machine lists no cores")
         for index, name in enumerate(names):
             if name in names[:index]:
                 raise ConfigError(f"duplicate core name {name!r} in machine {names}")

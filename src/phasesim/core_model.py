@@ -120,7 +120,8 @@ def fu_utilization(
 
 
 class SegmentCursor:
-    """Single-pass reader over a segment list, tracking absolute position.
+    """Single-pass position over a segment list; :func:`simulate_interval`
+    advances it.
 
     ``position`` is the next sample's start cycle, ``next_index`` its index.
     """
@@ -134,28 +135,6 @@ class SegmentCursor:
         self.next_index = 0
         self._seg = 0
         self._offset = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.total_cycles - self.position
-
-    def take(self, tau: int) -> list[tuple[int, WorkloadSegment]]:
-        """Consume up to ``tau`` cycles, returning the (cycles, segment) spans."""
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
-        spans: list[tuple[int, WorkloadSegment]] = []
-        need = min(tau, self.remaining)
-        while need > 0:
-            segment = self._segments[self._seg]
-            chunk = min(need, segment.duration - self._offset)
-            spans.append((chunk, segment))
-            self._offset += chunk
-            self.position += chunk
-            need -= chunk
-            if self._offset == segment.duration:
-                self._seg += 1
-                self._offset = 0
-        return spans
 
 
 def simulate_interval(
@@ -185,42 +164,30 @@ def simulate_interval(
     if tau < need:
         need = tau
 
-    index = cursor.next_index
-    start = cursor.position
-    cursor.next_index += 1
-    segment = cursor._segments[cursor._seg]
-    if cursor._offset + need <= segment.duration:
-        # The interval ends inside the current segment: the one-span case of
-        # the blend below, spelled out term for term so it rounds the same.
-        # A sum() over one span is ``0 + term``, which turns -0.0 into 0.0.
-        cursor._offset += need
-        cursor.position += need
-        if cursor._offset == segment.duration:
-            cursor._seg += 1
-            cursor._offset = 0
-        covered = need
-        demand_cycles = 0 + covered * segment.ipc_demand
-        base_demand = demand_cycles / covered
-        if demand_cycles > 0:
-            fp_fraction = (0 + demand_cycles * segment.fp_fraction) / demand_cycles
+    index, start = cursor.next_index, cursor.position
+    cursor.next_index, cursor.position = index + 1, start + need
+    segments, seg, offset = cursor._segments, cursor._seg, cursor._offset
+    covered = need
+    # Per-span terms are summed in span order from 0, so a one-span interval
+    # rounds as ``0 + term`` (which turns -0.0 into 0.0).
+    demand_cycles = fp_cycles = noise_cycles = 0
+    while need:
+        segment = segments[seg]
+        chunk = segment.duration - offset
+        if need < chunk:
+            chunk, offset = need, offset + need
         else:
-            fp_fraction = 0.0
-        noise_amp = (0 + covered * segment.noise_amplitude) / covered
-    else:
-        spans = cursor.take(tau)
-        covered = sum(cycles for cycles, _ in spans)
-        demand_cycles = sum(cycles * seg.ipc_demand for cycles, seg in spans)
-        base_demand = demand_cycles / covered
-        if demand_cycles > 0:
-            fp_fraction = (
-                sum(cycles * seg.ipc_demand * seg.fp_fraction for cycles, seg in spans)
-                / demand_cycles
-            )
-        else:
-            fp_fraction = 0.0
-        noise_amp = (
-            sum(cycles * seg.noise_amplitude for cycles, seg in spans) / covered
-        )
+            seg, offset = seg + 1, 0
+        need -= chunk
+        demand = chunk * segment.ipc_demand
+        demand_cycles += demand
+        fp_cycles += demand * segment.fp_fraction
+        noise_cycles += chunk * segment.noise_amplitude
+    cursor._seg, cursor._offset = seg, offset
+
+    base_demand = demand_cycles / covered
+    fp_fraction = fp_cycles / demand_cycles if demand_cycles > 0 else 0.0
+    noise_amp = noise_cycles / covered
 
     jitter = rng.uniform(-noise_amp, noise_amp)
     ipc = achieved_ipc(core, base_demand * (1.0 + jitter))
@@ -232,6 +199,4 @@ def simulate_interval(
     fp_rate = ipc * fp_fraction * scale
     util_int, util_fp = fu_utilization(core, int_rate, fp_rate)
 
-    return IntervalSample(
-        index, start, covered, retired, util_int, util_fp, core.name
-    )
+    return IntervalSample(index, start, covered, retired, util_int, util_fp, core.name)

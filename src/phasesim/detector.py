@@ -13,6 +13,8 @@ around so a recurring phase can be recognised instead of minting a new id.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Reversible
@@ -36,6 +38,10 @@ PHASE_CHANGE_KINDS = frozenset(
         PhaseEventKind.UNDER_UTILIZATION,
     }
 )
+
+
+#: The largest instruction count that converts to a float, as throughput does.
+MAX_RETIRED = int(sys.float_info.max)
 
 
 class UtilizationClass(Enum):
@@ -70,9 +76,10 @@ class IntervalSample:
             raise ValueError(f"start_cycle must be >= 0, got {self.start_cycle}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1 cycle, got {self.tau}")
-        if self.retired_instructions < 0:
+        if not 0 <= self.retired_instructions <= MAX_RETIRED:
             raise ValueError(
-                f"retired_instructions must be >= 0, got {self.retired_instructions}"
+                "retired_instructions must be >= 0 and fit a float, got "
+                f"{reprlib.repr(self.retired_instructions)}"
             )
         if not 0.0 <= self.util_int <= 1.0:
             raise ValueError(f"util_int must lie in [0, 1], got {self.util_int}")
@@ -265,7 +272,8 @@ class PhaseDetector:
         from the phase average by more than ``delta_th`` percent, or when the
         last ``util_window`` intervals since the phase opened all sat above
         ``delta_over`` (or all below ``delta_under``); the new phase is a
-        :func:`match_recurring_phase` hit or a fresh id.
+        :func:`match_recurring_phase` hit or a fresh id. Events are returned
+        exactly at a phase change, in a new list the caller may extend.
         """
         expected = 0 if self.last_index is None else self.last_index + 1
         if sample.index != expected:

@@ -21,7 +21,6 @@ from typing import Iterable
 from .config import ConfigError, ExperimentConfig, Mode
 from .core_model import CoreSpec, SegmentCursor, simulate_interval
 from .detector import (
-    PHASE_CHANGE_KINDS,
     DetectorConfig,
     IntervalSample,
     PhaseDetector,
@@ -134,11 +133,10 @@ def _resolve_workload(config: ExperimentConfig) -> WorkloadSpec:
 def _simulate(config: ExperimentConfig) -> RunResult:
     det_cfg = config.detector
     spec = _resolve_workload(config)
-    segments = generate_workload(spec)
-    total_cycles = sum(segment.duration for segment in segments)
-    if total_cycles < det_cfg.tau_min:
+    cursor = SegmentCursor(generate_workload(spec))
+    if cursor.total_cycles < det_cfg.tau_min:
         raise ConfigError(
-            f"workload covers {total_cycles} cycles, shorter than "
+            f"workload covers {cursor.total_cycles} cycles, shorter than "
             f"tau_min={det_cfg.tau_min}"
         )
 
@@ -148,7 +146,6 @@ def _simulate(config: ExperimentConfig) -> RunResult:
 
     detector = PhaseDetector(det_cfg)
     controller = IntervalController(det_cfg) if config.mode is Mode.VARIABLE else None
-    cursor = SegmentCursor(segments)
     # Both seeds participate so re-seeding either the run or the workload
     # reshuffles the noise draws.
     rng = random.Random(config.seed + spec.seed)
@@ -168,42 +165,35 @@ def _simulate(config: ExperimentConfig) -> RunResult:
         if sample is None:
             break
 
-        phase_id, det_events = detector.observe(sample)
-        if not det_events and controller is None:
-            # Nothing to plumb: no controller verdict, and the scheduler only
-            # reacts to detector events.
-            rows.append(_scatter_row(sample, phase_id, det_events))
-            continue
-        interval_events = list(det_events)
-        phase_changed = any(e.kind in PHASE_CHANGE_KINDS for e in det_events)
-
-        if controller is not None:
-            if phase_changed or sample.index == 0:
-                # The boundary interval seeds a fresh average; it casts no
-                # steadiness verdict and steady runs never span phases.
+        # Detector events mark a phase boundary; other events join the list.
+        phase_id, events = detector.observe(sample)
+        if events or sample.index == 0:
+            # The boundary interval seeds a fresh average; it casts no
+            # steadiness verdict and steady runs never span phases.
+            if controller is not None:
                 controller.reset_baseline(detector.current_phase.running_avg)
-            else:
-                kind = controller.observe_average(detector.current_phase.running_avg)
-                if kind is not None:
-                    interval_events.append(
-                        PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
-                    )
+            if config.scheduler_enabled:
+                # tuple(): the scheduler sees the detector's events, not the
+                # migrations appended after them.
+                for event in tuple(events):
+                    migration = decide_migration(event, process, current_core, cores)
+                    if migration is not None:
+                        current_core = next(c for c in cores if c.name == migration.to_core)
+                        dead_cycles = config.migration_penalty
+                        events.append(migration)
+        elif controller is not None:
+            kind = controller.observe_average(detector.current_phase.running_avg)
+            if kind is not None:
+                events.append(
+                    PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
+                )
 
-        if config.scheduler_enabled:
-            for event in det_events:
-                migration = decide_migration(event, process, current_core, cores)
-                if migration is not None:
-                    current_core = next(c for c in cores if c.name == migration.to_core)
-                    dead_cycles = config.migration_penalty
-                    interval_events.append(migration)
-
-        rows.append(_scatter_row(sample, phase_id, interval_events))
-        emitted.extend(interval_events)
+        rows.append(_scatter_row(sample, phase_id, events))
+        emitted.extend(events)
 
     summary = _build_summary(
         rows,
         emitted,
-        phase_count=len(detector.phases),
         label=spec.name,
         mode=config.mode.value,
         seed=config.seed,
@@ -231,8 +221,7 @@ def detect_over_samples(
     prev_tau: int | None = None
 
     for sample in samples:
-        phase_id, det_events = detector.observe(sample)
-        interval_events = det_events
+        phase_id, events = detector.observe(sample)
         tau = sample.tau
         if (
             prev_tau is not None
@@ -241,18 +230,16 @@ def detect_over_samples(
             and det_cfg.on_ladder(prev_tau)
         ):
             kind = PhaseEventKind.TAU_DOUBLED if tau > prev_tau else PhaseEventKind.TAU_HALVED
-            interval_events = [
-                *det_events,
-                PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta),
-            ]
+            events.append(
+                PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
+            )
         prev_tau = tau
-        rows.append(_scatter_row(sample, phase_id, interval_events))
-        emitted.extend(interval_events)
+        rows.append(_scatter_row(sample, phase_id, events))
+        emitted.extend(events)
 
     summary = _build_summary(
         rows,
         emitted,
-        phase_count=len(detector.phases),
         label=label,
         mode="detect",
         seed=None,
@@ -288,7 +275,6 @@ def _scatter_row(
 def _build_summary(
     rows: list[ScatterRow],
     emitted: list[PhaseEvent],
-    phase_count: int,
     label: str,
     mode: str,
     seed: int | None,
@@ -327,7 +313,9 @@ def _build_summary(
         "seed": seed,
         "sample_count": len(rows),
         "cycles_covered": sum(row.tau for row in rows),
-        "phase_count": phase_count,
+        # Every phase id the detector mints is assigned to the interval that
+        # opened it, so the rows hold every phase.
+        "phase_count": len(per_phase),
         "migration_count": event_counts.get("migration", 0),
         "event_counts": event_counts,
         "phases": phases,

@@ -265,6 +265,10 @@ def _check_stream(
     sample: IntervalSample, previous: IntervalSample | None, row_index: int
 ) -> None:
     if previous is None:
+        if sample.index != 0:
+            raise TraceValidationError(
+                f"the first index is {sample.index}, expected 0", row_index
+            )
         return
     if sample.index != previous.index + 1:
         raise TraceValidationError(

@@ -16,6 +16,11 @@ Floats are compared bit for bit, so every formula here uses the operation
 order that the artifacts are pinned to: a deviation is the difference times
 100 over the average, and a running average folds a new value into the old
 mean as ``(mean * n + value) / (n + 1)``.
+
+``blended_interval`` is the core model the same way: an interval covers the
+spans of every segment it touches, found by walking the segment list from
+cycle 0, and blends their demand pro rata by cycles. ``simulate_interval``
+must agree with it exactly.
 """
 
 from __future__ import annotations
@@ -24,11 +29,13 @@ from collections import deque
 from typing import Sequence
 
 from phasesim import (
+    CoreSpec,
     DetectorConfig,
     IntervalSample,
     PhaseEvent,
     PhaseEventKind,
     PhaseState,
+    WorkloadSegment,
 )
 
 
@@ -172,3 +179,73 @@ class ReferenceDetector:
                 PhaseEvent(sample.index, PhaseEventKind.PHASE_RECURRED, old_id, new_id, d)
             )
         return new_id, events
+
+
+def segment_spans(
+    segments: Sequence[WorkloadSegment], start: int, tau: int
+) -> list[tuple[int, WorkloadSegment]]:
+    """The (cycles, segment) spans of cycles ``[start, start + tau)``, in
+    order, cut at segment boundaries and at the end of the workload."""
+    spans = []
+    seg_start = 0
+    for segment in segments:
+        seg_end = seg_start + segment.duration
+        low, high = max(start, seg_start), min(start + tau, seg_end)
+        if low < high:
+            spans.append((high - low, segment))
+        seg_start = seg_end
+    return spans
+
+
+def fold(terms) -> float:
+    """Sum left to right from 0, the order the artifacts are pinned to.
+
+    A one-term fold is ``0 + term``, which turns -0.0 into 0.0. (``sum()``
+    over floats rounds this way only up to Python 3.11.)
+    """
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
+def blended_interval(
+    core: CoreSpec,
+    segments: Sequence[WorkloadSegment],
+    index: int,
+    start: int,
+    tau: int,
+    rng,
+    dead_cycles: int,
+) -> IntervalSample | None:
+    """Interval ``index`` of length up to ``tau`` from cycle ``start``, or
+    None past the end of the workload.
+
+    Demand blends by cycles, the fp share by demanded instructions and the
+    noise amplitude by cycles; one noise draw scales the demand before it is
+    clipped at the issue width. ``dead_cycles`` retire nothing. Each unit's
+    occupancy is its achieved rate over its unit count, capped at 1.
+    """
+    spans = segment_spans(segments, start, tau)
+    if not spans:
+        return None
+    covered = fold(cycles for cycles, _ in spans)
+    demand_cycles = fold(cycles * seg.ipc_demand for cycles, seg in spans)
+    base_demand = demand_cycles / covered
+    if demand_cycles > 0:
+        fp_fraction = (
+            fold(cycles * seg.ipc_demand * seg.fp_fraction for cycles, seg in spans)
+            / demand_cycles
+        )
+    else:
+        fp_fraction = 0.0
+    noise_amp = fold(cycles * seg.noise_amplitude for cycles, seg in spans) / covered
+    jitter = rng.uniform(-noise_amp, noise_amp)
+    ipc = min(base_demand * (1.0 + jitter), float(core.issue_width))
+    live = max(covered - dead_cycles, 0)
+    scale = live / covered
+    util_int = min(1.0, ipc * (1.0 - fp_fraction) * scale / core.int_fu_count)
+    util_fp = min(1.0, ipc * fp_fraction * scale / core.fp_fu_count)
+    return IntervalSample(
+        index, start, covered, int(round(ipc * live)), util_int, util_fp, core.name
+    )

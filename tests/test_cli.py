@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesim import ConfigError, cli, load_summary, overhead_report
+from phasesim.detector import MAX_RETIRED
 
 
 def write_config(tmp_path, text, name="run.conf"):
@@ -420,6 +421,45 @@ class TestDetectCommand:
         )
         assert code == 2
         assert "internal error" not in capsys.readouterr().err
+
+    @given(
+        fmt=st.sampled_from(["csv", "jsonl"]),
+        first=st.integers(0, 3),
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([1, 100_000]),
+                st.one_of(
+                    st.integers(0, 500_000),
+                    st.sampled_from(
+                        [10**308, MAX_RETIRED, MAX_RETIRED + 1, 10**310, 10**400]
+                    ),
+                ),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_huge_counts_and_shifted_indexes_never_exit_three(
+        self, tmp_path_factory, fmt, first, rows
+    ):
+        tmp = tmp_path_factory.mktemp("detect")
+        lines, start = [], 0
+        for offset, (tau, retired, util) in enumerate(rows):
+            fields = [first + offset, start, tau, retired, util, 0.0, "A0"]
+            if fmt == "csv":
+                lines.append(",".join(map(str, fields)))
+            else:
+                record = dict(zip(TRACE_HEADER.decode().strip().split(","), fields))
+                lines.append(json.dumps({"schema_version": 1, **record}))
+            start += tau
+        header = TRACE_HEADER.decode() if fmt == "csv" else ""
+        trace = tmp / f"trace.{fmt}"
+        trace.write_text(header + "\n".join(lines) + "\n")
+        code = cli.main(["detect", "--trace", str(trace), "--out", str(tmp / "out")])
+        bad = first != 0 or max(retired for _, retired, _ in rows) > MAX_RETIRED
+        assert code == (2 if bad else 0)
 
     def test_no_trace_anywhere_exits_one(self, tmp_path):
         assert cli.main(["detect", "--out", str(tmp_path / "out")]) == 1

@@ -14,6 +14,7 @@ from phasesim import (
     load_machine_file,
     parse_config_file,
     parse_config_pairs,
+    run_experiment,
 )
 
 MACHINE_CSV = """\
@@ -183,6 +184,15 @@ class TestExperimentConfigValidate:
         )
         with pytest.raises(ConfigError):
             config.validate()
+
+    def test_empty_machine_rejected(self):
+        config = ExperimentConfig(
+            workload_preset="steady", fixed_tau=100_000, machine_cores=[]
+        )
+        with pytest.raises(ConfigError, match="the machine lists no cores"):
+            config.validate()
+        with pytest.raises(ConfigError, match="the machine lists no cores"):
+            run_experiment(config)
 
     def test_start_core_defaults_to_first(self):
         config = ExperimentConfig(workload_preset="steady", fixed_tau=100_000)

@@ -74,21 +74,30 @@ class TestFuUtilization:
 
 
 class TestSegmentCursor:
-    def test_take_splits_on_boundaries(self):
+    def test_interval_crosses_two_boundaries_then_truncates(self):
         cursor = SegmentCursor(
             [
-                WorkloadSegment(100, 2.0, 0.0, 0.0),
-                WorkloadSegment(100, 4.0, 1.0, 0.0),
+                WorkloadSegment(100, 1.0, 0.0, 0.0),
+                WorkloadSegment(100, 2.0, 0.5, 0.0),
+                WorkloadSegment(100, 1.0, 1.0, 0.0),
             ]
         )
-        spans = cursor.take(150)
-        assert [(cycles, seg.ipc_demand) for cycles, seg in spans] == [
-            (100, 2.0),
-            (50, 4.0),
-        ]
-        spans = cursor.take(150)
-        assert [(cycles, seg.ipc_demand) for cycles, seg in spans] == [(50, 4.0)]
-        assert cursor.take(1) == []
+        rng = random.Random(0)
+        core = a_core("A0")
+        # 100 + 100 + 50 cycles: 350 demanded instructions, 150 of them fp.
+        first = simulate_interval(core, cursor, 250, rng)
+        assert (first.index, first.start_cycle, first.tau) == (0, 0, 250)
+        assert first.retired_instructions == 350
+        assert first.util_int == pytest.approx(1.4 * (4 / 7) / 4)
+        assert first.util_fp == pytest.approx(1.4 * (3 / 7) / 2)
+        assert (cursor.position, cursor.next_index) == (250, 1)
+        # The rest is the 50-cycle tail of the third segment alone.
+        tail = simulate_interval(core, cursor, 250, rng)
+        assert (tail.index, tail.start_cycle, tail.tau) == (1, 250, 50)
+        assert tail.retired_instructions == 50
+        assert (tail.util_int, tail.util_fp) == (0.0, 0.5)
+        assert (cursor.position, cursor.next_index) == (300, 2)
+        assert simulate_interval(core, cursor, 1, rng) is None
 
 
 class TestSimulateInterval:

@@ -9,12 +9,14 @@ A change that alters the artifacts on purpose must re-pin them and say why.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from phasesim import cli
+from phasesim import PhaseDetector, cli, experiment
 
 ARTIFACTS = ("scatter.csv", "events.csv", "summary.json")
 
@@ -269,3 +271,25 @@ def test_simulate_artifacts_match_pinned_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(DETECT_CASES))
 def test_detect_artifacts_match_pinned_digests(name, tmp_path):
     assert run_detect_case(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CASES) + sorted(DETECT_CASES))
+def test_phase_count_is_every_phase_in_the_rows(name, tmp_path, monkeypatch):
+    # The summary counts the phases its rows name, and those are every phase
+    # the detector minted: each id is assigned to the interval that opened it.
+    detectors = []
+
+    class RecordingDetector(PhaseDetector):
+        def __init__(self, config=None):
+            super().__init__(config)
+            detectors.append(self)
+
+    monkeypatch.setattr(experiment, "PhaseDetector", RecordingDetector)
+    run = run_simulate_case if name in SIMULATE_CASES else run_detect_case
+    run(name, tmp_path)
+    out = tmp_path / "run"
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "scatter.csv", newline="") as handle:
+        phase_ids = {row["phase_id"] for row in csv.DictReader(handle)}
+    [detector] = detectors
+    assert summary["phase_count"] == len(phase_ids) == len(detector.phases)

@@ -1,12 +1,11 @@
 """Differential tests of the per-interval hot path against reference loops.
 
 ``PhaseDetector.observe`` and ``simulate_interval`` inline their arithmetic
-for speed. The detector is checked against ``ReferenceDetector`` in
-``tests/reference_model.py``, a model written from the README's description
-of detection. The core model is checked against the span-sum blend of every
-segment an interval touches, built below from ``SegmentCursor.take``.
-Results must be equal, not close: the artifacts are byte-identical only if
-every float rounds the same way.
+for speed. Each is checked against a model in ``tests/reference_model.py``
+written from the README's description: the detector against
+``ReferenceDetector``, the core model against ``blended_interval``, which
+walks the segment list itself. Results must be equal, not close: the
+artifacts are byte-identical only if every float rounds the same way.
 """
 
 from __future__ import annotations
@@ -25,12 +24,10 @@ from phasesim import (
     SegmentCursor,
     WorkloadSegment,
     a_core,
-    achieved_ipc,
     b_core,
-    fu_utilization,
     simulate_interval,
 )
-from reference_model import ReferenceDetector
+from reference_model import ReferenceDetector, blended_interval
 
 
 def assert_matches_reference(config: DetectorConfig, samples) -> None:
@@ -109,39 +106,8 @@ class TestDetectorMatchesReference:
         assert_matches_reference(config, build_stream(ths))
 
 
-def span_formula_interval(core, cursor, tau, rng, dead_cycles):
-    """One interval by the span-sum blend over ``cursor.take``."""
-    if cursor.remaining <= 0:
-        return None
-    index = cursor.next_index
-    start = cursor.position
-    spans = cursor.take(tau)
-    cursor.next_index += 1
-    covered = sum(cycles for cycles, _ in spans)
-    demand_cycles = sum(cycles * seg.ipc_demand for cycles, seg in spans)
-    base_demand = demand_cycles / covered
-    if demand_cycles > 0:
-        fp_fraction = (
-            sum(cycles * seg.ipc_demand * seg.fp_fraction for cycles, seg in spans)
-            / demand_cycles
-        )
-    else:
-        fp_fraction = 0.0
-    noise_amp = sum(cycles * seg.noise_amplitude for cycles, seg in spans) / covered
-    jitter = rng.uniform(-noise_amp, noise_amp)
-    ipc = achieved_ipc(core, base_demand * (1.0 + jitter))
-    live = max(covered - dead_cycles, 0)
-    scale = live / covered
-    util_int, util_fp = fu_utilization(
-        core, ipc * (1.0 - fp_fraction) * scale, ipc * fp_fraction * scale
-    )
-    return IntervalSample(
-        index, start, covered, int(round(ipc * live)), util_int, util_fp, core.name
-    )
-
-
-# Signed zeros are included on purpose: a sum() over one span turns a -0.0
-# term into 0.0, and the single-segment path must do the same.
+# Signed zeros are included on purpose: a sum over one span is ``0 + term``,
+# which turns a -0.0 term into 0.0.
 segments = st.builds(
     WorkloadSegment,
     duration=st.integers(1, 400),
@@ -162,32 +128,20 @@ class TestSimulateIntervalMatchesSpanFormulas:
     @settings(max_examples=300, deadline=None)
     def test_every_interval_equals_the_blend(self, segs, taus, dead, seed, strong):
         core = a_core("A0") if strong else b_core("B0")
-        cursor, twin = SegmentCursor(segs), SegmentCursor(segs)
+        cursor = SegmentCursor(segs)
         rng, twin_rng = random.Random(seed), random.Random(seed)
+        index = start = 0
         for step in range(10_000):
             tau, dead_cycles = taus[step % len(taus)], dead[step % len(dead)]
             sample = simulate_interval(core, cursor, tau, rng, dead_cycles=dead_cycles)
-            expected = span_formula_interval(core, twin, tau, twin_rng, dead_cycles)
+            expected = blended_interval(
+                core, segs, index, start, tau, twin_rng, dead_cycles
+            )
             # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not.
             assert repr(sample) == repr(expected)
-            assert (cursor.position, cursor.next_index) == (twin.position, twin.next_index)
             if sample is None:
                 break
-        assert cursor.remaining == 0
+            index, start = index + 1, start + sample.tau
+            assert (cursor.position, cursor.next_index) == (start, index)
+        assert start == cursor.total_cycles == sum(s.duration for s in segs)
         assert rng.random() == twin_rng.random()
-
-    def test_single_segment_intervals_use_no_spans(self, monkeypatch):
-        # Intervals inside one segment never ask the cursor for spans.
-        calls = []
-        take = SegmentCursor.take
-
-        def counting_take(self, tau):
-            calls.append(tau)
-            return take(self, tau)
-
-        monkeypatch.setattr(SegmentCursor, "take", counting_take)
-        cursor = SegmentCursor([WorkloadSegment(250, 1.5, 0.2, 0.1)] * 2)
-        rng = random.Random(0)
-        while simulate_interval(a_core("A0"), cursor, 100, rng) is not None:
-            pass
-        assert calls == [100]  # only the interval over cycles 200-300

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -26,6 +27,7 @@ from phasesim import (
     save_workload_spec,
     steady,
 )
+from phasesim.detector import MAX_RETIRED
 
 
 class TestPresets:
@@ -237,6 +239,38 @@ class TestTraceErrors:
         save_trace(gapped, path)
         with pytest.raises(TraceValidationError):
             list(load_trace(path))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_first_index_other_than_zero_is_a_validation_error(self, tmp_path, fmt):
+        path = tmp_path / f"trace.{fmt}"
+        save_trace([replace(s, index=s.index + 5) for s in build_stream([1.0, 1.0])], path)
+        with pytest.raises(TraceValidationError, match="first index is 5") as exc:
+            list(load_trace(path))
+        assert exc.value.row_index == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "count", [10**310, 10**400, MAX_RETIRED + 1], ids=["1e310", "1e400", "max+1"]
+    )
+    def test_count_too_large_for_a_float_is_a_validation_error(
+        self, tmp_path, fmt, count
+    ):
+        path = tmp_path / f"trace.{fmt}"
+        save_trace(build_stream([1.0, 1.0]), path)
+        field = "100000,0.6" if fmt == "csv" else '"retired_instructions": 100000'
+        path.write_text(path.read_text().replace(field, field.replace("100000", str(count)), 1))
+        with pytest.raises(
+            TraceValidationError, match="retired_instructions must be >= 0 and fit a float"
+        ) as exc:
+            list(load_trace(path))
+        assert exc.value.row_index == 0
+
+    def test_largest_float_sized_count_loads(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        save_trace(build_stream([1.0]), path)
+        path.write_text(path.read_text().replace("100000,0.6", f"{MAX_RETIRED},0.6"))
+        [sample] = load_trace(path)
+        assert sample.retired_instructions == MAX_RETIRED
 
     def test_cycle_gap_is_a_validation_error(self, tmp_path):
         a, b = build_stream([1.0, 1.0])
