@@ -16,9 +16,7 @@ from .core_model import (
     SegmentCursor,
     WorkloadSegment,
     a_core,
-    achieved_ipc,
     b_core,
-    fu_utilization,
     simulate_interval,
 )
 from .detector import (
@@ -45,7 +43,7 @@ from .experiment import (
     run_experiment,
     write_artifacts,
 )
-from .interval_control import IntervalController, steadiness_check
+from .interval_control import IntervalController
 from .scheduler import decide_migration
 from .workload import (
     PRESETS,

@@ -32,7 +32,7 @@ def default_machine() -> list[CoreSpec]:
 
 @dataclass
 class ExperimentConfig:
-    """Everything one run needs. Exactly one workload source must be set."""
+    """Everything one run needs; :meth:`validate` checks a ``simulate`` run."""
 
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     machine_cores: list[CoreSpec] = field(default_factory=default_machine)
@@ -49,17 +49,15 @@ class ExperimentConfig:
     migration_penalty: int = 10_000
 
     def validate(self) -> None:
-        sources = [
-            self.workload_preset,
-            self.workload_spec_path,
-            self.workload_trace_path,
-        ]
-        set_count = sum(source is not None for source in sources)
-        if set_count != 1:
+        """Check a ``simulate`` run: one preset or spec source, no trace."""
+        if self.workload_trace_path is not None:
+            raise ConfigError(
+                "workload.trace is replayed by `phasesim detect`, not simulated"
+            )
+        if (self.workload_preset is None) == (self.workload_spec_path is None):
             raise ConfigError(
                 "exactly one workload source required "
-                "(workload.preset, workload.spec or workload.trace); "
-                f"got {set_count}"
+                "(workload.preset or workload.spec)"
             )
         if self.mode is Mode.FIXED:
             if self.fixed_tau is None:

@@ -1,11 +1,12 @@
 """Analytic stand-in for cycle-accurate core simulation.
 
-A core clips demanded IPC at its issue width and reports functional-unit
-occupancy as the achieved rate over the unit count. The model is
-deliberately transparent: with zero noise every output is predictable in
-closed form, which keeps behaviour auditable end to end. Cache and branch
-predictor capacities are carried on the spec for machine descriptions but do
-not feed the arithmetic.
+:func:`simulate_interval` clips an interval's demanded IPC at the core's
+issue width and reports each functional unit's occupancy as its achieved
+rate over its unit count, capped at 1. The model is deliberately
+transparent: with zero noise every output is predictable in closed form,
+which keeps behaviour auditable end to end. Cache and branch predictor
+capacities are carried on the spec for machine descriptions but do not feed
+the arithmetic.
 """
 
 from __future__ import annotations
@@ -96,29 +97,6 @@ class WorkloadSegment:
             )
 
 
-def achieved_ipc(core: CoreSpec, ipc_demand: float) -> float:
-    """Demand clipped at the core's issue width."""
-    if ipc_demand < 0:
-        raise ValueError(f"ipc_demand must be >= 0, got {ipc_demand}")
-    return min(ipc_demand, float(core.issue_width))
-
-
-def fu_utilization(
-    core: CoreSpec, int_ipc: float, fp_ipc: float
-) -> tuple[float, float]:
-    """Occupancy of the integer and fp units for the given achieved rates."""
-    if int_ipc < 0 or fp_ipc < 0:
-        raise ValueError("achieved rates must be >= 0")
-    if int_ipc + fp_ipc > core.issue_width + 1e-9:
-        raise ValueError(
-            f"combined rate {int_ipc + fp_ipc} exceeds issue width {core.issue_width}"
-        )
-    return (
-        min(1.0, int_ipc / core.int_fu_count),
-        min(1.0, fp_ipc / core.fp_fu_count),
-    )
-
-
 class SegmentCursor:
     """Single-pass position over a segment list; :func:`simulate_interval`
     advances it.
@@ -189,14 +167,14 @@ def simulate_interval(
     fp_fraction = fp_cycles / demand_cycles if demand_cycles > 0 else 0.0
     noise_amp = noise_cycles / covered
 
+    # noise_amplitude < 1 keeps the jittered demand >= 0; clip at the width.
     jitter = rng.uniform(-noise_amp, noise_amp)
-    ipc = achieved_ipc(core, base_demand * (1.0 + jitter))
+    ipc = min(base_demand * (1.0 + jitter), float(core.issue_width))
 
     live = max(covered - dead_cycles, 0)
     retired = int(round(ipc * live))
     scale = live / covered
-    int_rate = ipc * (1.0 - fp_fraction) * scale
-    fp_rate = ipc * fp_fraction * scale
-    util_int, util_fp = fu_utilization(core, int_rate, fp_rate)
+    util_int = min(1.0, ipc * (1.0 - fp_fraction) * scale / core.int_fu_count)
+    util_fp = min(1.0, ipc * fp_fraction * scale / core.fp_fu_count)
 
     return IntervalSample(index, start, covered, retired, util_int, util_fp, core.name)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Reversible
@@ -40,8 +39,9 @@ PHASE_CHANGE_KINDS = frozenset(
 )
 
 
-#: The largest instruction count that converts to a float, as throughput does.
-MAX_RETIRED = int(sys.float_info.max)
+#: The largest instruction count, the range of a 64-bit counter. Per-phase
+#: sums of counts this size stay finite, so summary.json holds no Infinity.
+MAX_RETIRED = 2**63 - 1
 
 
 class UtilizationClass(Enum):
@@ -78,7 +78,7 @@ class IntervalSample:
             raise ValueError(f"tau must be >= 1 cycle, got {self.tau}")
         if not 0 <= self.retired_instructions <= MAX_RETIRED:
             raise ValueError(
-                "retired_instructions must be >= 0 and fit a float, got "
+                "retired_instructions must be >= 0 and fit a 64-bit counter, got "
                 f"{reprlib.repr(self.retired_instructions)}"
             )
         if not 0.0 <= self.util_int <= 1.0:
@@ -249,6 +249,10 @@ class PhaseDetector:
         #: Percent deviation computed at the most recent interval, None while
         #: the deviation was undefined (first interval ever).
         self.last_delta: float | None = None
+        #: The most recent interval's per-cycle throughput and effective
+        #: utilization, as the detector judged them.
+        self.last_throughput = 0.0
+        self.last_utilization = 0.0
         # Closed phases in closure order, oldest first. A closed phase's
         # state cannot change until it is re-opened and leaves this table.
         self._closed: dict[int, PhaseState] = {}
@@ -257,7 +261,6 @@ class PhaseDetector:
         # below delta_under. A full window of either is a run of util_window.
         self._over_run = 0
         self._under_run = 0
-        self._next_id = 0
 
     @property
     def current_phase(self) -> PhaseState:
@@ -283,14 +286,16 @@ class PhaseDetector:
         self.last_index = expected
 
         config = self.config
-        th = sample.retired_instructions / sample.tau
+        th = self.last_throughput = sample.retired_instructions / sample.tau
         # Effective utilization: the busier unit, the integer one on a tie.
-        u = sample.util_fp if sample.util_fp > sample.util_int else sample.util_int
+        u = self.last_utilization = (
+            sample.util_fp if sample.util_fp > sample.util_int else sample.util_int
+        )
         self._over_run = self._over_run + 1 if u > config.delta_over else 0
         self._under_run = self._under_run + 1 if u < config.delta_under else 0
 
         if self.current_phase_id is None:
-            self._seed_phase(self._fresh_id(), th, u)
+            self._seed_phase(0, th, u)
             self.last_delta = None
             return self.current_phase_id, []
 
@@ -328,7 +333,8 @@ class PhaseDetector:
         if config.recurrence_matching:
             matched = match_recurring_phase(th, u, self._closed.values(), config)
         if matched is None:
-            new_id = self._fresh_id()
+            # Every minted id enters the phase table at once and never leaves.
+            new_id = len(self.phases)
         else:
             new_id = matched
             del self._closed[matched]
@@ -345,11 +351,6 @@ class PhaseDetector:
     def closed_phases(self) -> list[PhaseState]:
         """Closed phases, oldest-closed first."""
         return list(self._closed.values())
-
-    def _fresh_id(self) -> int:
-        pid = self._next_id
-        self._next_id += 1
-        return pid
 
     def _seed_phase(self, phase_id: int, th: float, u: float) -> None:
         self.phases[phase_id] = PhaseState(phase_id, th, 1, u)

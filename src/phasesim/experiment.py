@@ -102,13 +102,9 @@ def run_experiment(
 ) -> RunResult:
     """Simulate one preset or workload-spec source and write its artifacts.
 
-    A trace source is refused: ``detect_over_samples`` (``phasesim detect``)
-    is the one replay path.
+    :meth:`ExperimentConfig.validate` refuses a trace source:
+    ``detect_over_samples`` (``phasesim detect``) is the one replay path.
     """
-    if config.workload_trace_path is not None:
-        raise ConfigError(
-            "workload.trace is replayed by `phasesim detect`, not simulated"
-        )
     config.validate()
     target = Path(out_dir) if out_dir is not None else config.out_dir
     result = _simulate(config)
@@ -188,7 +184,7 @@ def _simulate(config: ExperimentConfig) -> RunResult:
                     PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
                 )
 
-        rows.append(_scatter_row(sample, phase_id, events))
+        rows.append(_scatter_row(sample, detector, phase_id, events))
         emitted.extend(events)
 
     summary = _build_summary(
@@ -234,7 +230,7 @@ def detect_over_samples(
                 PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
             )
         prev_tau = tau
-        rows.append(_scatter_row(sample, phase_id, events))
+        rows.append(_scatter_row(sample, detector, phase_id, events))
         emitted.extend(events)
 
     summary = _build_summary(
@@ -250,9 +246,11 @@ def detect_over_samples(
 
 def _scatter_row(
     sample: IntervalSample,
+    detector: PhaseDetector,
     phase_id: int,
     interval_events: list[PhaseEvent],
 ) -> ScatterRow:
+    """The row of the interval ``detector`` observed last."""
     annotation = "none"
     if interval_events:
         tokens = [e.kind.value for e in interval_events if e.kind.value in _SCATTER_PRIORITY]
@@ -263,10 +261,10 @@ def _scatter_row(
         sample.start_cycle,
         sample.tau,
         sample.retired_instructions,
-        sample.retired_instructions / sample.tau,
+        detector.last_throughput,
         # float() so the CSV writer, which writes repr(float), sees a float
         # even when a caller built the sample from integer occupancies.
-        float(max(sample.util_int, sample.util_fp)),
+        float(detector.last_utilization),
         phase_id,
         annotation,
     )

@@ -12,13 +12,6 @@ from __future__ import annotations
 from .detector import DetectorConfig, PhaseEventKind
 
 
-def steadiness_check(th_bar_i: float, th_bar_prev: float, steady_band: float) -> bool:
-    """True when the running average moved less than ``steady_band`` percent."""
-    if th_bar_prev <= 0:
-        raise ValueError(f"previous average must be positive, got {th_bar_prev}")
-    return abs(th_bar_i - th_bar_prev) * 100.0 / th_bar_prev < steady_band
-
-
 class IntervalController:
     """Tracks steadiness of the phase average and adjusts the interval.
 
@@ -42,15 +35,17 @@ class IntervalController:
     def observe_average(self, running_avg: float) -> PhaseEventKind | None:
         """Cast a steadiness verdict for the newest running average.
 
-        Returns the interval-length event that resulted, if any. Phases with
-        no accumulated throughput are treated as steady while they stay idle.
+        The average is steady when it moved less than ``steady_band`` percent
+        from the previous one. Returns the interval-length event that
+        resulted, if any. Phases with no accumulated throughput are treated
+        as steady while they stay idle.
         """
         prev = self.prev_running_avg
         if prev is None:
             self.prev_running_avg = running_avg
             return None
         if prev > 0:
-            steady = steadiness_check(running_avg, prev, self.config.steady_band)
+            steady = abs(running_avg - prev) * 100.0 / prev < self.config.steady_band
         else:
             steady = running_avg <= 0
         self.prev_running_avg = running_avg

@@ -303,18 +303,15 @@ def _load_csv(path: Path) -> Iterator[IntervalSample]:
                         line_number,
                     )
                 try:
+                    index, start_cycle, tau, retired = map(int, row[:4])
+                    util_int, util_fp = float(row[4]), float(row[5])
+                except ValueError as exc:
+                    raise TraceParseError(str(exc), line_number) from exc
+                try:
                     sample = IntervalSample(
-                        int(row[0]),
-                        int(row[1]),
-                        int(row[2]),
-                        int(row[3]),
-                        float(row[4]),
-                        float(row[5]),
-                        row[6],
+                        index, start_cycle, tau, retired, util_int, util_fp, row[6]
                     )
-                except (TypeError, ValueError) as exc:
-                    if _is_parse_failure(row):
-                        raise TraceParseError(str(exc), line_number) from exc
+                except ValueError as exc:
                     raise TraceValidationError(str(exc), row_index) from exc
                 _check_stream(sample, previous, row_index)
                 previous = sample
@@ -324,15 +321,6 @@ def _load_csv(path: Path) -> Iterator[IntervalSample]:
         except UnicodeDecodeError as exc:
             # The decoder works on whole chunks, so the line is unknown.
             raise TraceError(f"{path} is not valid UTF-8: {exc.reason}") from exc
-
-
-def _is_parse_failure(row: list[str]) -> bool:
-    try:
-        int(row[0]), int(row[1]), int(row[2]), int(row[3])
-        float(row[4]), float(row[5])
-    except (TypeError, ValueError):
-        return True
-    return False
 
 
 def _load_jsonl(path: Path) -> Iterator[IntervalSample]:

@@ -461,6 +461,23 @@ class TestDetectCommand:
         bad = first != 0 or max(retired for _, retired, _ in rows) > MAX_RETIRED
         assert code == (2 if bad else 0)
 
+    def test_summary_at_the_largest_count_is_strict_json(self, tmp_path):
+        # One-cycle intervals at the largest count: the per-phase sums stay
+        # finite, so summary.json holds no Infinity.
+        trace = tmp_path / "trace.csv"
+        rows = "".join(f"{i},{i},1,{MAX_RETIRED},0.5,0.0,A0\n" for i in range(2))
+        trace.write_bytes(TRACE_HEADER + rows.encode())
+        out = tmp_path / "out"
+        assert cli.main(["detect", "--trace", str(trace), "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        [phase] = summary["phases"]
+        assert phase["mean_throughput_raw"] == phase["mean_throughput_per_cycle"]
+        assert phase["mean_throughput_raw"] == float(MAX_RETIRED)
+
     def test_no_trace_anywhere_exits_one(self, tmp_path):
         assert cli.main(["detect", "--out", str(tmp_path / "out")]) == 1
 
@@ -708,23 +725,25 @@ class TestCompareCommand:
         assert cli.main(["compare-overhead", str(a), str(b)]) == 1
 
 
+@pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("core_class", ["A", "B"])
 @pytest.mark.parametrize("preset_name", ["fft_like", "fmm_like"])
 def test_simulate_agrees_with_detect_over_gen_workload_trace(
-    tmp_path, preset_name, core_class
+    tmp_path, preset_name, core_class, seed
 ):
     # simulate and gen-workload --emit-trace each run their own interval
-    # loop; with a fixed tau and no scheduler they must produce the same
-    # intervals, so detect over the trace writes the same scatter and events.
+    # loop; with a fixed tau, no scheduler and the same seed they must
+    # produce the same intervals, so detect over the trace writes the same
+    # scatter and events.
     config = write_config(
         tmp_path,
         f"workload.preset = {preset_name}\nmode = fixed_tau\nfixed_tau = 100000\n"
-        f"scheduler.enabled = no\nstart_core = {core_class}0\n",
+        f"scheduler.enabled = no\nstart_core = {core_class}0\nseed = {seed}\n",
     )
     trace = tmp_path / "trace.csv"
     simulated, replayed = tmp_path / "simulated", tmp_path / "replayed"
     assert cli.main(["simulate", "--config", str(config), "--out", str(simulated)]) == 0
-    gen = ["gen-workload", "--preset", preset_name, "--emit-trace"]
+    gen = ["gen-workload", "--preset", preset_name, "--emit-trace", "--seed", str(seed)]
     assert cli.main([*gen, "--core-class", core_class, "--out", str(trace)]) == 0
     assert cli.main(["detect", "--trace", str(trace), "--out", str(replayed)]) == 0
     for name in ("scatter.csv", "events.csv"):

@@ -12,9 +12,7 @@ from phasesim import (
     SegmentCursor,
     WorkloadSegment,
     a_core,
-    achieved_ipc,
     b_core,
-    fu_utilization,
     simulate_interval,
 )
 
@@ -41,36 +39,39 @@ class TestCoreSpecs:
         assert big.fp_fu_count > small.fp_fu_count
 
 
-class TestAchievedIpc:
+def one_interval(core, demand, fp_fraction=0.0, tau=100):
+    """The single interval of a one-segment, noise-free workload."""
+    cursor = SegmentCursor([WorkloadSegment(tau, demand, fp_fraction)])
+    return simulate_interval(core, cursor, tau, random.Random(0))
+
+
+class TestIssueWidthClip:
     def test_demand_above_width_clips(self):
-        assert achieved_ipc(a_core("A"), 6.0) == 4.0
-        assert achieved_ipc(b_core("B"), 6.0) == 2.0
+        assert one_interval(a_core("A"), 6.0).retired_instructions == 400
+        assert one_interval(b_core("B"), 6.0).retired_instructions == 200
 
     def test_demand_below_width_passes_through(self):
-        assert achieved_ipc(b_core("B"), 1.5) == 1.5
+        assert one_interval(b_core("B"), 1.5).retired_instructions == 150
 
     def test_zero_demand(self):
-        assert achieved_ipc(a_core("A"), 0.0) == 0.0
-
-    def test_negative_demand_rejected(self):
-        with pytest.raises(ValueError):
-            achieved_ipc(a_core("A"), -0.1)
+        sample = one_interval(a_core("A"), 0.0)
+        assert sample.retired_instructions == 0
+        assert (sample.util_int, sample.util_fp) == (0.0, 0.0)
 
 
-class TestFuUtilization:
+class TestUnitOccupancy:
     def test_int_only_on_big_core(self):
-        assert fu_utilization(a_core("A"), 1.0, 0.0) == (0.25, 0.0)
+        sample = one_interval(a_core("A"), 1.0)
+        assert (sample.util_int, sample.util_fp) == (0.25, 0.0)
 
     def test_fp_saturates_small_core(self):
-        assert fu_utilization(b_core("B"), 0.0, 1.0) == (0.0, 1.0)
+        sample = one_interval(b_core("B"), 1.0, fp_fraction=1.0)
+        assert (sample.util_int, sample.util_fp) == (0.0, 1.0)
 
     def test_caps_at_one(self):
-        u_int, u_fp = fu_utilization(b_core("B"), 0.5, 1.5)
-        assert u_fp == 1.0
-
-    def test_rate_above_width_rejected(self):
-        with pytest.raises(ValueError):
-            fu_utilization(b_core("B"), 2.0, 1.0)
+        # 2.0 achieved ipc on B: 0.5 integer over 2 units, 1.5 fp over 1 unit.
+        sample = one_interval(b_core("B"), 2.0, fp_fraction=0.75)
+        assert (sample.util_int, sample.util_fp) == (0.25, 1.0)
 
 
 class TestSegmentCursor:

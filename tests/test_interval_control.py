@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,28 +9,30 @@ from phasesim import (
     DetectorConfig,
     IntervalController,
     PhaseEventKind,
-    steadiness_check,
 )
 
 
-class TestSteadinessCheck:
+def steady_verdict(average, previous, band=1.0):
+    """The verdict observe_average casts on ``average`` after ``previous``."""
+    ctl = IntervalController(DetectorConfig(steady_band=band))
+    ctl.reset_baseline(previous)
+    assert ctl.observe_average(average) is None
+    return ctl.steady_count == 1
+
+
+class TestSteadinessVerdict:
     def test_identical_averages_are_steady(self):
-        assert steadiness_check(100.0, 100.0, 1.0) is True
+        assert steady_verdict(100.0, 100.0) is True
 
     def test_small_drift_is_steady(self):
-        assert steadiness_check(100.5, 100.0, 1.0) is True
+        assert steady_verdict(100.5, 100.0) is True
 
     def test_band_edge_is_not_steady(self):
-        assert steadiness_check(101.0, 100.0, 1.0) is False
+        assert steady_verdict(101.0, 100.0) is False
 
     def test_large_drift_is_not_steady(self):
-        assert steadiness_check(101.5, 100.0, 1.0) is False
-        assert steadiness_check(98.0, 100.0, 1.0) is False
-
-    @pytest.mark.parametrize("prev", [0.0, -5.0])
-    def test_nonpositive_baseline_rejected(self, prev):
-        with pytest.raises(ValueError):
-            steadiness_check(1.0, prev, 1.0)
+        assert steady_verdict(101.5, 100.0) is False
+        assert steady_verdict(98.0, 100.0) is False
 
 
 class TestIntervalLadder:

@@ -250,9 +250,11 @@ class TestTraceErrors:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize(
-        "count", [10**310, 10**400, MAX_RETIRED + 1], ids=["1e310", "1e400", "max+1"]
+        "count",
+        [10**308, 10**310, 10**400, MAX_RETIRED + 1],
+        ids=["1e308", "1e310", "1e400", "max+1"],
     )
-    def test_count_too_large_for_a_float_is_a_validation_error(
+    def test_count_beyond_a_64_bit_counter_is_a_validation_error(
         self, tmp_path, fmt, count
     ):
         path = tmp_path / f"trace.{fmt}"
@@ -260,12 +262,12 @@ class TestTraceErrors:
         field = "100000,0.6" if fmt == "csv" else '"retired_instructions": 100000'
         path.write_text(path.read_text().replace(field, field.replace("100000", str(count)), 1))
         with pytest.raises(
-            TraceValidationError, match="retired_instructions must be >= 0 and fit a float"
+            TraceValidationError, match="retired_instructions must be >= 0 and fit a 64-bit counter"
         ) as exc:
             list(load_trace(path))
         assert exc.value.row_index == 0
 
-    def test_largest_float_sized_count_loads(self, tmp_path):
+    def test_largest_64_bit_count_loads(self, tmp_path):
         path = tmp_path / "trace.csv"
         save_trace(build_stream([1.0]), path)
         path.write_text(path.read_text().replace("100000,0.6", f"{MAX_RETIRED},0.6"))
