@@ -229,6 +229,7 @@ MACHINE_COLUMNS = (
 def load_machine_file(path: str | Path) -> list[CoreSpec]:
     """Read a machine description: CSV with one CoreSpec per row.
 
+    ``int_window``/``fp_window`` are required columns but are not read;
     ``int_fu_count``/``fp_fu_count`` may be left blank to take the defaults.
     """
     path = Path(path)
@@ -263,8 +264,6 @@ def load_machine_file(path: str | Path) -> list[CoreSpec]:
                     name=row[0],
                     core_class=CoreClass(row[1]),
                     issue_width=int(row[2]),
-                    int_window=int(row[3]),
-                    fp_window=int(row[4]),
                     int_fu_count=int(row[5]) if row[5].strip() else None,
                     fp_fu_count=int(row[6]) if row[6].strip() else None,
                 )

@@ -4,9 +4,9 @@
 issue width and reports each functional unit's occupancy as its achieved
 rate over its unit count, capped at 1. The model is deliberately
 transparent: with zero noise every output is predictable in closed form,
-which keeps behaviour auditable end to end. Cache and branch predictor
-capacities are carried on the spec for machine descriptions but do not feed
-the arithmetic.
+which keeps behaviour auditable end to end. A core is its issue width and
+its integer and floating-point unit counts; instruction windows, caches and
+branch predictors are not modelled.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .detector import IntervalSample
 
 
 class CoreClass(Enum):
-    A = "A"  # strong: wide issue, large windows
-    B = "B"  # weak: narrow issue, small windows
+    A = "A"  # strong: wide issue
+    B = "B"  # weak: narrow issue
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,14 @@ class CoreSpec:
     name: str
     core_class: CoreClass
     issue_width: int
-    int_window: int
-    fp_window: int
     int_fu_count: int | None = None
     fp_fu_count: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("core name must be non-empty")
-        for field_name in ("issue_width", "int_window", "fp_window"):
-            if getattr(self, field_name) < 1:
-                raise ValueError(f"{field_name} must be >= 1")
+        if self.issue_width < 1:
+            raise ValueError("issue_width must be >= 1")
         if self.int_fu_count is None:
             object.__setattr__(self, "int_fu_count", self.issue_width)
         if self.fp_fu_count is None:
@@ -56,13 +53,13 @@ class CoreSpec:
 
 
 def a_core(name: str) -> CoreSpec:
-    """Strong out-of-order core: 4-wide, 80-entry int / 32-entry fp windows."""
-    return CoreSpec(name, CoreClass.A, issue_width=4, int_window=80, fp_window=32)
+    """Strong core: 4-wide issue, 4 integer and 2 floating-point units."""
+    return CoreSpec(name, CoreClass.A, issue_width=4)
 
 
 def b_core(name: str) -> CoreSpec:
-    """Weak out-of-order core: 2-wide, 56-entry int / 16-entry fp windows."""
-    return CoreSpec(name, CoreClass.B, issue_width=2, int_window=56, fp_window=16)
+    """Weak core: 2-wide issue, 2 integer units and 1 floating-point unit."""
+    return CoreSpec(name, CoreClass.B, issue_width=2)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import csv
 import json
 import operator
 import random
-import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -32,6 +31,7 @@ from .scheduler import decide_migration
 from .workload import (
     WorkloadSpec,
     generate_workload,
+    json_field,
     load_workload_spec,
     preset,
 )
@@ -372,13 +372,13 @@ def load_summary(run_dir: str | Path) -> dict:
             summary = json.load(handle)
         except (RecursionError, ValueError) as exc:  # ValueError: also bad UTF-8
             raise ConfigError(f"{path}: not a valid summary: {exc}") from exc
-    for key, kind in _REPORT_KEYS.items():
-        value = summary.get(key) if isinstance(summary, dict) else None
-        if type(value) is not kind:  # not isinstance: a JSON true is a bool
-            raise ConfigError(
-                f"{path}: {key} is missing or not a JSON {kind.__name__}: "
-                f"{reprlib.repr(value)}"
-            )
+    # A summary that is not a JSON object lacks every key.
+    record = summary if isinstance(summary, dict) else {}
+    try:
+        for key, kind in _REPORT_KEYS.items():
+            json_field(record, key, kind)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return summary
 
 

@@ -169,19 +169,19 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
                 raise ValueError("a segment must be a JSON object")
             segments.append(
                 WorkloadSegment(
-                    duration=_spec_value(raw, "duration", int),
-                    ipc_demand=_spec_value(raw, "ipc_demand", float),
-                    fp_fraction=_spec_value(raw, "fp_fraction", float, 0.0),
-                    noise_amplitude=_spec_value(raw, "noise_amplitude", float, 0.0),
+                    duration=json_field(raw, "duration", int),
+                    ipc_demand=json_field(raw, "ipc_demand", float),
+                    fp_fraction=json_field(raw, "fp_fraction", float, 0.0),
+                    noise_amplitude=json_field(raw, "noise_amplitude", float, 0.0),
                 )
             )
-        except (OverflowError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: segment {i}: {exc}") from exc
     try:
         return WorkloadSpec(
-            name=_spec_value(payload, "name", str, Path(path).stem),
+            name=json_field(payload, "name", str, Path(path).stem),
             segments=tuple(segments),
-            seed=_spec_value(payload, "seed", int, 0),
+            seed=json_field(payload, "seed", int, 0),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -190,15 +190,23 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
 _JSON_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
 
 
-def _spec_value(record: dict, name: str, kind: type, default=None):
+def json_field(record: dict, name: str, kind: type, default=None):
     """``record[name]``, required unless a default is given, checked to be of
-    JSON type ``kind`` (``float`` takes any JSON number). Type identity, not
-    isinstance: a JSON true is a bool."""
+    JSON type ``kind``: the one type rule of specs, JSONL traces and
+    summaries. Type identity, not isinstance: a JSON true is a bool, not an
+    integer. ``float`` takes any JSON number and returns a float."""
     if default is None and name not in record:
         raise ValueError(f"missing required field {name!r}")
     value = record.get(name, default)
-    if type(value) is kind or (kind is float and type(value) is int):
-        return kind(value)
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{name} does not fit a float, got {reprlib.repr(value)}"
+            ) from None
     raise ValueError(
         f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {reprlib.repr(value)}"
     )
@@ -366,19 +374,28 @@ def _load_jsonl(path: Path) -> Iterator[IntervalSample]:
                 util_int = record["util_int"]
                 util_fp = record["util_fp"]
                 source_core = record["source_core"]
-                # Type identity, not isinstance: a JSON true or false is a bool,
-                # which isinstance would pass as an int.
+                # json_field's rule, inline for the common row: type identity,
+                # as a JSON true is a bool. Any other row goes through
+                # json_field in this order, which names the first bad field.
                 if not (
                     type(index) is int
                     and type(start_cycle) is int
                     and type(tau) is int
                     and type(retired) is int
                     and type(source_core) is str
+                    and type(util_int) is float
+                    and type(util_fp) is float
                 ):
-                    raise TraceValidationError(_json_type_error(record), row_index)
-                if type(util_int) is not float or type(util_fp) is not float:
-                    util_int = _json_number(record, "util_int", row_index)
-                    util_fp = _json_number(record, "util_fp", row_index)
+                    try:
+                        index = json_field(record, "index", int)
+                        start_cycle = json_field(record, "start_cycle", int)
+                        tau = json_field(record, "tau", int)
+                        retired = json_field(record, "retired_instructions", int)
+                        source_core = json_field(record, "source_core", str)
+                        util_int = json_field(record, "util_int", float)
+                        util_fp = json_field(record, "util_fp", float)
+                    except ValueError as exc:
+                        raise TraceValidationError(str(exc), row_index) from None
                 try:
                     sample = IntervalSample(
                         index, start_cycle, tau, retired, util_int, util_fp, source_core
@@ -392,35 +409,3 @@ def _load_jsonl(path: Path) -> Iterator[IntervalSample]:
         except UnicodeDecodeError as exc:
             # The decoder works on whole chunks, so the line is unknown.
             raise TraceError(f"{path} is not valid UTF-8: {exc.reason}") from exc
-
-
-_JSON_INT_FIELDS = ("index", "start_cycle", "tau", "retired_instructions")
-
-
-def _json_type_error(record: dict) -> str:
-    """Describe the first integer or string field of a JSONL record whose
-    JSON type is wrong."""
-    for name in _JSON_INT_FIELDS:
-        if type(record[name]) is not int:
-            return f"{name} must be a JSON integer, got {reprlib.repr(record[name])}"
-    return (
-        "source_core must be a JSON string, "
-        f"got {reprlib.repr(record['source_core'])}"
-    )
-
-
-def _json_number(record: dict, name: str, row_index: int) -> float:
-    """A JSONL utilization field as a float; only JSON numbers qualify."""
-    value = record[name]
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            raise TraceValidationError(
-                f"{name} does not fit a float, got {reprlib.repr(value)}", row_index
-            ) from None
-    raise TraceValidationError(
-        f"{name} must be a JSON number, got {reprlib.repr(value)}", row_index
-    )

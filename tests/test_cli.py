@@ -263,6 +263,20 @@ class TestSimulateCommand:
         assert named in err
         assert not out.exists()
 
+    def test_spec_number_too_large_for_a_float_exits_one_naming_it(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "s.json").write_text(
+            '{"schema_version": 1, "segments": [{"duration": 1000000, '
+            f'"ipc_demand": {10**400}}}]}}'
+        )
+        config = write_config(tmp_path, "workload.spec = s.json\nfixed_tau = 100000\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "segment 0: ipc_demand does not fit a float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_segment_without_a_required_field_exits_one_naming_it(
         self, tmp_path, capsys
     ):

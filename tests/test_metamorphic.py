@@ -1,0 +1,86 @@
+"""Metamorphic invariants: relations between two runs that need no oracle.
+
+Each test runs a workload twice, changing one thing that should not matter,
+and compares the artifacts of the two runs.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phasesim import ExperimentConfig, Mode, default_machine, run_experiment
+from phasesim.experiment import EVENT_COLUMNS
+
+ORIGINAL_NAMES = [core.name for core in default_machine()]
+CORE_COLUMNS = [EVENT_COLUMNS.index("from_core"), EVENT_COLUMNS.index("to_core")]
+
+# Four distinct names, printable so that every CSV field stays one line.
+NEW_NAMES = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=8),
+    min_size=4,
+    max_size=4,
+    unique=True,
+)
+
+
+def simulate(out: Path, preset: str, mode: Mode, names: list[str]) -> None:
+    """Simulate ``preset`` into ``out`` with the scheduler on, on the default
+    machine with its cores called ``names``, starting on B0 under its name."""
+    config = ExperimentConfig(
+        machine_cores=[
+            replace(core, name=name) for name, core in zip(names, default_machine())
+        ],
+        workload_preset=preset,
+        mode=mode,
+        fixed_tau=100_000 if mode is Mode.FIXED else None,
+        start_core=names[ORIGINAL_NAMES.index("B0")],
+        scheduler_enabled=True,
+    )
+    run_experiment(config, out)
+
+
+def event_rows(run: Path, back: dict[str, str]) -> list[list[str]]:
+    """``events.csv`` of ``run`` with each core column mapped through ``back``."""
+    with open(run / "events.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    for row in rows[1:]:
+        for column in CORE_COLUMNS:
+            row[column] = back.get(row[column], row[column])
+    return rows
+
+
+class TestRenamingCores:
+    """Renaming every core, start core included, changes only the names."""
+
+    @pytest.mark.parametrize("mode", [Mode.FIXED, Mode.VARIABLE], ids=lambda m: m.value)
+    @pytest.mark.parametrize("preset", ["fft_like", "fmm_like"])
+    @given(names=NEW_NAMES)
+    @settings(max_examples=10, deadline=None)
+    def test_renamed_machine_gives_the_same_run(
+        self, tmp_path_factory, preset, mode, names
+    ):
+        original = tmp_path_factory.mktemp("original")
+        renamed = tmp_path_factory.mktemp("renamed")
+        simulate(original, preset, mode, ORIGINAL_NAMES)
+        simulate(renamed, preset, mode, names)
+        back = dict(zip(names, ORIGINAL_NAMES))
+
+        assert (renamed / "scatter.csv").read_bytes() == (
+            original / "scatter.csv"
+        ).read_bytes()
+
+        events = event_rows(renamed, back)
+        assert events == event_rows(original, {})
+        # The scheduler moved the process, so the names were in the file.
+        assert any(row[1] == "migration" for row in events[1:])
+
+        summary = json.loads((renamed / "summary.json").read_bytes())
+        summary["start_core"] = back[summary["start_core"]]
+        assert summary == json.loads((original / "summary.json").read_bytes())

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import replace
 from unittest import mock
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import build_stream
 from phasesim import (
     PRESETS,
+    ConfigError,
     IntervalSample,
     TraceError,
     TraceParseError,
@@ -20,6 +23,7 @@ from phasesim import (
     detect_format,
     fft_like,
     fmm_like,
+    load_summary,
     load_trace,
     load_workload_spec,
     preset,
@@ -545,3 +549,108 @@ class TestWorkloadSpecFuzz:
             load_workload_spec(path)
         except ValueError:
             pass
+
+
+# One value of any JSON type: integers reach past a float's range, and floats
+# include inf and nan (JSON's Infinity and NaN).
+ANY_JSON_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 10**309, -(10**400), 10**400]),
+    st.integers(min_value=-(10**400), max_value=10**400),
+)
+
+
+def spec_error(directory, field: str, value) -> str | None:
+    """The error of a one-segment spec with ``value`` as the segment's
+    ``field``, or None if it loads."""
+    path = directory / "spec.json"
+    path.write_bytes(spec_bytes({}, {field: value}))
+    try:
+        load_workload_spec(path)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def jsonl_error(directory, field: str, value) -> str | None:
+    """The error of a one-row JSONL trace with ``value`` as ``field``."""
+    record = json.loads(ONE_ROW["jsonl"])
+    record[field] = value
+    path = directory / "trace.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    try:
+        list(load_trace(path))
+    except TraceError as exc:
+        return str(exc)
+    return None
+
+
+def summary_error(directory, field: str, value) -> str | None:
+    """The error of a run's summary with ``value`` as ``field``."""
+    summary = {
+        "cycles_covered": 100_000,
+        "sample_count": 1,
+        "label": "steady",
+        "mode": "fixed_tau",
+        field: value,
+    }
+    (directory / "summary.json").write_text(json.dumps(summary))
+    try:
+        load_summary(directory)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def fits_a_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+class TestOneJsonTypeRule:
+    """Specs, JSONL traces and summaries judge a field's JSON type alike."""
+
+    @given(value=ANY_JSON_VALUE)
+    @settings(max_examples=200, deadline=None)
+    def test_an_integer_field_takes_only_a_json_integer(self, tmp_path_factory, value):
+        directory = tmp_path_factory.mktemp("int")
+        errors = {
+            "duration": spec_error(directory, "duration", value),
+            "tau": jsonl_error(directory, "tau", value),
+            "sample_count": summary_error(directory, "sample_count", value),
+        }
+        for field, error in errors.items():
+            if type(value) is int:
+                assert error is None or "must be a JSON" not in error
+            else:
+                expected = f"{field} must be a JSON integer, got {reprlib.repr(value)}"
+                assert error is not None and error.endswith(expected)
+
+    @given(value=ANY_JSON_VALUE)
+    @settings(max_examples=200, deadline=None)
+    def test_a_number_field_takes_any_json_number_that_fits_a_float(
+        self, tmp_path_factory, value
+    ):
+        directory = tmp_path_factory.mktemp("number")
+        errors = {
+            "ipc_demand": spec_error(directory, "ipc_demand", value),
+            "util_int": jsonl_error(directory, "util_int", value),
+        }
+        shown = reprlib.repr(value)
+        for field, error in errors.items():
+            if type(value) is float or (type(value) is int and fits_a_float(value)):
+                assert error is None or "must be a JSON" not in error
+                assert error is None or "does not fit a float" not in error
+            elif type(value) is int:
+                assert error is not None
+                assert error.endswith(f"{field} does not fit a float, got {shown}")
+            else:
+                assert error is not None
+                assert error.endswith(f"{field} must be a JSON number, got {shown}")
