@@ -146,7 +146,7 @@ class DetectorConfig:
         )
 
 
-# Not frozen: built per similar interval; frozen costs an object.__setattr__ per field.
+# Not frozen: the open phase is updated in place at every similar interval.
 @dataclass(slots=True)
 class PhaseState:
     """Incremental statistics for one phase.
@@ -316,16 +316,11 @@ class PhaseDetector:
         elif self._under_run >= config.util_window:
             kind = PhaseEventKind.UNDER_UTILIZATION
         else:
-            pid = current.phase_id
             count = current.count
-            new_count = count + 1
-            self.phases[pid] = PhaseState(
-                pid,
-                (th + avg * count) / new_count,
-                new_count,
-                (u + current.util_avg * count) / new_count,
-            )
-            return pid, []
+            new_count = current.count = count + 1
+            current.running_avg = (th + avg * count) / new_count
+            current.util_avg = (u + current.util_avg * count) / new_count
+            return current.phase_id, []
 
         old_id = current.phase_id
         self._closed[old_id] = current

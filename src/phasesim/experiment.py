@@ -168,15 +168,13 @@ def _simulate(config: ExperimentConfig) -> RunResult:
             # steadiness verdict and steady runs never span phases.
             if controller is not None:
                 controller.reset_baseline(detector.current_phase.running_avg)
-            if config.scheduler_enabled:
-                # tuple(): the scheduler sees the detector's events, not the
-                # migrations appended after them.
-                for event in tuple(events):
-                    migration = decide_migration(event, process, current_core, cores)
-                    if migration is not None:
-                        current_core = next(c for c in cores if c.name == migration.to_core)
-                        dead_cycles = config.migration_penalty
-                        events.append(migration)
+            if events and config.scheduler_enabled:
+                # Only the first event, the phase change, can be a utilization event.
+                migration = decide_migration(events[0], process, current_core, cores)
+                if migration is not None:
+                    current_core = next(c for c in cores if c.name == migration.to_core)
+                    dead_cycles = config.migration_penalty
+                    events.append(migration)
         elif controller is not None:
             kind = controller.observe_average(detector.current_phase.running_avg)
             if kind is not None:

@@ -265,33 +265,46 @@ def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[IntervalSam
     sample starting where the previous one ended) are enforced; an empty
     file yields an empty stream.
     """
-    loader = _load_csv if detect_format(path, fmt) == "csv" else _load_jsonl
-    return loader(Path(path))
+    path = Path(path)
+    rows = _csv_rows(path) if detect_format(path, fmt) == "csv" else _jsonl_rows(path)
+    return _samples(path, rows)
 
 
-def _check_stream(
-    sample: IntervalSample, previous: IntervalSample | None, row_index: int
-) -> None:
-    if previous is None:
-        if sample.index != 0:
-            raise TraceValidationError(
-                f"the first index is {sample.index}, expected 0", row_index
-            )
-        return
-    if sample.index != previous.index + 1:
-        raise TraceValidationError(
-            f"index {sample.index} does not follow {previous.index}", row_index
-        )
-    expected_start = previous.start_cycle + previous.tau
-    if sample.start_cycle != expected_start:
-        raise TraceValidationError(
-            f"start_cycle {sample.start_cycle} leaves a gap "
-            f"(expected {expected_start})",
-            row_index,
-        )
+def _samples(path: Path, rows: Iterator[tuple]) -> Iterator[IntervalSample]:
+    """The decoded rows of a trace as checked samples: each row must make an
+    :class:`IntervalSample`, the first index is 0, and each sample follows
+    the previous one by index and starts where it ended."""
+    previous: IntervalSample | None = None
+    try:
+        for row_index, row in enumerate(rows):
+            try:
+                sample = IntervalSample(*row)
+            except ValueError as exc:
+                raise TraceValidationError(str(exc), row_index) from exc
+            if previous is None:
+                if sample.index != 0:
+                    raise TraceValidationError(
+                        f"the first index is {sample.index}, expected 0", row_index
+                    )
+            elif sample.index != previous.index + 1:
+                raise TraceValidationError(
+                    f"index {sample.index} does not follow {previous.index}", row_index
+                )
+            elif sample.start_cycle != previous.start_cycle + previous.tau:
+                raise TraceValidationError(
+                    f"start_cycle {sample.start_cycle} leaves a gap "
+                    f"(expected {previous.start_cycle + previous.tau})",
+                    row_index,
+                )
+            previous = sample
+            yield sample
+    except UnicodeDecodeError as exc:
+        # The decoder works on whole chunks, so the line is unknown.
+        raise TraceError(f"{path} is not valid UTF-8: {exc.reason}") from exc
 
 
-def _load_csv(path: Path) -> Iterator[IntervalSample]:
+def _csv_rows(path: Path) -> Iterator[tuple]:
+    """Decode a CSV trace into rows in ``TRACE_COLUMNS`` order."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -302,9 +315,7 @@ def _load_csv(path: Path) -> Iterator[IntervalSample]:
                 raise TraceParseError(
                     f"bad header {header!r}, expected {list(TRACE_COLUMNS)}", 1
                 )
-            previous: IntervalSample | None = None
-            for row_index, row in enumerate(reader):
-                line_number = row_index + 2
+            for line_number, row in enumerate(reader, start=2):
                 if len(row) != len(TRACE_COLUMNS):
                     raise TraceParseError(
                         f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}",
@@ -315,97 +326,74 @@ def _load_csv(path: Path) -> Iterator[IntervalSample]:
                     util_int, util_fp = float(row[4]), float(row[5])
                 except ValueError as exc:
                     raise TraceParseError(str(exc), line_number) from exc
-                try:
-                    sample = IntervalSample(
-                        index, start_cycle, tau, retired, util_int, util_fp, row[6]
-                    )
-                except ValueError as exc:
-                    raise TraceValidationError(str(exc), row_index) from exc
-                _check_stream(sample, previous, row_index)
-                previous = sample
-                yield sample
+                yield index, start_cycle, tau, retired, util_int, util_fp, row[6]
         except csv.Error as exc:
             raise TraceParseError(f"{exc} in {path}", reader.line_num) from exc
-        except UnicodeDecodeError as exc:
-            # The decoder works on whole chunks, so the line is unknown.
-            raise TraceError(f"{path} is not valid UTF-8: {exc.reason}") from exc
 
 
-def _load_jsonl(path: Path) -> Iterator[IntervalSample]:
+def _jsonl_rows(path: Path) -> Iterator[tuple]:
+    """Decode a JSONL trace into rows in ``TRACE_COLUMNS`` order."""
     with open(path, "r", encoding="utf-8") as handle:
-        previous: IntervalSample | None = None
-        row_index = 0
-        try:
-            for line_number, line in enumerate(handle, start=1):
-                # A JSON value cannot start with whitespace: a decode that ends
-                # the line equals json.loads(line); other lines go to json.loads.
+        row_index = 0  # json_field's type errors name the row, counted as _samples does
+        for line_number, line in enumerate(handle, start=1):
+            # A JSON value cannot start with whitespace: a decode that ends
+            # the line equals json.loads(line); other lines go to json.loads.
+            try:
+                record, end = _raw_decode(line)
+                exact = end == len(line) or line[end:] == "\n"
+            except (RecursionError, ValueError):
+                exact = False
+            if not exact:
+                if not line.strip():
+                    continue
                 try:
-                    record, end = _raw_decode(line)
-                    exact = end == len(line) or line[end:] == "\n"
-                except (RecursionError, ValueError):
-                    exact = False
-                if not exact:
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise TraceParseError(str(exc), line_number) from exc
-                    except (RecursionError, ValueError) as exc:
-                        # Nesting too deep, or an integer past the
-                        # interpreter's digit limit.
-                        raise TraceParseError(f"{exc} in {path}", line_number) from exc
-                if not isinstance(record, dict):
-                    raise TraceParseError("each line must be a JSON object", line_number)
-                if "schema_version" not in record:
-                    raise TraceParseError("missing schema_version", line_number)
-                version = record["schema_version"]
-                if version != TRACE_SCHEMA_VERSION or type(version) is not int:
-                    raise TraceParseError(
-                        f"unsupported schema_version {version!r}", line_number
-                    )
-                if not _TRACE_KEYS <= record.keys():
-                    missing = [c for c in TRACE_COLUMNS if c not in record]
-                    raise TraceParseError(f"missing fields {missing}", line_number)
-                index = record["index"]
-                start_cycle = record["start_cycle"]
-                tau = record["tau"]
-                retired = record["retired_instructions"]
-                util_int = record["util_int"]
-                util_fp = record["util_fp"]
-                source_core = record["source_core"]
-                # json_field's rule, inline for the common row: type identity,
-                # as a JSON true is a bool. Any other row goes through
-                # json_field in this order, which names the first bad field.
-                if not (
-                    type(index) is int
-                    and type(start_cycle) is int
-                    and type(tau) is int
-                    and type(retired) is int
-                    and type(source_core) is str
-                    and type(util_int) is float
-                    and type(util_fp) is float
-                ):
-                    try:
-                        index = json_field(record, "index", int)
-                        start_cycle = json_field(record, "start_cycle", int)
-                        tau = json_field(record, "tau", int)
-                        retired = json_field(record, "retired_instructions", int)
-                        source_core = json_field(record, "source_core", str)
-                        util_int = json_field(record, "util_int", float)
-                        util_fp = json_field(record, "util_fp", float)
-                    except ValueError as exc:
-                        raise TraceValidationError(str(exc), row_index) from None
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceParseError(str(exc), line_number) from exc
+                except (RecursionError, ValueError) as exc:
+                    # Nesting too deep, or an integer past the
+                    # interpreter's digit limit.
+                    raise TraceParseError(f"{exc} in {path}", line_number) from exc
+            if not isinstance(record, dict):
+                raise TraceParseError("each line must be a JSON object", line_number)
+            if "schema_version" not in record:
+                raise TraceParseError("missing schema_version", line_number)
+            version = record["schema_version"]
+            if version != TRACE_SCHEMA_VERSION or type(version) is not int:
+                raise TraceParseError(
+                    f"unsupported schema_version {version!r}", line_number
+                )
+            if not _TRACE_KEYS <= record.keys():
+                missing = [c for c in TRACE_COLUMNS if c not in record]
+                raise TraceParseError(f"missing fields {missing}", line_number)
+            index = record["index"]
+            start_cycle = record["start_cycle"]
+            tau = record["tau"]
+            retired = record["retired_instructions"]
+            util_int = record["util_int"]
+            util_fp = record["util_fp"]
+            source_core = record["source_core"]
+            # json_field's rule, inline for the common row: type identity,
+            # as a JSON true is a bool. Any other row goes through
+            # json_field in this order, which names the first bad field.
+            if not (
+                type(index) is int
+                and type(start_cycle) is int
+                and type(tau) is int
+                and type(retired) is int
+                and type(source_core) is str
+                and type(util_int) is float
+                and type(util_fp) is float
+            ):
                 try:
-                    sample = IntervalSample(
-                        index, start_cycle, tau, retired, util_int, util_fp, source_core
-                    )
+                    index = json_field(record, "index", int)
+                    start_cycle = json_field(record, "start_cycle", int)
+                    tau = json_field(record, "tau", int)
+                    retired = json_field(record, "retired_instructions", int)
+                    source_core = json_field(record, "source_core", str)
+                    util_int = json_field(record, "util_int", float)
+                    util_fp = json_field(record, "util_fp", float)
                 except ValueError as exc:
-                    raise TraceValidationError(str(exc), row_index) from exc
-                _check_stream(sample, previous, row_index)
-                previous = sample
-                row_index += 1
-                yield sample
-        except UnicodeDecodeError as exc:
-            # The decoder works on whole chunks, so the line is unknown.
-            raise TraceError(f"{path} is not valid UTF-8: {exc.reason}") from exc
+                    raise TraceValidationError(str(exc), row_index) from None
+            row_index += 1
+            yield index, start_cycle, tau, retired, util_int, util_fp, source_core

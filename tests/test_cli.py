@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -793,3 +794,85 @@ class TestParserShape:
 
     def test_gen_workload_requires_out(self):
         assert cli.main(["gen-workload", "--preset", "steady"]) == 1
+
+
+class TestRarelyTakenPaths:
+    """Error and skip paths that no other test runs, each pinned to its exit
+    code and message."""
+
+    def test_jsonl_row_without_a_field_exits_two_naming_it(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(
+            '{"schema_version": 1, "index": 0, "start_cycle": 0, '
+            '"retired_instructions": 10, "util_int": 0.5, "util_fp": 0.0, '
+            '"source_core": "A0"}\n'
+        )
+        out = tmp_path / "out"
+        assert cli.main(["detect", "--trace", str(trace), "--out", str(out)]) == 2
+        assert "i/o error: line 1: missing fields ['tau']" in capsys.readouterr().err
+
+    def test_machine_row_with_too_few_fields_exits_one(self, tmp_path, capsys):
+        (tmp_path / "m1.csv").write_bytes(MACHINE_HEADER + b"A0,A,4,80,32\n")
+        config = write_config(tmp_path, FIXED_STEADY + "machine = m1.csv\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "m1.csv:2: expected 7 fields" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_machine_file_of_blank_rows_lists_no_cores(self, tmp_path, capsys):
+        (tmp_path / "m.csv").write_bytes(MACHINE_HEADER + b"\n,,,,,,\n")
+        config = write_config(tmp_path, FIXED_STEADY + "machine = m.csv\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert "machine file lists no cores" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blank_machine_row_between_cores_is_skipped(self, tmp_path):
+        (tmp_path / "m.csv").write_bytes(
+            MACHINE_HEADER + b"A0,A,4,80,32,4,2\n\nB0,B,2,56,16,2,1\n"
+        )
+        config = write_config(
+            tmp_path,
+            "workload.preset = fft_like\nfixed_tau = 100000\n"
+            "machine = m.csv\nstart_core = B0\n",
+        )
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert load_summary(out)["sample_count"] == 270
+
+    def test_detect_without_an_output_directory_exits_one(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_bytes(TRACE_HEADER)
+        config = write_config(tmp_path, "workload.trace = t.csv\n")
+        assert cli.main(["detect", "--config", str(config)]) == 1
+        assert "config error: no output directory" in capsys.readouterr().err
+
+    def test_emit_trace_with_a_zero_tau_exits_one(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        code = cli.main(
+            ["gen-workload", "--preset", "steady", "--emit-trace", "--tau", "0",
+             "--out", str(trace)]
+        )
+        assert code == 1
+        assert "config error: --tau must be >= 1, got 0" in capsys.readouterr().err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize(
+        "extra, utilization", [("", 0.4), ("workload.fp_fraction = 1.0\n", 0.8)]
+    )
+    def test_fp_fraction_moves_the_load_to_the_fp_units(
+        self, tmp_path, extra, utilization
+    ):
+        # Demand 1.6 on A0: 4-wide integer issue, or 2 fp units.
+        config = write_config(
+            tmp_path,
+            "workload.preset = steady\nworkload.cycles = 1000000\n"
+            "fixed_tau = 100000\nstart_core = A0\n" + extra,
+        )
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "scatter.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 10
+        assert {float(row["utilization"]) for row in rows} == {utilization}

@@ -32,6 +32,7 @@ from phasesim import (
     steady,
 )
 from phasesim.detector import MAX_RETIRED
+from phasesim.workload import TRACE_COLUMNS
 
 
 class TestPresets:
@@ -654,3 +655,90 @@ class TestOneJsonTypeRule:
             else:
                 assert error is not None
                 assert error.endswith(f"{field} must be a JSON number, got {shown}")
+
+
+# One defect a raw trace row may carry, as (field, change, value): "shift"
+# moves the index by the step, "gap" moves the start of this row and of the
+# rows after it, "set" replaces the value. A gap before the first row is no
+# defect: a trace may start at any cycle.
+ROW_DEFECTS = st.one_of(
+    st.none(),
+    st.tuples(st.just("index"), st.just("shift"), st.sampled_from([-1, 1, 2])),
+    st.tuples(st.just("index"), st.just("set"), st.just(-1)),
+    st.tuples(st.just("start_cycle"), st.just("gap"), st.integers(1, 1000)),
+    st.tuples(st.just("tau"), st.just("set"), st.just(0)),
+    st.tuples(
+        st.sampled_from(["util_int", "util_fp"]),
+        st.just("set"),
+        st.sampled_from([-0.5, -1e-9, 1.0000001, 1.5, 7.0]),
+    ),
+    st.tuples(st.just("retired_instructions"), st.just("set"), st.just(2**63)),
+)
+RAW_ROWS = st.lists(
+    st.tuples(
+        st.integers(1, 10**6),
+        st.integers(0, MAX_RETIRED),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        ROW_DEFECTS,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def raw_trace_rows(rows) -> list[dict]:
+    """Contiguous trace rows, each with its defect (if any) applied."""
+    records, start = [], 0
+    for index, (tau, retired, util_int, util_fp, defect) in enumerate(rows):
+        if defect is not None and defect[1] == "gap":
+            start += defect[2]
+        record = {
+            "index": index,
+            "start_cycle": start,
+            "tau": tau,
+            "retired_instructions": retired,
+            "util_int": util_int,
+            "util_fp": util_fp,
+            "source_core": "A0",
+        }
+        start += tau
+        if defect is not None and defect[1] != "gap":
+            field, change, value = defect
+            record[field] = value if change == "set" else record[field] + value
+        records.append(record)
+    return records
+
+
+def loaded(path):
+    """The samples a trace loads to, or the type and text of its error."""
+    try:
+        return list(load_trace(path))
+    except TraceError as exc:
+        return type(exc), str(exc)
+
+
+class TestCsvAndJsonlApplyOneRule:
+    """The same raw rows, written by hand as CSV and as JSONL, load to the
+    same samples or fail with the same validation error. save_trace cannot
+    write them: it takes samples, and a sample holds no invalid value."""
+
+    @given(rows=RAW_ROWS)
+    @settings(max_examples=300, deadline=None)
+    def test_same_samples_or_same_error(self, tmp_path_factory, rows):
+        records = raw_trace_rows(rows)
+        directory = tmp_path_factory.mktemp("one_rule")
+        csv_path, jsonl_path = directory / "t.csv", directory / "t.jsonl"
+        # str() of a float is its shortest round-trip repr, as in json.dumps.
+        lines = [TRACE_COLUMNS, *(r.values() for r in records)]
+        csv_path.write_text("".join(",".join(map(str, line)) + "\n" for line in lines))
+        jsonl_path.write_text(
+            "".join(json.dumps({"schema_version": 1, **r}) + "\n" for r in records)
+        )
+        from_csv, from_jsonl = loaded(csv_path), loaded(jsonl_path)
+        assert from_csv == from_jsonl
+        # Any defect fails the load, except a gap before the first row.
+        if any(d is not None and (i or d[1] != "gap") for i, (*_, d) in enumerate(rows)):
+            assert from_csv[0] is TraceValidationError
+        else:
+            assert from_csv == [IntervalSample(*r.values()) for r in records]
