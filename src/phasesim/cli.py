@@ -21,6 +21,7 @@ from .experiment import (
     write_artifacts,
 )
 from .workload import (
+    PRESETS,
     TraceError,
     generate_workload,
     load_trace,
@@ -127,13 +128,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_gen_workload(args: argparse.Namespace) -> int:
     kwargs: dict = {"seed": args.seed}
-    if args.cycles is not None:
-        kwargs["total_cycles"] = args.cycles
-    if args.demand is not None:
-        kwargs["demand"] = args.demand
+    for flag, key, value in (
+        ("--cycles", "total_cycles", args.cycles),
+        ("--demand", "demand", args.demand),
+    ):
+        if value is None:
+            continue
+        if args.preset != "steady" and args.preset in PRESETS:
+            raise ConfigError(
+                f"{flag} was given with preset {args.preset!r}, but "
+                "--cycles/--demand only apply to the steady preset"
+            )
+        kwargs[key] = value
     try:
         spec = preset(args.preset, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     if not args.emit_trace:

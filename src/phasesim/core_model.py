@@ -124,8 +124,10 @@ def simulate_interval(
 
     An interval spanning a segment boundary blends the demand pro rata by
     cycles (the fp share weighted by demanded instructions) before clipping
-    at the issue width; exactly one noise draw is consumed per interval. The
-    final interval is truncated so the stream tiles the workload exactly.
+    at the issue width. Exactly one noise draw is consumed per interval: the
+    relative jitter is ``rng.uniform(-amp, amp)``, written out as that
+    method's own formula ``-amp + (amp - -amp) * rng.random()``. The final
+    interval is truncated so the stream tiles the workload exactly.
     ``dead_cycles`` models migration cost: that many cycles retire nothing
     while still counting toward the interval.
     """
@@ -164,14 +166,20 @@ def simulate_interval(
     fp_fraction = fp_cycles / demand_cycles if demand_cycles > 0 else 0.0
     noise_amp = noise_cycles / covered
 
+    # uniform's formula and plain comparisons give what uniform, min and max
+    # would, ties and NaN included, without a generic call per interval.
     # noise_amplitude < 1 keeps the jittered demand >= 0; clip at the width.
-    jitter = rng.uniform(-noise_amp, noise_amp)
-    ipc = min(base_demand * (1.0 + jitter), float(core.issue_width))
+    jitter = -noise_amp + (noise_amp - -noise_amp) * rng.random()
+    ipc = base_demand * (1.0 + jitter)
+    if core.issue_width < ipc:
+        ipc = float(core.issue_width)
 
-    live = max(covered - dead_cycles, 0)
-    retired = int(round(ipc * live))
+    live = covered - dead_cycles if covered > dead_cycles else 0
+    retired = round(ipc * live)
     scale = live / covered
-    util_int = min(1.0, ipc * (1.0 - fp_fraction) * scale / core.int_fu_count)
-    util_fp = min(1.0, ipc * fp_fraction * scale / core.fp_fu_count)
+    int_rate = ipc * (1.0 - fp_fraction) * scale / core.int_fu_count
+    fp_rate = ipc * fp_fraction * scale / core.fp_fu_count
+    util_int = int_rate if int_rate < 1.0 else 1.0
+    util_fp = fp_rate if fp_rate < 1.0 else 1.0
 
     return IntervalSample(index, start, covered, retired, util_int, util_fp, core.name)

@@ -61,16 +61,18 @@ EVENT_COLUMNS = (
 )
 
 #: Scatter rows carry a single annotation; when an interval produced several
-#: events the most significant one wins. Recurrence notes never annotate the
-#: scatter (their cause event does); they still appear in events.csv.
-_SCATTER_PRIORITY = {
-    "migration": 0,
-    "throughput_change": 1,
-    "over_util": 2,
-    "under_util": 3,
-    "tau_doubled": 4,
-    "tau_halved": 5,
-}
+#: events the most significant one, the first here, wins. Recurrence notes
+#: never annotate the scatter (their cause event does); they still appear in
+#: events.csv. A tuple, not a dict: finding a member in it compares by
+#: identity, where a dict lookup calls ``Enum.__hash__`` in Python.
+_SCATTER_PRIORITY = (
+    PhaseEventKind.MIGRATION,
+    PhaseEventKind.THROUGHPUT_CHANGE,
+    PhaseEventKind.OVER_UTILIZATION,
+    PhaseEventKind.UNDER_UTILIZATION,
+    PhaseEventKind.TAU_DOUBLED,
+    PhaseEventKind.TAU_HALVED,
+)
 
 
 # Not frozen: built once per interval; frozen costs an object.__setattr__ per field.
@@ -251,9 +253,9 @@ def _scatter_row(
     """The row of the interval ``detector`` observed last."""
     annotation = "none"
     if interval_events:
-        tokens = [e.kind.value for e in interval_events if e.kind.value in _SCATTER_PRIORITY]
-        if tokens:
-            annotation = min(tokens, key=_SCATTER_PRIORITY.__getitem__)
+        kinds = [e.kind for e in interval_events if e.kind in _SCATTER_PRIORITY]
+        if kinds:
+            annotation = min(kinds, key=_SCATTER_PRIORITY.index).value
     return ScatterRow(
         sample.index,
         sample.start_cycle,

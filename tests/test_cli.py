@@ -395,6 +395,19 @@ class TestGenWorkloadCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("preset", ["fft_like", "fmm_like"])
+    @pytest.mark.parametrize("flag, value", [("--cycles", "100"), ("--demand", "1.5")])
+    def test_steady_only_flag_names_itself_and_the_preset(
+        self, tmp_path, capsys, preset, flag, value
+    ):
+        out = tmp_path / "x.json"
+        code = cli.main(["gen-workload", "--preset", preset, flag, value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{flag} was given with preset {preset!r}" in err
+        assert "only apply to the steady preset" in err
+        assert not out.exists()
+
 
 class TestDetectCommand:
     def test_missing_trace_file_exits_two(self, tmp_path):

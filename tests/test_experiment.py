@@ -321,7 +321,7 @@ class TestArtifacts:
             emit_scatter_csv(rows, tmp_path / "scatter.csv")
 
 
-SCATTER_TOKENS = ["none", *_SCATTER_PRIORITY]
+SCATTER_TOKENS = ["none", *(kind.value for kind in _SCATTER_PRIORITY)]
 SCATTER_INTS = st.integers(-(2**63), 2**63)
 SCATTER_FLOATS = st.one_of(
     st.floats(),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_stream
@@ -107,11 +107,15 @@ class TestDetectorMatchesReference:
 
 
 # Signed zeros are included on purpose: a sum over one span is ``0 + term``,
-# which turns a -0.0 term into 0.0.
+# which turns a -0.0 term into 0.0. Demands of 1.0, 2.0 and 4.0 equal an issue
+# width or a unit count of the A and B cores, and fp_fraction 1.0 puts all of
+# the demand on the fp units, so the width clip and the unit caps meet ties.
 segments = st.builds(
     WorkloadSegment,
     duration=st.integers(1, 400),
-    ipc_demand=st.one_of(st.sampled_from([0.0, -0.0, 2.0]), st.floats(0.0, 6.0)),
+    ipc_demand=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, 4.0]), st.floats(0.0, 6.0)
+    ),
     fp_fraction=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)),
     noise_amplitude=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.9)),
 )
@@ -121,10 +125,20 @@ class TestSimulateIntervalMatchesSpanFormulas:
     @given(
         segs=st.lists(segments, min_size=1, max_size=5),
         taus=st.lists(st.integers(1, 300), min_size=1, max_size=8),
-        dead=st.lists(st.integers(0, 400), min_size=1, max_size=4),
+        # None stands for the interval's own length, which leaves no live cycle.
+        dead=st.lists(
+            st.one_of(st.sampled_from([None, 0]), st.integers(0, 400)),
+            min_size=1,
+            max_size=4,
+        ),
         seed=st.integers(0, 2**32 - 1),
         strong=st.booleans(),
     )
+    # Noise-free demand exactly at the A core's width and int units, at its
+    # two fp units and at the B core's one fp unit; then a fully dead interval.
+    @example([WorkloadSegment(300, 4.0)], [100], [0, None], 0, True)
+    @example([WorkloadSegment(300, 2.0, 1.0)], [100], [0, None], 0, True)
+    @example([WorkloadSegment(300, 1.0, 1.0)], [100], [0, None], 0, False)
     @settings(max_examples=300, deadline=None)
     def test_every_interval_equals_the_blend(self, segs, taus, dead, seed, strong):
         core = a_core("A0") if strong else b_core("B0")
@@ -133,6 +147,8 @@ class TestSimulateIntervalMatchesSpanFormulas:
         index = start = 0
         for step in range(10_000):
             tau, dead_cycles = taus[step % len(taus)], dead[step % len(dead)]
+            if dead_cycles is None:
+                dead_cycles = min(tau, cursor.total_cycles - start)
             sample = simulate_interval(core, cursor, tau, rng, dead_cycles=dead_cycles)
             expected = blended_interval(
                 core, segs, index, start, tau, twin_rng, dead_cycles

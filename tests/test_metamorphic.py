@@ -15,8 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasesim import ExperimentConfig, Mode, default_machine, run_experiment
-from phasesim.experiment import EVENT_COLUMNS
+from phasesim import (
+    DetectorConfig,
+    ExperimentConfig,
+    Mode,
+    WorkloadSpec,
+    default_machine,
+    preset,
+    run_experiment,
+    save_workload_spec,
+)
+from phasesim.experiment import EVENT_COLUMNS, SCATTER_COLUMNS
 
 ORIGINAL_NAMES = [core.name for core in default_machine()]
 CORE_COLUMNS = [EVENT_COLUMNS.index("from_core"), EVENT_COLUMNS.index("to_core")]
@@ -84,3 +93,69 @@ class TestRenamingCores:
         summary = json.loads((renamed / "summary.json").read_bytes())
         summary["start_core"] = back[summary["start_core"]]
         assert summary == json.loads((original / "summary.json").read_bytes())
+
+
+SPECS = {
+    "steady": preset("steady"),
+    "steady_noisy": preset("steady", noise=0.05),
+    "fft_like": preset("fft_like"),
+    "fmm_like": preset("fmm_like"),
+}
+PHASE_ID = SCATTER_COLUMNS.index("phase_id")
+# Everything of an event but d_i, which is a throughput and so not scale-free.
+EVENT_KEY = [
+    EVENT_COLUMNS.index(name)
+    for name in ("interval_index", "kind", "old_phase_id", "new_phase_id", "to_core")
+]
+
+
+def simulate_scaled(
+    out: Path, spec: WorkloadSpec, scale: int, mode: Mode, start: str, scheduler: bool
+) -> tuple[list[str], list[list[str]]]:
+    """Simulate ``spec`` with every segment and every cycle count of the
+    config multiplied by ``scale``; return the per-interval phase ids and the
+    events without d_i."""
+    out.mkdir()
+    scaled = WorkloadSpec(
+        spec.name,
+        tuple(replace(s, duration=s.duration * scale) for s in spec.segments),
+        spec.seed,
+    )
+    save_workload_spec(scaled, out / "spec.json")
+    defaults = DetectorConfig()
+    config = ExperimentConfig(
+        detector=replace(
+            defaults,
+            tau_min=defaults.tau_min * scale,
+            tau_max=defaults.tau_max * scale,
+        ),
+        workload_spec_path=out / "spec.json",
+        mode=mode,
+        fixed_tau=100_000 * scale if mode is Mode.FIXED else None,
+        start_core=start,
+        scheduler_enabled=scheduler,
+        migration_penalty=ExperimentConfig().migration_penalty * scale,
+    )
+    run_experiment(config, out / "run")
+    with open(out / "run" / "scatter.csv", encoding="utf-8", newline="") as handle:
+        phase_ids = [row[PHASE_ID] for row in list(csv.reader(handle))[1:]]
+    with open(out / "run" / "events.csv", encoding="utf-8", newline="") as handle:
+        events = [[row[i] for i in EVENT_KEY] for row in list(csv.reader(handle))[1:]]
+    return phase_ids, events
+
+
+class TestScalingTime:
+    """Doubling every cycle count (segments, tau bounds, fixed tau and the
+    migration penalty) doubles each interval and leaves the phases alone."""
+
+    @pytest.mark.parametrize("scheduler", [True, False], ids=["sched", "nosched"])
+    @pytest.mark.parametrize("start", ["A0", "B0"])
+    @pytest.mark.parametrize("mode", [Mode.FIXED, Mode.VARIABLE], ids=lambda m: m.value)
+    @pytest.mark.parametrize("workload", sorted(SPECS))
+    def test_doubled_cycles_give_the_same_phases_and_events(
+        self, tmp_path, workload, mode, start, scheduler
+    ):
+        spec = SPECS[workload]
+        original = simulate_scaled(tmp_path / "x1", spec, 1, mode, start, scheduler)
+        doubled = simulate_scaled(tmp_path / "x2", spec, 2, mode, start, scheduler)
+        assert doubled == original
