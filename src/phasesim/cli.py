@@ -12,7 +12,13 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, Mode, parse_config_file
-from .core_model import SegmentCursor, a_core, b_core, simulate_interval
+from .core_model import (
+    SegmentCursor,
+    a_core,
+    b_core,
+    check_retire_range,
+    simulate_interval,
+)
 from .experiment import (
     detect_over_samples,
     format_overhead_report,
@@ -154,6 +160,10 @@ def _cmd_gen_workload(args: argparse.Namespace) -> int:
     if args.tau < 1:
         raise ConfigError(f"--tau must be >= 1, got {args.tau}")
     cursor = SegmentCursor(generate_workload(spec))
+    try:
+        check_retire_range(cursor.total_cycles, core.issue_width)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rng = random.Random(spec.seed)
     samples = []
     while True:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .detector import IntervalSample
+from .detector import MAX_RETIRED, IntervalSample
 
 
 class CoreClass(Enum):
@@ -110,6 +110,25 @@ class SegmentCursor:
         self.next_index = 0
         self._seg = 0
         self._offset = 0
+
+
+def check_retire_range(total_cycles: int, issue_width: int) -> None:
+    """Refuse a workload on which one interval could retire more instructions
+    than a 64-bit counter holds.
+
+    :func:`simulate_interval` retires ``round(ipc * cycles)`` in floats, with
+    ``ipc`` at most the issue width, so a product that rounds up to 2**63 is
+    refused as well.
+    """
+    if (
+        issue_width * total_cycles > MAX_RETIRED
+        or float(issue_width) * total_cycles >= 2.0**63
+    ):
+        raise ValueError(
+            f"workload covers {total_cycles} cycles: at issue width {issue_width} "
+            f"an interval could retire more than {MAX_RETIRED} instructions, the "
+            "range of a 64-bit counter"
+        )
 
 
 def simulate_interval(

@@ -39,8 +39,9 @@ PHASE_CHANGE_KINDS = frozenset(
 )
 
 
-#: The largest instruction count, the range of a 64-bit counter. Per-phase
-#: sums of counts this size stay finite, so summary.json holds no Infinity.
+#: The largest count a sample holds, the range of a 64-bit counter: it bounds
+#: instruction counts, start cycles and interval lengths alike. Per-phase sums
+#: of counts this size stay finite, so summary.json holds no Infinity.
 MAX_RETIRED = 2**63 - 1
 
 
@@ -72,10 +73,16 @@ class IntervalSample:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.index}")
-        if self.start_cycle < 0:
-            raise ValueError(f"start_cycle must be >= 0, got {self.start_cycle}")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1 cycle, got {self.tau}")
+        if not 0 <= self.start_cycle <= MAX_RETIRED:
+            raise ValueError(
+                "start_cycle must be >= 0 and fit a 64-bit counter, got "
+                f"{reprlib.repr(self.start_cycle)}"
+            )
+        if not 1 <= self.tau <= MAX_RETIRED:
+            raise ValueError(
+                "tau must be >= 1 cycle and fit a 64-bit counter, got "
+                f"{reprlib.repr(self.tau)}"
+            )
         if not 0 <= self.retired_instructions <= MAX_RETIRED:
             raise ValueError(
                 "retired_instructions must be >= 0 and fit a 64-bit counter, got "

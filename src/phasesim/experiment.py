@@ -13,12 +13,15 @@ import csv
 import json
 import operator
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 from .config import ConfigError, ExperimentConfig, Mode
-from .core_model import CoreSpec, SegmentCursor, simulate_interval
+from .core_model import CoreSpec, SegmentCursor, check_retire_range, simulate_interval
 from .detector import (
     DetectorConfig,
     IntervalSample,
@@ -73,11 +76,12 @@ _SCATTER_PRIORITY = (
     PhaseEventKind.TAU_DOUBLED,
     PhaseEventKind.TAU_HALVED,
 )
+#: The annotation token of each event code a ScatterTable stores: 0 is
+#: "none", code i the kind at _SCATTER_PRIORITY[i - 1].
+_SCATTER_TOKENS = ("none", *(kind.value for kind in _SCATTER_PRIORITY))
 
 
-# Not frozen: built once per interval; frozen costs an object.__setattr__ per field.
-@dataclass(slots=True)
-class ScatterRow:
+class ScatterRow(NamedTuple):
     interval_index: int
     start_cycle: int
     tau: int
@@ -88,9 +92,67 @@ class ScatterRow:
     event: str
 
 
+class ScatterTable(Sequence[ScatterRow]):
+    """A run's scatter rows as columns, read as a sequence of ScatterRow.
+
+    The counts are 64-bit integer arrays, the per-cycle throughput and the
+    utilization double arrays (an integer occupancy reads back as a float,
+    which the writer writes as repr(float)), and the event one byte, its code
+    in ``_SCATTER_TOKENS``. ``interval_index`` is the row's position, as the
+    detector observes intervals in index order from 0. Each row read is
+    built anew; the table compares equal to a list of the same rows.
+    """
+
+    __slots__ = (
+        "start_cycle", "tau", "throughput_raw", "throughput_per_cycle",
+        "utilization", "phase_id", "event",
+    )
+
+    def __init__(self) -> None:
+        self.start_cycle = array("q")
+        self.tau = array("q")
+        self.throughput_raw = array("q")
+        self.throughput_per_cycle = array("d")
+        self.utilization = array("d")
+        self.phase_id = array("q")
+        self.event = bytearray()
+
+    @property
+    def columns(self) -> tuple:
+        """The stored columns, in ``SCATTER_COLUMNS`` order after the index."""
+        return (
+            self.start_cycle, self.tau, self.throughput_raw, self.throughput_per_cycle,
+            self.utilization, self.phase_id, self.event,
+        )
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # negative indexes and IndexError as on a list
+        *numbers, code = (column[i] for column in self.columns)
+        return ScatterRow(i, *numbers, _SCATTER_TOKENS[code])
+
+    def __iter__(self) -> Iterator[ScatterRow]:
+        *numbers, codes = self.columns
+        fields = zip(range(len(self)), *numbers, map(_SCATTER_TOKENS.__getitem__, codes))
+        # tuple.__new__ builds each row in C, without the named tuple's
+        # Python-level __new__.
+        return map(tuple.__new__, repeat(ScatterRow), fields)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ScatterTable):
+            return self.columns == other.columns
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
 @dataclass
 class RunResult:
-    rows: list[ScatterRow]
+    rows: ScatterTable
     events: list[PhaseEvent]
     summary: dict
 
@@ -141,6 +203,10 @@ def _simulate(config: ExperimentConfig) -> RunResult:
     process = spec.name
     start = config.resolved_start_core()
     cores = config.machine_cores
+    try:
+        check_retire_range(cursor.total_cycles, max(core.issue_width for core in cores))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     detector = PhaseDetector(det_cfg)
     controller = IntervalController(det_cfg) if config.mode is Mode.VARIABLE else None
@@ -149,7 +215,8 @@ def _simulate(config: ExperimentConfig) -> RunResult:
     rng = random.Random(config.seed + spec.seed)
 
     current_core: CoreSpec = start
-    rows: list[ScatterRow] = []
+    rows = ScatterTable()
+    starts, taus, raws, throughputs, utilizations, phase_ids, codes = rows.columns
     emitted: list[PhaseEvent] = []
     dead_cycles = 0
 
@@ -184,7 +251,13 @@ def _simulate(config: ExperimentConfig) -> RunResult:
                     PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
                 )
 
-        rows.append(_scatter_row(sample, detector, phase_id, events))
+        starts.append(sample.start_cycle)
+        taus.append(sample.tau)
+        raws.append(sample.retired_instructions)
+        throughputs.append(detector.last_throughput)
+        utilizations.append(detector.last_utilization)
+        phase_ids.append(phase_id)
+        codes.append(_event_code(events) if events else 0)
         emitted.extend(events)
 
     summary = _build_summary(
@@ -212,7 +285,8 @@ def detect_over_samples(
     interval truncated below ``tau_min``, is no tau event.
     """
     detector = PhaseDetector(det_cfg)
-    rows: list[ScatterRow] = []
+    rows = ScatterTable()
+    starts, taus, raws, throughputs, utilizations, phase_ids, codes = rows.columns
     emitted: list[PhaseEvent] = []
     prev_tau: int | None = None
 
@@ -230,7 +304,13 @@ def detect_over_samples(
                 PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
             )
         prev_tau = tau
-        rows.append(_scatter_row(sample, detector, phase_id, events))
+        starts.append(sample.start_cycle)
+        taus.append(tau)
+        raws.append(sample.retired_instructions)
+        throughputs.append(detector.last_throughput)
+        utilizations.append(detector.last_utilization)
+        phase_ids.append(phase_id)
+        codes.append(_event_code(events) if events else 0)
         emitted.extend(events)
 
     summary = _build_summary(
@@ -244,34 +324,21 @@ def detect_over_samples(
     return RunResult(rows, emitted, summary)
 
 
-def _scatter_row(
-    sample: IntervalSample,
-    detector: PhaseDetector,
-    phase_id: int,
-    interval_events: list[PhaseEvent],
-) -> ScatterRow:
-    """The row of the interval ``detector`` observed last."""
-    annotation = "none"
-    if interval_events:
-        kinds = [e.kind for e in interval_events if e.kind in _SCATTER_PRIORITY]
-        if kinds:
-            annotation = min(kinds, key=_SCATTER_PRIORITY.index).value
-    return ScatterRow(
-        sample.index,
-        sample.start_cycle,
-        sample.tau,
-        sample.retired_instructions,
-        detector.last_throughput,
-        # float() so the CSV writer, which writes repr(float), sees a float
-        # even when a caller built the sample from integer occupancies.
-        float(detector.last_utilization),
-        phase_id,
-        annotation,
+def _event_code(interval_events: list[PhaseEvent]) -> int:
+    """The scatter annotation of an interval's events, as its code in
+    ``_SCATTER_TOKENS``: the most significant kind, or 0 for none."""
+    return min(
+        (
+            _SCATTER_PRIORITY.index(e.kind) + 1
+            for e in interval_events
+            if e.kind in _SCATTER_PRIORITY
+        ),
+        default=0,
     )
 
 
 def _build_summary(
-    rows: list[ScatterRow],
+    rows: ScatterTable,
     emitted: list[PhaseEvent],
     label: str,
     mode: str,
@@ -285,14 +352,16 @@ def _build_summary(
     # Per phase: [intervals, raw sum, per-cycle sum, utilization sum], each
     # sum accumulated in row order from 0.0.
     per_phase: dict[int, list] = {}
-    for row in rows:
-        acc = per_phase.get(row.phase_id)
+    for phase_id, raw, per_cycle, util in zip(
+        rows.phase_id, rows.throughput_raw, rows.throughput_per_cycle, rows.utilization
+    ):
+        acc = per_phase.get(phase_id)
         if acc is None:
-            acc = per_phase[row.phase_id] = [0, 0.0, 0.0, 0.0]
+            acc = per_phase[phase_id] = [0, 0.0, 0.0, 0.0]
         acc[0] += 1
-        acc[1] += row.throughput_raw
-        acc[2] += row.throughput_per_cycle
-        acc[3] += row.utilization
+        acc[1] += raw
+        acc[2] += per_cycle
+        acc[3] += util
     phases = [
         {
             "phase_id": pid,
@@ -310,7 +379,7 @@ def _build_summary(
         "mode": mode,
         "seed": seed,
         "sample_count": len(rows),
-        "cycles_covered": sum(row.tau for row in rows),
+        "cycles_covered": sum(rows.tau),
         # Every phase id the detector mints is assigned to the interval that
         # opened it, so the rows hold every phase.
         "phase_count": len(per_phase),
@@ -322,22 +391,24 @@ def _build_summary(
     return summary
 
 
-_SCATTER_FIELDS = operator.attrgetter(*SCATTER_COLUMNS)
 # Every field is an int, a float or an annotation token, none of which needs
 # CSV quoting, and "%s" writes a float as repr(float), as the csv module does.
 _SCATTER_LINE = ",".join(["%s"] * len(SCATTER_COLUMNS)) + "\n"
 
 
-def emit_scatter_csv(rows: list[ScatterRow], path: str | Path) -> None:
+def emit_scatter_csv(rows: Sequence[ScatterRow], path: str | Path) -> None:
     """Write the scatter table; rows must arrive ordered by interval index."""
-    for previous, current in zip(rows, rows[1:]):
-        if current.interval_index <= previous.interval_index:
-            raise ValueError(
-                f"scatter rows out of order at interval {current.interval_index}"
-            )
+    # A ScatterTable's index is the row's position; slicing one would build
+    # every row.
+    if not isinstance(rows, ScatterTable):
+        for previous, current in zip(rows, rows[1:]):
+            if current.interval_index <= previous.interval_index:
+                raise ValueError(
+                    f"scatter rows out of order at interval {current.interval_index}"
+                )
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(SCATTER_COLUMNS) + "\n")
-        handle.writelines(map(_SCATTER_LINE.__mod__, map(_SCATTER_FIELDS, rows)))
+        handle.writelines(map(_SCATTER_LINE.__mod__, rows))
 
 
 _EVENT_FIELDS = operator.attrgetter("interval_index", "kind.value", *EVENT_COLUMNS[2:])

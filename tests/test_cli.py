@@ -292,6 +292,37 @@ class TestSimulateCommand:
         assert "s.json: segment 0: missing required field 'duration'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "duration, code",
+        [
+            (2**62, 1),  # 4 * 2**62 = 2**64
+            (2**61 - 1, 1),  # 4 * (2**61 - 1) fits, but rounds up to 2**63 in floats
+            (2**61 - 256, 0),  # 4.0 * (2**61 - 256) = 2**63 - 1024, exactly
+        ],
+        ids=["2**62", "2**61-1", "2**61-256"],
+    )
+    def test_workload_that_could_retire_past_a_64_bit_counter_exits_one(
+        self, tmp_path, capsys, duration, code
+    ):
+        # One interval at full width on A0, the widest core (4-wide).
+        (tmp_path / "big.json").write_text(
+            '{"schema_version": 1, "name": "big", "segments": '
+            f'[{{"duration": {duration}, "ipc_demand": 4.0}}]}}'
+        )
+        config = write_config(
+            tmp_path, f"workload.spec = big.json\nfixed_tau = {2**62}\n"
+        )
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"config error: workload covers {duration} cycles" in err
+            assert f"could retire more than {MAX_RETIRED} instructions" in err
+            assert not out.exists()
+        else:
+            [row] = list(csv.DictReader((out / "scatter.csv").open()))
+            assert int(row["throughput_raw"]) == 2**63 - 1024
+
     def test_nan_detector_threshold_exits_one_naming_the_field(
         self, tmp_path, capsys
     ):
@@ -374,6 +405,21 @@ class TestGenWorkloadCommand:
         first = json.loads(lines[0])
         assert first["source_core"] == "B0"
         assert first["retired_instructions"] == 200_000
+
+    @pytest.mark.parametrize("cycles", [2**62, 2**61 - 1])
+    def test_emit_trace_that_could_retire_past_a_64_bit_counter_exits_one(
+        self, tmp_path, capsys, cycles
+    ):
+        out = tmp_path / "t.csv"
+        code = cli.main(
+            [
+                "gen-workload", "--preset", "steady", "--cycles", str(cycles),
+                "--demand", "4.0", "--tau", str(2**62), "--emit-trace", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "could retire more than" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset_exits_one(self, tmp_path):
         code = cli.main(
@@ -505,6 +551,32 @@ class TestDetectCommand:
         [phase] = summary["phases"]
         assert phase["mean_throughput_raw"] == phase["mean_throughput_per_cycle"]
         assert phase["mean_throughput_raw"] == float(MAX_RETIRED)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("field", ["start_cycle", "tau"])
+    @pytest.mark.parametrize("value", [MAX_RETIRED, MAX_RETIRED + 1])
+    def test_cycle_counts_up_to_a_64_bit_counter_replay(
+        self, tmp_path, capsys, fmt, field, value
+    ):
+        row = dict(
+            zip(TRACE_HEADER.decode().strip().split(","), [0, 0, 1, 1, 0.5, 0.0, "A0"])
+        )
+        row[field] = value
+        trace = tmp_path / f"trace.{fmt}"
+        if fmt == "csv":
+            trace.write_bytes(TRACE_HEADER + ",".join(map(str, row.values())).encode() + b"\n")
+        else:
+            trace.write_text(json.dumps({"schema_version": 1, **row}) + "\n")
+        out = tmp_path / "out"
+        code = cli.main(["detect", "--trace", str(trace), "--out", str(out)])
+        if value > MAX_RETIRED:
+            assert code == 2
+            assert f"row 0: {field} must be" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            [scatter] = list(csv.DictReader((out / "scatter.csv").open()))
+            assert int(scatter[field]) == MAX_RETIRED
 
     def test_no_trace_anywhere_exits_one(self, tmp_path):
         assert cli.main(["detect", "--out", str(tmp_path / "out")]) == 1

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,11 @@ from phasesim import (
     detect_over_samples,
     emit_scatter_csv,
     load_summary,
+    load_trace,
     overhead_report,
     run_experiment,
+    save_trace,
+    write_artifacts,
 )
 from phasesim.experiment import _SCATTER_PRIORITY, SCATTER_COLUMNS
 
@@ -371,6 +376,119 @@ class TestScatterWriter:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerow([token, token])
         assert buffer.getvalue() == f"{token},{token}\n"
+
+
+def scatter_csv_rows(path) -> list[ScatterRow]:
+    """The rows of a written scatter.csv, parsed back to their types."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        assert tuple(next(reader)) == SCATTER_COLUMNS
+        return [
+            ScatterRow(int(i), int(s), int(t), int(r), float(p), float(u), int(ph), e)
+            for i, s, t, r, p, u, ph, e in reader
+        ]
+
+
+def assert_behaves_as(rows, expected: list) -> None:
+    """``rows`` reads, slices and compares as the list ``expected`` does."""
+    assert len(rows) == len(expected)
+    assert list(rows) == expected
+    assert rows == expected and expected == rows
+    assert not rows != expected
+    assert rows != expected[:-1] and rows != [*expected, expected[0]]
+    assert rows != tuple(expected)
+    for index in (0, 1, len(expected) // 2, -1, -2, -len(expected)):
+        assert rows[index] == expected[index]
+    for bad in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            rows[bad]
+    for part in (
+        slice(1, None), slice(None, -1), slice(-7, -2), slice(None, None, -3),
+        slice(5, 2), slice(2, 40, 7), slice(-10**9, 10**9),
+    ):
+        assert rows[part] == expected[part]
+        assert type(rows[part]) is list
+    assert list(reversed(rows)) == expected[::-1]
+    assert expected[-1] in rows
+    row = rows[-1]
+    assert isinstance(row, ScatterRow)
+    assert [type(getattr(row, name)) for name in SCATTER_COLUMNS] == [
+        int, int, int, int, float, float, int, str
+    ]
+    assert row.interval_index == len(expected) - 1
+    assert all(row.interval_index == i for i, row in enumerate(rows))
+
+
+CONTRACT_RUNS = [
+    pytest.param(preset, mode, scheduler, id=f"{preset}-{mode.value}-{label}")
+    for preset in ("fft_like", "fmm_like")
+    for mode in (Mode.FIXED, Mode.VARIABLE)
+    for scheduler, label in ((True, "scheduled"), (False, "unscheduled"))
+]
+
+
+class TestRunRowsAreAListOfScatterRows:
+    @pytest.mark.parametrize("preset, mode, scheduler", CONTRACT_RUNS)
+    def test_rows_read_back_as_their_scatter_csv(self, tmp_path, preset, mode, scheduler):
+        config = ExperimentConfig(
+            workload_preset=preset,
+            mode=mode,
+            fixed_tau=100_000,
+            start_core="B0",
+            scheduler_enabled=scheduler,
+        )
+        result = run_experiment(config, out_dir=tmp_path / "sim")
+        expected = scatter_csv_rows(tmp_path / "sim" / "scatter.csv")
+        assert_behaves_as(result.rows, expected)
+        assert result.rows == run_experiment(config).rows
+
+        replay = detect_over_samples(replay_rows(result.rows), DetectorConfig())
+        write_artifacts(replay, tmp_path / "replay")
+        replayed = scatter_csv_rows(tmp_path / "replay" / "scatter.csv")
+        assert_behaves_as(replay.rows, replayed)
+        assert [r.tau for r in replay.rows] == [r.tau for r in result.rows]
+
+    def test_runs_that_differ_compare_unequal(self):
+        scheduled = run_experiment(fft_config(start_core="B0"))
+        unscheduled = run_experiment(fft_config(start_core="B0", scheduler_enabled=False))
+        assert len(scheduled.rows) == len(unscheduled.rows)
+        assert scheduled.rows != unscheduled.rows
+        assert list(scheduled.rows) != list(unscheduled.rows)
+
+
+def retained_bytes_per_interval(run) -> float:
+    """Memory a finished run still holds, per scatter row, under tracemalloc."""
+    run()  # first calls may fill caches; they are not the run's to keep
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / len(result.rows)
+
+
+class TestRetainedMemory:
+    """A run keeps its rows as columns: 6 eight-byte fields and a one-byte
+    event per interval, plus the arrays' over-allocation."""
+
+    BUDGET = 64
+
+    def test_detect_over_a_steady_trace(self, tmp_path):
+        path = tmp_path / "steady.csv"
+        save_trace(build_stream([1.5] * 20_000), path)
+        retained = retained_bytes_per_interval(
+            lambda: detect_over_samples(load_trace(path), DetectorConfig())
+        )
+        assert retained <= self.BUDGET
+
+    def test_simulate_steady(self):
+        config = steady_config(preset_args={"total_cycles": 2_000_000_000})
+        retained = retained_bytes_per_interval(lambda: run_experiment(config))
+        assert retained <= self.BUDGET
 
 
 class TestOverheadReport:

@@ -279,6 +279,38 @@ class TestTraceErrors:
         [sample] = load_trace(path)
         assert sample.retired_instructions == MAX_RETIRED
 
+    @staticmethod
+    def one_row_trace(path, **fields) -> None:
+        row = dict(zip(TRACE_COLUMNS, (0, 0, 100_000, 100_000, 0.6, 0.0, "A0")))
+        row.update(fields)
+        if path.suffix == ".csv":
+            text = ",".join(TRACE_COLUMNS) + "\n" + ",".join(map(str, row.values())) + "\n"
+        else:
+            text = json.dumps({"schema_version": 1, **row}) + "\n"
+        path.write_text(text)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("field", ["start_cycle", "tau"])
+    @pytest.mark.parametrize("value", [MAX_RETIRED + 1, 10**20], ids=["max+1", "1e20"])
+    def test_cycle_count_beyond_a_64_bit_counter_is_a_validation_error(
+        self, tmp_path, fmt, field, value
+    ):
+        path = tmp_path / f"trace.{fmt}"
+        self.one_row_trace(path, **{field: value})
+        with pytest.raises(
+            TraceValidationError, match=f"^row 0: {field} must be .* fit a 64-bit counter"
+        ) as exc:
+            list(load_trace(path))
+        assert exc.value.row_index == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("field", ["start_cycle", "tau"])
+    def test_largest_64_bit_cycle_count_loads(self, tmp_path, fmt, field):
+        path = tmp_path / f"trace.{fmt}"
+        self.one_row_trace(path, **{field: MAX_RETIRED})
+        [sample] = load_trace(path)
+        assert getattr(sample, field) == MAX_RETIRED
+
     def test_cycle_gap_is_a_validation_error(self, tmp_path):
         a, b = build_stream([1.0, 1.0])
         shifted = IntervalSample(
