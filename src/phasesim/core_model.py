@@ -136,7 +136,6 @@ def simulate_interval(
     cursor: SegmentCursor,
     tau: int,
     rng: random.Random,
-    *,
     dead_cycles: int = 0,
 ) -> IntervalSample | None:
     """Produce the next profiling interval, or None at the end of the workload.
@@ -149,6 +148,8 @@ def simulate_interval(
     interval is truncated so the stream tiles the workload exactly.
     ``dead_cycles`` models migration cost: that many cycles retire nothing
     while still counting toward the interval.
+    The sample skips :class:`IntervalSample`'s check: the caller has passed
+    the workload through :func:`check_retire_range`, and utilization is clipped.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
@@ -201,4 +202,8 @@ def simulate_interval(
     util_int = int_rate if int_rate < 1.0 else 1.0
     util_fp = fp_rate if fp_rate < 1.0 else 1.0
 
-    return IntervalSample(index, start, covered, retired, util_int, util_fp, core.name)
+    sample = object.__new__(IntervalSample)  # no __init__, so no check
+    sample.index, sample.start_cycle, sample.tau = index, start, covered
+    sample.retired_instructions, sample.util_int = retired, util_int
+    sample.util_fp, sample.source_core = util_fp, core.name
+    return sample

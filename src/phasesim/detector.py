@@ -60,6 +60,7 @@ class IntervalSample:
     floating-point units over the interval. ``tau`` is the interval length in
     cycles; consecutive samples are expected to tile the cycle axis without
     gaps (``start_cycle + tau`` of one sample is the next one's start).
+    Building one checks it; only the core model's samples skip the check.
     """
 
     index: int
@@ -71,6 +72,17 @@ class IntervalSample:
     source_core: str = ""
 
     def __post_init__(self) -> None:
+        # Type identity refuses a float or bool count; one branch per common row.
+        if not (
+            type(self.index) is int
+            and type(self.start_cycle) is int
+            and type(self.tau) is int
+            and type(self.retired_instructions) is int
+        ):
+            for name in ("index", "start_cycle", "tau", "retired_instructions"):
+                value = getattr(self, name)
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be an int, got {reprlib.repr(value)}")
         if self.index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.index}")
         if not 0 <= self.start_cycle <= MAX_RETIRED:
@@ -256,9 +268,7 @@ class PhaseDetector:
         #: Percent deviation computed at the most recent interval, None while
         #: the deviation was undefined (first interval ever).
         self.last_delta: float | None = None
-        #: The most recent interval's per-cycle throughput and effective
-        #: utilization, as the detector judged them.
-        self.last_throughput = 0.0
+        #: The most recent interval's effective utilization.
         self.last_utilization = 0.0
         # Closed phases in closure order, oldest first. A closed phase's
         # state cannot change until it is re-opened and leaves this table.
@@ -293,7 +303,7 @@ class PhaseDetector:
         self.last_index = expected
 
         config = self.config
-        th = self.last_throughput = sample.retired_instructions / sample.tau
+        th = sample.retired_instructions / sample.tau
         # Effective utilization: the busier unit, the integer one on a tie.
         u = self.last_utilization = (
             sample.util_fp if sample.util_fp > sample.util_int else sample.util_int

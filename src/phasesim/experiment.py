@@ -14,9 +14,10 @@ import json
 import operator
 import random
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -95,35 +96,26 @@ class ScatterRow(NamedTuple):
 class ScatterTable(Sequence[ScatterRow]):
     """A run's scatter rows as columns, read as a sequence of ScatterRow.
 
-    The counts are 64-bit integer arrays, the per-cycle throughput and the
-    utilization double arrays (an integer occupancy reads back as a float,
-    which the writer writes as repr(float)), and the event one byte, its code
-    in ``_SCATTER_TOKENS``. ``interval_index`` is the row's position, as the
-    detector observes intervals in index order from 0. Each row read is
-    built anew; the table compares equal to a list of the same rows.
+    The counts are 64-bit integer arrays, the utilization a double array (an
+    integer occupancy reads back as a float, which the writer writes as
+    repr(float)), and the event one byte, its code in ``_SCATTER_TOKENS``.
+    ``interval_index`` is the row's position, as the detector observes
+    intervals in index order from 0, and ``throughput_per_cycle`` is
+    ``throughput_raw / tau``, the division the detector makes. Each row read
+    is built anew; the table compares equal to a list of the same rows.
     """
 
-    __slots__ = (
-        "start_cycle", "tau", "throughput_raw", "throughput_per_cycle",
-        "utilization", "phase_id", "event",
-    )
+    __slots__ = ("start_cycle", "tau", "throughput_raw", "utilization", "phase_id", "event")
+    #: The stored columns, in ``__slots__`` order.
+    columns = property(operator.attrgetter(*__slots__))
 
     def __init__(self) -> None:
         self.start_cycle = array("q")
         self.tau = array("q")
         self.throughput_raw = array("q")
-        self.throughput_per_cycle = array("d")
         self.utilization = array("d")
         self.phase_id = array("q")
         self.event = bytearray()
-
-    @property
-    def columns(self) -> tuple:
-        """The stored columns, in ``SCATTER_COLUMNS`` order after the index."""
-        return (
-            self.start_cycle, self.tau, self.throughput_raw, self.throughput_per_cycle,
-            self.utilization, self.phase_id, self.event,
-        )
 
     def __len__(self) -> int:
         return len(self.tau)
@@ -132,15 +124,16 @@ class ScatterTable(Sequence[ScatterRow]):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]  # negative indexes and IndexError as on a list
-        *numbers, code = (column[i] for column in self.columns)
-        return ScatterRow(i, *numbers, _SCATTER_TOKENS[code])
+        raw, tau = self.throughput_raw[i], self.tau[i]
+        return ScatterRow(
+            i, self.start_cycle[i], tau, raw, raw / tau, self.utilization[i],
+            self.phase_id[i], _SCATTER_TOKENS[self.event[i]],
+        )
 
     def __iter__(self) -> Iterator[ScatterRow]:
-        *numbers, codes = self.columns
-        fields = zip(range(len(self)), *numbers, map(_SCATTER_TOKENS.__getitem__, codes))
         # tuple.__new__ builds each row in C, without the named tuple's
         # Python-level __new__.
-        return map(tuple.__new__, repeat(ScatterRow), fields)
+        return map(tuple.__new__, repeat(ScatterRow), _row_fields(self))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ScatterTable):
@@ -148,6 +141,15 @@ class ScatterTable(Sequence[ScatterRow]):
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
+
+
+def _row_fields(rows: ScatterTable) -> Iterator[tuple]:
+    """Each row's fields in ``SCATTER_COLUMNS`` order, read off the columns."""
+    starts, taus, raws, utilizations, phase_ids, codes = rows.columns
+    return zip(
+        range(len(taus)), starts, taus, raws, map(operator.truediv, raws, taus),
+        utilizations, phase_ids, map(_SCATTER_TOKENS.__getitem__, codes),
+    )
 
 
 @dataclass
@@ -216,16 +218,17 @@ def _simulate(config: ExperimentConfig) -> RunResult:
 
     current_core: CoreSpec = start
     rows = ScatterTable()
-    starts, taus, raws, throughputs, utilizations, phase_ids, codes = rows.columns
+    add_start, add_tau, add_raw, add_util, add_phase, add_code = (
+        column.append for column in rows.columns
+    )
     emitted: list[PhaseEvent] = []
     dead_cycles = 0
 
     while True:
         tau = controller.tau if controller is not None else config.fixed_tau
         assert tau is not None
-        sample = simulate_interval(
-            current_core, cursor, tau, rng, dead_cycles=dead_cycles
-        )
+        # Names looked up at each call, so a tracer's wrappers see every call.
+        sample = simulate_interval(current_core, cursor, tau, rng, dead_cycles)
         dead_cycles = 0
         if sample is None:
             break
@@ -236,7 +239,7 @@ def _simulate(config: ExperimentConfig) -> RunResult:
             # The boundary interval seeds a fresh average; it casts no
             # steadiness verdict and steady runs never span phases.
             if controller is not None:
-                controller.reset_baseline(detector.current_phase.running_avg)
+                controller.reset_baseline(detector.phases[phase_id].running_avg)
             if events and config.scheduler_enabled:
                 # Only the first event, the phase change, can be a utilization event.
                 migration = decide_migration(events[0], process, current_core, cores)
@@ -245,19 +248,18 @@ def _simulate(config: ExperimentConfig) -> RunResult:
                     dead_cycles = config.migration_penalty
                     events.append(migration)
         elif controller is not None:
-            kind = controller.observe_average(detector.current_phase.running_avg)
+            kind = controller.observe_average(detector.phases[phase_id].running_avg)
             if kind is not None:
                 events.append(
                     PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
                 )
 
-        starts.append(sample.start_cycle)
-        taus.append(sample.tau)
-        raws.append(sample.retired_instructions)
-        throughputs.append(detector.last_throughput)
-        utilizations.append(detector.last_utilization)
-        phase_ids.append(phase_id)
-        codes.append(_event_code(events) if events else 0)
+        add_start(sample.start_cycle)
+        add_tau(sample.tau)
+        add_raw(sample.retired_instructions)
+        add_util(detector.last_utilization)
+        add_phase(phase_id)
+        add_code(_event_code(events) if events else 0)
         emitted.extend(events)
 
     summary = _build_summary(
@@ -286,7 +288,9 @@ def detect_over_samples(
     """
     detector = PhaseDetector(det_cfg)
     rows = ScatterTable()
-    starts, taus, raws, throughputs, utilizations, phase_ids, codes = rows.columns
+    add_start, add_tau, add_raw, add_util, add_phase, add_code = (
+        column.append for column in rows.columns
+    )
     emitted: list[PhaseEvent] = []
     prev_tau: int | None = None
 
@@ -304,13 +308,12 @@ def detect_over_samples(
                 PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
             )
         prev_tau = tau
-        starts.append(sample.start_cycle)
-        taus.append(tau)
-        raws.append(sample.retired_instructions)
-        throughputs.append(detector.last_throughput)
-        utilizations.append(detector.last_utilization)
-        phase_ids.append(phase_id)
-        codes.append(_event_code(events) if events else 0)
+        add_start(sample.start_cycle)
+        add_tau(tau)
+        add_raw(sample.retired_instructions)
+        add_util(detector.last_utilization)
+        add_phase(phase_id)
+        add_code(_event_code(events) if events else 0)
         emitted.extend(events)
 
     summary = _build_summary(
@@ -345,22 +348,21 @@ def _build_summary(
     seed: int | None,
     extra: dict,
 ) -> dict:
-    event_counts: dict[str, int] = {}
-    for event in emitted:
-        event_counts[event.kind.value] = event_counts.get(event.kind.value, 0) + 1
+    # _value_ is the attribute the Enum.value property reads.
+    event_counts = dict(Counter(map(operator.attrgetter("kind._value_"), emitted)))
 
     # Per phase: [intervals, raw sum, per-cycle sum, utilization sum], each
     # sum accumulated in row order from 0.0.
     per_phase: dict[int, list] = {}
-    for phase_id, raw, per_cycle, util in zip(
-        rows.phase_id, rows.throughput_raw, rows.throughput_per_cycle, rows.utilization
+    for phase_id, raw, tau, util in zip(
+        rows.phase_id, rows.throughput_raw, rows.tau, rows.utilization
     ):
         acc = per_phase.get(phase_id)
         if acc is None:
             acc = per_phase[phase_id] = [0, 0.0, 0.0, 0.0]
         acc[0] += 1
         acc[1] += raw
-        acc[2] += per_cycle
+        acc[2] += raw / tau
         acc[3] += util
     phases = [
         {
@@ -396,22 +398,20 @@ def _build_summary(
 _SCATTER_LINE = ",".join(["%s"] * len(SCATTER_COLUMNS)) + "\n"
 
 
-def emit_scatter_csv(rows: Sequence[ScatterRow], path: str | Path) -> None:
-    """Write the scatter table; rows must arrive ordered by interval index."""
-    # A ScatterTable's index is the row's position; slicing one would build
-    # every row.
-    if not isinstance(rows, ScatterTable):
-        for previous, current in zip(rows, rows[1:]):
-            if current.interval_index <= previous.interval_index:
-                raise ValueError(
-                    f"scatter rows out of order at interval {current.interval_index}"
-                )
+#: Lines per write: a few tens of KB, joined, cost less than a write per line.
+_SCATTER_BLOCK = 512
+
+
+def emit_scatter_csv(rows: ScatterTable, path: str | Path) -> None:
+    """Write the scatter table, formatting each line from the columns."""
+    lines = map(_SCATTER_LINE.__mod__, _row_fields(rows))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(SCATTER_COLUMNS) + "\n")
-        handle.writelines(map(_SCATTER_LINE.__mod__, rows))
+        while block := "".join(islice(lines, _SCATTER_BLOCK)):
+            handle.write(block)
 
 
-_EVENT_FIELDS = operator.attrgetter("interval_index", "kind.value", *EVENT_COLUMNS[2:])
+_EVENT_FIELDS = operator.attrgetter("interval_index", "kind._value_", *EVENT_COLUMNS[2:])
 
 
 def emit_events_csv(events: list[PhaseEvent], path: str | Path) -> None:
@@ -478,20 +478,12 @@ def overhead_report(fixed_dir: str | Path, variable_dir: str | Path) -> dict:
     counts = fixed["sample_count"], variable["sample_count"]
     if min(counts) < 1:
         raise ConfigError(f"sample counts must be >= 1: {counts[0]} and {counts[1]}")
-    ratio = counts[0] / counts[1]
+    keys = ("label", "mode", "sample_count")
     return {
         "cycles_covered": fixed["cycles_covered"],
-        "fixed": {
-            "label": fixed["label"],
-            "mode": fixed["mode"],
-            "sample_count": fixed["sample_count"],
-        },
-        "variable": {
-            "label": variable["label"],
-            "mode": variable["mode"],
-            "sample_count": variable["sample_count"],
-        },
-        "ratio": ratio,
+        "fixed": {key: fixed[key] for key in keys},
+        "variable": {key: variable[key] for key in keys},
+        "ratio": counts[0] / counts[1],
     }
 
 

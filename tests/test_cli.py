@@ -320,7 +320,7 @@ class TestSimulateCommand:
             assert f"could retire more than {MAX_RETIRED} instructions" in err
             assert not out.exists()
         else:
-            [row] = list(csv.DictReader((out / "scatter.csv").open()))
+            [row] = list(csv.DictReader((out / "scatter.csv").read_text().splitlines()))
             assert int(row["throughput_raw"]) == 2**63 - 1024
 
     def test_nan_detector_threshold_exits_one_naming_the_field(
@@ -575,7 +575,7 @@ class TestDetectCommand:
             assert not out.exists()
         else:
             assert code == 0
-            [scatter] = list(csv.DictReader((out / "scatter.csv").open()))
+            [scatter] = list(csv.DictReader((out / "scatter.csv").read_text().splitlines()))
             assert int(scatter[field]) == MAX_RETIRED
 
     def test_no_trace_anywhere_exits_one(self, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from phasesim import (
     CoreClass,
+    CoreSpec,
+    IntervalSample,
     SegmentCursor,
     WorkloadSegment,
     a_core,
@@ -194,6 +197,55 @@ class TestSimulateInterval:
         assert sample.retired_instructions <= core.issue_width * tau
         assert 0.0 <= sample.util_int <= 1.0
         assert 0.0 <= sample.util_fp <= 1.0
+
+
+@st.composite
+def simulated_samples(draw):
+    """Every sample of a small workload: 1-6 segments of any in-range demand,
+    fp share and noise, a tau of 1 to 2**20 and dead cycles up to 2 * tau, on
+    either core or one with a single unit of each kind. The final interval is
+    truncated unless the segments happen to fill it."""
+    core = draw(
+        st.sampled_from(
+            [a_core("A0"), b_core("B0"), CoreSpec("C0", CoreClass.A, 4, 1, 1)]
+        )
+    )
+    tau = draw(st.integers(1, 2**20))
+    segments = draw(
+        st.lists(
+            st.builds(
+                WorkloadSegment,
+                duration=st.integers(1, 3 * tau),
+                ipc_demand=st.floats(0.0, 3.0 * core.issue_width),
+                fp_fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                noise_amplitude=st.floats(0.0, 0.999),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    dead_cycles = draw(st.integers(0, 2 * tau))
+    cursor = SegmentCursor(segments)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    samples = []
+    while (sample := simulate_interval(core, cursor, tau, rng, dead_cycles)) is not None:
+        samples.append(sample)
+    return samples
+
+
+class TestUncheckedSamples:
+    """simulate_interval builds its samples without IntervalSample's check;
+    each must still pass it and be a plain sample."""
+
+    @given(samples=simulated_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_every_sample_passes_the_sample_rule(self, samples):
+        for sample in samples:
+            assert type(sample) is IntervalSample
+            sample.__post_init__()
+            checked = IntervalSample(*(getattr(sample, f.name) for f in fields(sample)))
+            assert sample == checked and checked == sample
+            assert repr(sample) == repr(checked)
 
 
 class TestWorkloadSegmentValidation:

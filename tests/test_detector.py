@@ -14,6 +14,7 @@ from phasesim import (
     PhaseEventKind,
     PhaseState,
     UtilizationClass,
+    detect_over_samples,
     match_recurring_phase,
     utilization_class,
 )
@@ -420,3 +421,36 @@ class TestPhaseDetectorObserve:
                 log.append((pid, tuple((e.interval_index, e.kind) for e in evs)))
             logs.append(log)
         assert logs[0] == logs[1]
+
+
+class TestSampleRule:
+    COUNTS = ("index", "start_cycle", "tau", "retired_instructions")
+
+    @staticmethod
+    def fields(**changes):
+        fields = dict(
+            index=0, start_cycle=0, tau=100, retired_instructions=50,
+            util_int=0.5, util_fp=0.0,
+        )
+        fields.update(changes)
+        return fields
+
+    @pytest.mark.parametrize("field", COUNTS)
+    @pytest.mark.parametrize("value", [5.0, 0.0, True, False], ids=repr)
+    def test_counts_must_be_ints(self, field, value):
+        with pytest.raises(
+            ValueError, match=f"^{field} must be an int, got {value!r}$"
+        ):
+            IntervalSample(**self.fields(**{field: value}))
+
+    @pytest.mark.parametrize("field", COUNTS)
+    def test_the_first_bad_field_is_named(self, field):
+        later = self.COUNTS[self.COUNTS.index(field):]
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
+            IntervalSample(**self.fields(**{name: 1.0 for name in later}))
+
+    def test_a_float_count_stops_before_detection(self):
+        with pytest.raises(ValueError, match="^retired_instructions must be an int"):
+            detect_over_samples(
+                [IntervalSample(0, 0, 100, 5.0, 0.5, 0.0)], DetectorConfig()
+            )

@@ -27,7 +27,12 @@ from phasesim import (
     save_trace,
     write_artifacts,
 )
-from phasesim.experiment import _SCATTER_PRIORITY, SCATTER_COLUMNS
+from phasesim.experiment import (
+    _SCATTER_BLOCK,
+    _SCATTER_PRIORITY,
+    SCATTER_COLUMNS,
+    ScatterTable,
+)
 
 
 def fft_config(**kwargs):
@@ -317,58 +322,80 @@ class TestArtifacts:
         assert migration_rows[0].endswith("fft_like,B0,A0")
         assert migration_rows[1].endswith("fft_like,A0,B0")
 
-    def test_scatter_rows_must_be_ordered(self, tmp_path):
-        rows = [
-            ScatterRow(1, 0, 100, 100, 1.0, 0.5, 0, "none"),
-            ScatterRow(0, 100, 100, 100, 1.0, 0.5, 0, "none"),
-        ]
-        with pytest.raises(ValueError):
-            emit_scatter_csv(rows, tmp_path / "scatter.csv")
-
 
 SCATTER_TOKENS = ["none", *(kind.value for kind in _SCATTER_PRIORITY)]
-SCATTER_INTS = st.integers(-(2**63), 2**63)
+INT64 = st.integers(-(2**63), 2**63 - 1)
 SCATTER_FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 5e-324, 1e22, 1e16, 0.1, math.inf, -math.inf, math.nan]),
 )
 
 
+def scatter_table(*columns) -> ScatterTable:
+    """A table holding the given columns, in ``ScatterTable.columns`` order."""
+    table = ScatterTable()
+    for column, values in zip(table.columns, columns, strict=True):
+        column.extend(values)
+    return table
+
+
 @st.composite
-def scatter_rows(draw):
-    indexes = sorted(draw(st.lists(SCATTER_INTS, unique=True, max_size=12)))
-    return [
-        ScatterRow(
-            index,
-            draw(SCATTER_INTS),
-            draw(SCATTER_INTS),
-            draw(SCATTER_INTS),
-            draw(SCATTER_FLOATS),
-            draw(SCATTER_FLOATS),
-            draw(SCATTER_INTS),
-            draw(st.sampled_from(SCATTER_TOKENS)),
-        )
-        for index in indexes
-    ]
+def scatter_tables(draw):
+    """A table of 0-12 rows: any 64-bit counts (a tau of at least 1, as a
+    sample's), any double as the utilization, any event code."""
+    n = draw(st.integers(0, 12))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    return scatter_table(
+        column(INT64),
+        column(st.integers(1, 2**63 - 1)),
+        column(INT64),
+        column(SCATTER_FLOATS),
+        column(INT64),
+        column(st.integers(0, len(SCATTER_TOKENS) - 1)),
+    )
 
 
-def csv_module_scatter(rows) -> bytes:
-    """The scatter table as the csv module writes it: the reference for the
-    format-string writer."""
+def csv_module_scatter(table: ScatterTable) -> bytes:
+    """The scatter table as the csv module writes it from the columns: the
+    reference for the format-string writer."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCATTER_COLUMNS)
-    writer.writerows([getattr(row, name) for name in SCATTER_COLUMNS] for row in rows)
+    starts, taus, raws, utilizations, phase_ids, codes = table.columns
+    writer.writerows(
+        [i, starts[i], taus[i], raws[i], raws[i] / taus[i], utilizations[i],
+         phase_ids[i], SCATTER_TOKENS[codes[i]]]
+        for i in range(len(taus))
+    )
     return buffer.getvalue().encode("utf-8")
 
 
 class TestScatterWriter:
-    @given(rows=scatter_rows())
+    @given(table=scatter_tables())
     @settings(max_examples=200, deadline=None)
-    def test_bytes_equal_the_csv_module(self, tmp_path_factory, rows):
+    def test_bytes_equal_the_csv_module(self, tmp_path_factory, table):
         path = tmp_path_factory.mktemp("scatter") / "scatter.csv"
-        emit_scatter_csv(rows, path)
-        assert path.read_bytes() == csv_module_scatter(rows)
+        emit_scatter_csv(table, path)
+        assert path.read_bytes() == csv_module_scatter(table)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, _SCATTER_BLOCK + 3])
+    def test_bytes_across_write_blocks(self, tmp_path, extra):
+        n = _SCATTER_BLOCK + extra
+        special = [-0.0, 5e-324, 1e22, 0.1, math.inf, -math.inf, math.nan]
+        table = scatter_table(
+            [7**i % 2**63 for i in range(n)],
+            [1 + 3**i % 2**40 for i in range(n)],
+            [-(5**i % 2**63) for i in range(n)],
+            [special[i % len(special)] for i in range(n)],
+            [i // 5 for i in range(n)],
+            [i % len(SCATTER_TOKENS) for i in range(n)],
+        )
+        path = tmp_path / "scatter.csv"
+        emit_scatter_csv(table, path)
+        assert path.read_bytes() == csv_module_scatter(table)
 
     @pytest.mark.parametrize("token", SCATTER_TOKENS)
     def test_annotation_tokens_need_no_quoting(self, token):
@@ -472,7 +499,7 @@ def retained_bytes_per_interval(run) -> float:
 
 
 class TestRetainedMemory:
-    """A run keeps its rows as columns: 6 eight-byte fields and a one-byte
+    """A run keeps its rows as columns: 5 eight-byte fields and a one-byte
     event per interval, plus the arrays' over-allocation."""
 
     BUDGET = 64
