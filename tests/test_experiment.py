@@ -10,21 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_stream
+from conftest import build_stream, workload_specs
 from phasesim import (
+    PHASE_CHANGE_KINDS,
     ConfigError,
     DetectorConfig,
     ExperimentConfig,
     IntervalSample,
     Mode,
+    PhaseEventKind,
     ScatterRow,
     detect_over_samples,
     emit_scatter_csv,
+    experiment,
     load_summary,
     load_trace,
     overhead_report,
     run_experiment,
     save_trace,
+    save_workload_spec,
+    simulate_interval,
     write_artifacts,
 )
 from phasesim.experiment import (
@@ -282,6 +287,78 @@ class TestDetectOverSamples:
         assert result.rows == []
         assert result.summary["sample_count"] == 0
         assert result.summary["phase_count"] == 0
+
+
+_TAU_KINDS = (PhaseEventKind.TAU_DOUBLED, PhaseEventKind.TAU_HALVED)
+
+
+def detector_events(run) -> list[tuple]:
+    """The phase-change and recurrence events, with everything they carry."""
+    return [
+        (e.interval_index, e.kind, e.old_phase_id, e.new_phase_id, e.d_i)
+        for e in run.events
+        if e.kind in PHASE_CHANGE_KINDS or e.kind is PhaseEventKind.PHASE_RECURRED
+    ]
+
+
+def tau_events(run, shift: int, before: int) -> list[tuple]:
+    """Each tau event as (interval + shift, kind), for shifted intervals
+    below ``before``."""
+    return [
+        (e.interval_index + shift, e.kind)
+        for e in run.events
+        if e.kind in _TAU_KINDS and e.interval_index + shift < before
+    ]
+
+
+class TestReplayOfSimulatedSamples:
+    """``detect_over_samples`` over the samples ``simulate`` drew repeats
+    every detector verdict of the run."""
+
+    @given(
+        spec=workload_specs(),
+        start=st.sampled_from(["A0", "B0"]),
+        tau=st.sampled_from([None, 100_000, 150_000, 200_000]),  # None: variable
+        steady_upper_bound=st.sampled_from([5, 75]),
+        scheduler=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_replay_repeats_phases_and_events(
+        self, tmp_path_factory, spec, start, tau, steady_upper_bound, scheduler
+    ):
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        save_workload_spec(spec, path)
+        config = ExperimentConfig(
+            detector=DetectorConfig(steady_upper_bound=steady_upper_bound),
+            workload_spec_path=path,
+            mode=Mode.FIXED if tau else Mode.VARIABLE,
+            fixed_tau=tau,
+            start_core=start,
+            scheduler_enabled=scheduler,
+        )
+        recorded = []
+
+        def record(*args):
+            sample = simulate_interval(*args)
+            if sample is not None:
+                recorded.append(sample)
+            return sample
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment, "simulate_interval", record)
+            simulated = run_experiment(config)
+        replayed = detect_over_samples(recorded, config.detector)
+
+        n = len(simulated.rows)
+        assert len(recorded) == n
+        assert replayed.rows.phase_id == simulated.rows.phase_id
+        assert replayed.rows.utilization == simulated.rows.utilization
+        assert detector_events(replayed) == detector_events(simulated)
+        # simulate stamps a tau event on the interval whose verdict moved
+        # tau; a replay sees the new length one interval later. The final
+        # interval is left out: its truncated length can hide a change or
+        # read as a halving that never happened.
+        assert tau_events(replayed, 0, n - 1) == tau_events(simulated, 1, n - 1)
 
 
 class TestArtifacts:
