@@ -7,29 +7,22 @@ Exit codes: 0 success, 1 configuration error, 2 I/O or trace-format error,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, Mode, parse_config_file
-from .core_model import (
-    SegmentCursor,
-    a_core,
-    b_core,
-    check_retire_range,
-    simulate_interval,
-)
+from .core_model import a_core, b_core, simulate_interval
 from .experiment import (
     detect_over_samples,
     format_overhead_report,
     overhead_report,
     run_experiment,
+    start_simulation,
     write_artifacts,
 )
 from .workload import (
     PRESETS,
     TraceError,
-    generate_workload,
     load_trace,
     preset,
     save_trace,
@@ -159,12 +152,7 @@ def _cmd_gen_workload(args: argparse.Namespace) -> int:
     core = a_core("A0") if args.core_class == "A" else b_core("B0")
     if args.tau < 1:
         raise ConfigError(f"--tau must be >= 1, got {args.tau}")
-    cursor = SegmentCursor(generate_workload(spec))
-    try:
-        check_retire_range(cursor.total_cycles, core.issue_width)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rng = random.Random(spec.seed)
+    cursor, rng = start_simulation(spec, [core], seed=0)
     samples = []
     while True:
         sample = simulate_interval(core, cursor, args.tau, rng)

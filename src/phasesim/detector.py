@@ -44,6 +44,9 @@ PHASE_CHANGE_KINDS = frozenset(
 #: of counts this size stay finite, so summary.json holds no Infinity.
 MAX_RETIRED = 2**63 - 1
 
+#: A utilization's types: a bool, though an int subclass, is not a number.
+_NUMBER_TYPES = (float, int)
+
 
 class UtilizationClass(Enum):
     UNDER = "under"
@@ -72,17 +75,23 @@ class IntervalSample:
     source_core: str = ""
 
     def __post_init__(self) -> None:
-        # Type identity refuses a float or bool count; one branch per common row.
+        # Type identity: int counts, float or int utilizations, never a bool.
         if not (
             type(self.index) is int
             and type(self.start_cycle) is int
             and type(self.tau) is int
             and type(self.retired_instructions) is int
+            and type(self.util_int) in _NUMBER_TYPES
+            and type(self.util_fp) in _NUMBER_TYPES
         ):
             for name in ("index", "start_cycle", "tau", "retired_instructions"):
                 value = getattr(self, name)
                 if type(value) is not int:
                     raise ValueError(f"{name} must be an int, got {reprlib.repr(value)}")
+            for name in ("util_int", "util_fp"):
+                value = getattr(self, name)
+                if type(value) not in _NUMBER_TYPES:
+                    raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
         if self.index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.index}")
         if not 0 <= self.start_cycle <= MAX_RETIRED:
@@ -359,10 +368,6 @@ class PhaseDetector:
                 PhaseEvent(sample.index, PhaseEventKind.PHASE_RECURRED, old_id, new_id, d)
             )
         return new_id, events
-
-    def closed_phases(self) -> list[PhaseState]:
-        """Closed phases, oldest-closed first."""
-        return list(self._closed.values())
 
     def _seed_phase(self, phase_id: int, th: float, u: float) -> None:
         self.phases[phase_id] = PhaseState(phase_id, th, 1, u)

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .config import ConfigError, ExperimentConfig, Mode
 from .core_model import CoreSpec, SegmentCursor, check_retire_range, simulate_interval
@@ -192,49 +192,50 @@ def _resolve_workload(config: ExperimentConfig) -> WorkloadSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _simulate(config: ExperimentConfig) -> RunResult:
-    det_cfg = config.detector
-    spec = _resolve_workload(config)
+def start_simulation(
+    spec: WorkloadSpec, cores: Sequence[CoreSpec], seed: int
+) -> tuple[SegmentCursor, random.Random]:
+    """The segment cursor and noise generator of a simulation of ``spec`` on
+    ``cores``. Refuses a workload on which an interval could retire past a
+    64-bit count on the widest core. Both seeds take part, so re-seeding
+    either the run or the workload reshuffles the noise draws."""
     cursor = SegmentCursor(generate_workload(spec))
-    if cursor.total_cycles < det_cfg.tau_min:
-        raise ConfigError(
-            f"workload covers {cursor.total_cycles} cycles, shorter than "
-            f"tau_min={det_cfg.tau_min}"
-        )
-
-    process = spec.name
-    start = config.resolved_start_core()
-    cores = config.machine_cores
     try:
         check_retire_range(cursor.total_cycles, max(core.issue_width for core in cores))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return cursor, random.Random(seed + spec.seed)
 
+
+def _simulate(config: ExperimentConfig) -> RunResult:
+    det_cfg = config.detector
+    spec = _resolve_workload(config)
+    if spec.total_cycles < det_cfg.tau_min:
+        raise ConfigError(
+            f"workload covers {spec.total_cycles} cycles, shorter than "
+            f"tau_min={det_cfg.tau_min}"
+        )
+    cores = config.machine_cores
+    cursor, rng = start_simulation(spec, cores, config.seed)
+    start = current_core = config.resolved_start_core()
     detector = PhaseDetector(det_cfg)
     controller = IntervalController(det_cfg) if config.mode is Mode.VARIABLE else None
-    # Both seeds participate so re-seeding either the run or the workload
-    # reshuffles the noise draws.
-    rng = random.Random(config.seed + spec.seed)
-
-    current_core: CoreSpec = start
-    rows = ScatterTable()
-    add_start, add_tau, add_raw, add_util, add_phase, add_code = (
-        column.append for column in rows.columns
-    )
-    emitted: list[PhaseEvent] = []
     dead_cycles = 0
 
-    while True:
-        tau = controller.tau if controller is not None else config.fixed_tau
-        assert tau is not None
-        # Names looked up at each call, so a tracer's wrappers see every call.
-        sample = simulate_interval(current_core, cursor, tau, rng, dead_cycles)
-        dead_cycles = 0
-        if sample is None:
-            break
+    def intervals() -> Iterator[IntervalSample]:
+        nonlocal dead_cycles
+        while True:
+            tau = controller.tau if controller is not None else config.fixed_tau
+            # Looked up at each call, so a tracer's wrapper sees every call.
+            sample = simulate_interval(current_core, cursor, tau, rng, dead_cycles)
+            if sample is None:
+                return
+            dead_cycles = 0
+            yield sample
 
+    def step(sample: IntervalSample, phase_id: int, events: list[PhaseEvent]) -> None:
+        nonlocal current_core, dead_cycles
         # Detector events mark a phase boundary; other events join the list.
-        phase_id, events = detector.observe(sample)
         if events or sample.index == 0:
             # The boundary interval seeds a fresh average; it casts no
             # steadiness verdict and steady runs never span phases.
@@ -242,7 +243,7 @@ def _simulate(config: ExperimentConfig) -> RunResult:
                 controller.reset_baseline(detector.phases[phase_id].running_avg)
             if events and config.scheduler_enabled:
                 # Only the first event, the phase change, can be a utilization event.
-                migration = decide_migration(events[0], process, current_core, cores)
+                migration = decide_migration(events[0], spec.name, current_core, cores)
                 if migration is not None:
                     current_core = next(c for c in cores if c.name == migration.to_core)
                     dead_cycles = config.migration_penalty
@@ -254,23 +255,14 @@ def _simulate(config: ExperimentConfig) -> RunResult:
                     PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
                 )
 
-        add_start(sample.start_cycle)
-        add_tau(sample.tau)
-        add_raw(sample.retired_instructions)
-        add_util(detector.last_utilization)
-        add_phase(phase_id)
-        add_code(_event_code(events) if events else 0)
-        emitted.extend(events)
-
-    summary = _build_summary(
-        rows,
-        emitted,
-        label=spec.name,
-        mode=config.mode.value,
-        seed=config.seed,
-        extra={"start_core": start.name, "scheduler_enabled": config.scheduler_enabled},
-    )
-    return RunResult(rows, emitted, summary)
+    header = {
+        "label": spec.name,
+        "mode": config.mode.value,
+        "seed": config.seed,
+        "start_core": start.name,
+        "scheduler_enabled": config.scheduler_enabled,
+    }
+    return _run_intervals(intervals(), detector, step, header)
 
 
 def detect_over_samples(
@@ -287,15 +279,10 @@ def detect_over_samples(
     interval truncated below ``tau_min``, is no tau event.
     """
     detector = PhaseDetector(det_cfg)
-    rows = ScatterTable()
-    add_start, add_tau, add_raw, add_util, add_phase, add_code = (
-        column.append for column in rows.columns
-    )
-    emitted: list[PhaseEvent] = []
     prev_tau: int | None = None
 
-    for sample in samples:
-        phase_id, events = detector.observe(sample)
+    def step(sample: IntervalSample, phase_id: int, events: list[PhaseEvent]) -> None:
+        nonlocal prev_tau
         tau = sample.tau
         if (
             prev_tau is not None
@@ -308,23 +295,36 @@ def detect_over_samples(
                 PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
             )
         prev_tau = tau
+
+    header = {"label": label, "mode": "detect", "seed": None}
+    return _run_intervals(samples, detector, step, header)
+
+
+def _run_intervals(
+    samples: Iterable[IntervalSample],
+    detector: PhaseDetector,
+    step: Callable[[IntervalSample, int, list[PhaseEvent]], None],
+    header: dict,
+) -> RunResult:
+    """Every run's interval loop: observe, ``step`` (which may add events),
+    record the row and events; summarize under ``header`` at the end."""
+    rows = ScatterTable()
+    add_start, add_tau, add_raw, add_util, add_phase, add_code = (
+        column.append for column in rows.columns
+    )
+    emitted: list[PhaseEvent] = []
+    observe = detector.observe  # bound per run, after any tracer has wrapped it
+    for sample in samples:
+        phase_id, events = observe(sample)
+        step(sample, phase_id, events)
         add_start(sample.start_cycle)
-        add_tau(tau)
+        add_tau(sample.tau)
         add_raw(sample.retired_instructions)
         add_util(detector.last_utilization)
         add_phase(phase_id)
         add_code(_event_code(events) if events else 0)
         emitted.extend(events)
-
-    summary = _build_summary(
-        rows,
-        emitted,
-        label=label,
-        mode="detect",
-        seed=None,
-        extra={},
-    )
-    return RunResult(rows, emitted, summary)
+    return RunResult(rows, emitted, _build_summary(rows, emitted, header))
 
 
 def _event_code(interval_events: list[PhaseEvent]) -> int:
@@ -340,14 +340,8 @@ def _event_code(interval_events: list[PhaseEvent]) -> int:
     )
 
 
-def _build_summary(
-    rows: ScatterTable,
-    emitted: list[PhaseEvent],
-    label: str,
-    mode: str,
-    seed: int | None,
-    extra: dict,
-) -> dict:
+def _build_summary(rows: ScatterTable, emitted: list[PhaseEvent], header: dict) -> dict:
+    """``header`` (label, mode, seed, run settings), then the run's counts."""
     # _value_ is the attribute the Enum.value property reads.
     event_counts = dict(Counter(map(operator.attrgetter("kind._value_"), emitted)))
 
@@ -375,11 +369,9 @@ def _build_summary(
         for pid, (count, raw, per_cycle, util) in sorted(per_phase.items())
     ]
 
-    summary = {
+    return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
-        "label": label,
-        "mode": mode,
-        "seed": seed,
+        **header,
         "sample_count": len(rows),
         "cycles_covered": sum(rows.tau),
         # Every phase id the detector mints is assigned to the interval that
@@ -389,8 +381,6 @@ def _build_summary(
         "event_counts": event_counts,
         "phases": phases,
     }
-    summary.update(extra)
-    return summary
 
 
 # Every field is an int, a float or an annotation token, none of which needs

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from phasesim import (
     PhaseState,
     UtilizationClass,
     detect_over_samples,
+    load_trace,
     match_recurring_phase,
+    save_trace,
     utilization_class,
 )
 from reference_model import (
@@ -448,6 +451,21 @@ class TestSampleRule:
         later = self.COUNTS[self.COUNTS.index(field):]
         with pytest.raises(ValueError, match=f"^{field} must be an int"):
             IntervalSample(**self.fields(**{name: 1.0 for name in later}))
+
+    @pytest.mark.parametrize("field", ["util_int", "util_fp"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None], ids=repr)
+    def test_utilizations_must_be_numbers(self, field, value):
+        with pytest.raises(
+            ValueError, match=f"^{field} must be a number, got {re.escape(repr(value))}$"
+        ):
+            IntervalSample(**self.fields(**{field: value}))
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25], ids=repr)
+    def test_number_utilizations_round_trip_through_jsonl(self, tmp_path, value):
+        path = tmp_path / "trace.jsonl"
+        save_trace([IntervalSample(**self.fields(util_int=value, util_fp=value))], path)
+        (sample,) = load_trace(path)
+        assert (sample.util_int, sample.util_fp) == (value, value)
 
     def test_a_float_count_stops_before_detection(self):
         with pytest.raises(ValueError, match="^retired_instructions must be an int"):

@@ -37,7 +37,9 @@ def assert_matches_reference(config: DetectorConfig, samples) -> None:
         assert detector.observe(sample) == reference.observe(sample)
         assert repr(detector.last_delta) == repr(reference.last_delta)
         assert repr(detector.phases) == repr(reference.phases)
-        assert detector.closed_phases() == [reference.phases[i] for i in reference.closed]
+        assert list(detector._closed.values()) == [
+            reference.phases[i] for i in reference.closed
+        ]
         assert detector.current_phase_id == reference.current
 
 
