@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, Mode, parse_config_file
@@ -62,14 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-workload", help="write a preset workload or trace")
     gen.add_argument("--preset", required=True)
     gen.add_argument("--out", required=True, metavar="PATH")
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--cycles", type=int, default=None, help="steady preset only")
     gen.add_argument("--demand", type=float, default=None, help="steady preset only")
     gen.add_argument("--emit-trace", action="store_true",
                      help="simulate the preset and write an interval trace")
     gen.add_argument("--core-class", choices=("A", "B"), default="A")
     gen.add_argument("--tau", type=int, default=100_000)
-    gen.add_argument("--format", choices=("csv", "jsonl"), default=None)
 
     return parser
 
@@ -126,7 +125,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_workload(args: argparse.Namespace) -> int:
-    kwargs: dict = {"seed": args.seed}
+    kwargs: dict = {}
     for flag, key, value in (
         ("--cycles", "total_cycles", args.cycles),
         ("--demand", "demand", args.demand),
@@ -153,14 +152,9 @@ def _cmd_gen_workload(args: argparse.Namespace) -> int:
     if args.tau < 1:
         raise ConfigError(f"--tau must be >= 1, got {args.tau}")
     cursor, rng = start_simulation(spec, [core], seed=0)
-    samples = []
-    while True:
-        sample = simulate_interval(core, cursor, args.tau, rng)
-        if sample is None:
-            break
-        samples.append(sample)
-    save_trace(samples, args.out, fmt=args.format)
-    print(f"wrote trace {args.out} ({len(samples)} intervals on {core.name})")
+    intervals = iter(partial(simulate_interval, core, cursor, args.tau, rng), None)
+    save_trace(intervals, args.out)  # streamed: written as simulated, none kept
+    print(f"wrote trace {args.out} ({cursor.next_index} intervals on {core.name})")
     return 0
 
 

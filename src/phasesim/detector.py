@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Reversible
 
@@ -47,6 +47,14 @@ MAX_RETIRED = 2**63 - 1
 #: A utilization's types: a bool, though an int subclass, is not a number.
 _NUMBER_TYPES = (float, int)
 
+#: The value types each field annotation of a sample takes, by type identity,
+#: and their name in a message. Any other annotation fails at import.
+_VALUE_TYPES = {
+    "int": ((int,), "an int"),
+    "float": (_NUMBER_TYPES, "a number"),
+    "str": ((str,), "a string"),
+}
+
 
 class UtilizationClass(Enum):
     UNDER = "under"
@@ -75,7 +83,8 @@ class IntervalSample:
     source_core: str = ""
 
     def __post_init__(self) -> None:
-        # Type identity: int counts, float or int utilizations, never a bool.
+        # _SAMPLE_TYPES, unrolled: int counts, float or int utilizations
+        # (never a bool), a str core.
         if not (
             type(self.index) is int
             and type(self.start_cycle) is int
@@ -83,15 +92,12 @@ class IntervalSample:
             and type(self.retired_instructions) is int
             and type(self.util_int) in _NUMBER_TYPES
             and type(self.util_fp) in _NUMBER_TYPES
+            and type(self.source_core) is str
         ):
-            for name in ("index", "start_cycle", "tau", "retired_instructions"):
+            for name, (kinds, noun) in _SAMPLE_TYPES.items():
                 value = getattr(self, name)
-                if type(value) is not int:
-                    raise ValueError(f"{name} must be an int, got {reprlib.repr(value)}")
-            for name in ("util_int", "util_fp"):
-                value = getattr(self, name)
-                if type(value) not in _NUMBER_TYPES:
-                    raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
+                if type(value) not in kinds:
+                    raise ValueError(f"{name} must be {noun}, got {reprlib.repr(value)}")
         if self.index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.index}")
         if not 0 <= self.start_cycle <= MAX_RETIRED:
@@ -113,6 +119,10 @@ class IntervalSample:
             raise ValueError(f"util_int must lie in [0, 1], got {self.util_int}")
         if not 0.0 <= self.util_fp <= 1.0:
             raise ValueError(f"util_fp must lie in [0, 1], got {self.util_fp}")
+
+
+#: Each sample field's accepted value types and their name, in field order.
+_SAMPLE_TYPES = {f.name: _VALUE_TYPES[f.type] for f in fields(IntervalSample)}
 
 
 @dataclass(frozen=True)

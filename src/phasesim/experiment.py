@@ -16,7 +16,7 @@ import random
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -42,27 +42,8 @@ from .workload import (
 
 SUMMARY_SCHEMA_VERSION = 1
 
-SCATTER_COLUMNS = (
-    "interval_index",
-    "start_cycle",
-    "tau",
-    "throughput_raw",
-    "throughput_per_cycle",
-    "utilization",
-    "phase_id",
-    "event",
-)
-
-EVENT_COLUMNS = (
-    "interval_index",
-    "kind",
-    "old_phase_id",
-    "new_phase_id",
-    "d_i",
-    "process",
-    "from_core",
-    "to_core",
-)
+#: An events.csv row is a PhaseEvent without its ``reason``.
+EVENT_COLUMNS = tuple(f.name for f in fields(PhaseEvent) if f.name != "reason")
 
 #: Scatter rows carry a single annotation; when an interval produced several
 #: events the most significant one, the first here, wins. Recurrence notes
@@ -83,6 +64,8 @@ _SCATTER_TOKENS = ("none", *(kind.value for kind in _SCATTER_PRIORITY))
 
 
 class ScatterRow(NamedTuple):
+    """One scatter.csv row: its fields are the file's columns."""
+
     interval_index: int
     start_cycle: int
     tau: int
@@ -91,6 +74,9 @@ class ScatterRow(NamedTuple):
     utilization: float
     phase_id: int
     event: str
+
+
+SCATTER_COLUMNS = ScatterRow._fields
 
 
 class ScatterTable(Sequence[ScatterRow]):
@@ -401,7 +387,10 @@ def emit_scatter_csv(rows: ScatterTable, path: str | Path) -> None:
             handle.write(block)
 
 
-_EVENT_FIELDS = operator.attrgetter("interval_index", "kind._value_", *EVENT_COLUMNS[2:])
+# The kind is written as its value.
+_EVENT_FIELDS = operator.attrgetter(
+    *("kind._value_" if name == "kind" else name for name in EVENT_COLUMNS)
+)
 
 
 def emit_events_csv(events: list[PhaseEvent], path: str | Path) -> None:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import reprlib
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -15,17 +16,26 @@ from .detector import IntervalSample
 SPEC_SCHEMA_VERSION = 1
 TRACE_SCHEMA_VERSION = 1
 
-#: Column order for CSV traces; JSONL rows use the same field names.
-TRACE_COLUMNS = (
-    "index",
-    "start_cycle",
-    "tau",
-    "retired_instructions",
-    "util_int",
-    "util_fp",
-    "source_core",
-)
+_JSON_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
+
+#: The JSON type of each field annotation a file record uses; any other
+#: annotation fails at import.
+_JSON_TYPES = {kind.__name__: kind for kind in _JSON_TYPE_NAMES}
+
+#: A trace row is an IntervalSample: its columns, in order, and their types.
+#: CSV rows hold them in this order; JSONL rows are ``schema_version`` and
+#: these keys.
+_TRACE_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(IntervalSample)}
+TRACE_COLUMNS = tuple(_TRACE_TYPES)
 _TRACE_KEYS = frozenset(TRACE_COLUMNS)
+_trace_values = operator.attrgetter(*TRACE_COLUMNS)
+
+#: A spec segment is a WorkloadSegment: its keys, in order, with their JSON
+#: types and defaults (None: required).
+_SEGMENT_FIELDS = tuple(
+    (f.name, _JSON_TYPES[f.type], None if f.default is MISSING else f.default)
+    for f in fields(WorkloadSegment)
+)
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -78,18 +88,16 @@ def steady(
     demand: float = 1.6,
     fp_fraction: float = 0.0,
     noise: float = 0.0,
-    seed: int = 0,
 ) -> WorkloadSpec:
     """One homogeneous segment; the default demand keeps both core classes
     inside the utilization bounds so nothing interrupts steady profiling."""
     return WorkloadSpec(
         name="steady",
         segments=(WorkloadSegment(total_cycles, demand, fp_fraction, noise),),
-        seed=seed,
     )
 
 
-def fft_like(seed: int = 0) -> WorkloadSpec:
+def fft_like() -> WorkloadSpec:
     """Three distinct phases: integer-only warmup, a heavier mixed stretch,
     then a long integer-dominant tail with little to do."""
     return WorkloadSpec(
@@ -99,11 +107,10 @@ def fft_like(seed: int = 0) -> WorkloadSpec:
             WorkloadSegment(15_500_000, 2.7, 0.5),
             WorkloadSegment(8_500_000, 1.1, 0.1),
         ),
-        seed=seed,
     )
 
 
-def fmm_like(seed: int = 0, repeats: int = 10) -> WorkloadSpec:
+def fmm_like(repeats: int = 10) -> WorkloadSpec:
     """A two-phase pattern recurring every ten million cycles."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -111,7 +118,7 @@ def fmm_like(seed: int = 0, repeats: int = 10) -> WorkloadSpec:
         WorkloadSegment(5_000_000, 2.2, 0.5),
         WorkloadSegment(5_000_000, 1.0, 0.0),
     )
-    return WorkloadSpec(name="fmm_like", segments=pair * repeats, seed=seed)
+    return WorkloadSpec(name="fmm_like", segments=pair * repeats)
 
 
 PRESETS: dict[str, Callable[..., WorkloadSpec]] = {
@@ -136,15 +143,7 @@ def save_workload_spec(spec: WorkloadSpec, path: str | Path) -> None:
         "schema_version": SPEC_SCHEMA_VERSION,
         "name": spec.name,
         "seed": spec.seed,
-        "segments": [
-            {
-                "duration": s.duration,
-                "ipc_demand": s.ipc_demand,
-                "fp_fraction": s.fp_fraction,
-                "noise_amplitude": s.noise_amplitude,
-            }
-            for s in spec.segments
-        ],
+        "segments": [asdict(segment) for segment in spec.segments],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -169,10 +168,7 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
                 raise ValueError("a segment must be a JSON object")
             segments.append(
                 WorkloadSegment(
-                    duration=json_field(raw, "duration", int),
-                    ipc_demand=json_field(raw, "ipc_demand", float),
-                    fp_fraction=json_field(raw, "fp_fraction", float, 0.0),
-                    noise_amplitude=json_field(raw, "noise_amplitude", float, 0.0),
+                    *(json_field(raw, *field) for field in _SEGMENT_FIELDS)
                 )
             )
         except ValueError as exc:
@@ -185,9 +181,6 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-_JSON_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
 
 
 def json_field(record: dict, name: str, kind: type, default=None):
@@ -230,31 +223,18 @@ def save_trace(
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if fmt == "csv":
             writer = csv.writer(handle, lineterminator="\n")
+            # Under a "\n" line end the csv module leaves a "\r" unquoted,
+            # and a reader ends the line there: such a core name is quoted.
+            quoting = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
             writer.writerow(TRACE_COLUMNS)
+            types = _TRACE_TYPES.values()
             for s in samples:
-                writer.writerow(
-                    (
-                        s.index,
-                        s.start_cycle,
-                        s.tau,
-                        s.retired_instructions,
-                        float(s.util_int),
-                        float(s.util_fp),
-                        s.source_core,
-                    )
-                )
+                row = [kind(value) for kind, value in zip(types, _trace_values(s))]
+                (quoting if "\r" in s.source_core else writer).writerow(row)
         else:
             for s in samples:
-                record = {
-                    "schema_version": TRACE_SCHEMA_VERSION,
-                    "index": s.index,
-                    "start_cycle": s.start_cycle,
-                    "tau": s.tau,
-                    "retired_instructions": s.retired_instructions,
-                    "util_int": s.util_int,
-                    "util_fp": s.util_fp,
-                    "source_core": s.source_core,
-                }
+                record = {"schema_version": TRACE_SCHEMA_VERSION}
+                record.update(zip(TRACE_COLUMNS, _trace_values(s)))
                 handle.write(json.dumps(record) + "\n")
 
 
@@ -373,9 +353,9 @@ def _jsonl_rows(path: Path) -> Iterator[tuple]:
             util_int = record["util_int"]
             util_fp = record["util_fp"]
             source_core = record["source_core"]
-            # json_field's rule, inline for the common row: type identity,
-            # as a JSON true is a bool. Any other row goes through
-            # json_field in this order, which names the first bad field.
+            # json_field's rule over _TRACE_TYPES, inline for the common
+            # row: type identity, as a JSON true is a bool. Any other row
+            # goes through json_field, which names the first bad column.
             if not (
                 type(index) is int
                 and type(start_cycle) is int
@@ -386,13 +366,9 @@ def _jsonl_rows(path: Path) -> Iterator[tuple]:
                 and type(util_fp) is float
             ):
                 try:
-                    index = json_field(record, "index", int)
-                    start_cycle = json_field(record, "start_cycle", int)
-                    tau = json_field(record, "tau", int)
-                    retired = json_field(record, "retired_instructions", int)
-                    source_core = json_field(record, "source_core", str)
-                    util_int = json_field(record, "util_int", float)
-                    util_fp = json_field(record, "util_fp", float)
+                    index, start_cycle, tau, retired, util_int, util_fp, source_core = (
+                        json_field(record, *field) for field in _TRACE_TYPES.items()
+                    )
                 except ValueError as exc:
                     raise TraceValidationError(str(exc), row_index) from None
             row_index += 1

@@ -454,6 +454,15 @@ class TestGenWorkloadCommand:
         assert "only apply to the steady preset" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--format", "jsonl")])
+    def test_no_seed_or_format_flag(self, tmp_path, capsys, flag, value):
+        # The presets are noise-free, and the output's suffix picks the format.
+        out = tmp_path / "t.csv"
+        argv = ["gen-workload", "--preset", "fft_like", "--emit-trace", flag, value]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDetectCommand:
     def test_missing_trace_file_exits_two(self, tmp_path):
@@ -832,9 +841,9 @@ def test_simulate_agrees_with_detect_over_gen_workload_trace(
     tmp_path, preset_name, core_class, seed
 ):
     # simulate and gen-workload --emit-trace each run their own interval
-    # loop; with a fixed tau, no scheduler and the same seed they must
-    # produce the same intervals, so detect over the trace writes the same
-    # scatter and events.
+    # loop; with a fixed tau and no scheduler they must produce the same
+    # intervals, so detect over the trace writes the same scatter and events.
+    # The presets carry no noise, so simulate's seed moves no interval.
     config = write_config(
         tmp_path,
         f"workload.preset = {preset_name}\nmode = fixed_tau\nfixed_tau = 100000\n"
@@ -843,7 +852,7 @@ def test_simulate_agrees_with_detect_over_gen_workload_trace(
     trace = tmp_path / "trace.csv"
     simulated, replayed = tmp_path / "simulated", tmp_path / "replayed"
     assert cli.main(["simulate", "--config", str(config), "--out", str(simulated)]) == 0
-    gen = ["gen-workload", "--preset", preset_name, "--emit-trace", "--seed", str(seed)]
+    gen = ["gen-workload", "--preset", preset_name, "--emit-trace"]
     assert cli.main([*gen, "--core-class", core_class, "--out", str(trace)]) == 0
     assert cli.main(["detect", "--trace", str(trace), "--out", str(replayed)]) == 0
     for name in ("scatter.csv", "events.csv"):

@@ -460,6 +460,17 @@ class TestSampleRule:
         ):
             IntervalSample(**self.fields(**{field: value}))
 
+    @pytest.mark.parametrize("value", [7, None, b"A0"], ids=repr)
+    def test_source_core_must_be_a_string(self, tmp_path, value):
+        with pytest.raises(
+            ValueError, match=f"^source_core must be a string, got {re.escape(repr(value))}$"
+        ):
+            IntervalSample(**self.fields(source_core=value))
+        # Refused before save_trace could write a file that load_trace refuses.
+        with pytest.raises(ValueError):
+            save_trace([IntervalSample(**self.fields(source_core=value))], tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("value", [0, 1, 0.25], ids=repr)
     def test_number_utilizations_round_trip_through_jsonl(self, tmp_path, value):
         path = tmp_path / "trace.jsonl"

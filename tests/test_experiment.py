@@ -20,6 +20,7 @@ from phasesim import (
     Mode,
     PhaseEventKind,
     ScatterRow,
+    cli,
     detect_over_samples,
     emit_scatter_csv,
     experiment,
@@ -593,6 +594,29 @@ class TestRetainedMemory:
         config = steady_config(preset_args={"total_cycles": 2_000_000_000})
         retained = retained_bytes_per_interval(lambda: run_experiment(config))
         assert retained <= self.BUDGET
+
+
+class TestStreamedTraceMemory:
+    """gen-workload --emit-trace writes each sample as it is simulated, so its
+    peak memory does not grow with the trace: 20 000 intervals stay under a
+    MiB (a list of their samples alone takes several)."""
+
+    BUDGET = 1 << 20
+
+    def test_emit_trace_keeps_no_samples(self, tmp_path, capsys):
+        argv = [
+            "gen-workload", "--preset", "steady", "--cycles", str(20_000 * 100_000),
+            "--emit-trace", "--out", str(tmp_path / "steady.csv"),
+        ]
+        assert cli.main(argv) == 0  # first calls may fill caches
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "20000 intervals" in capsys.readouterr().out
+        assert peak < self.BUDGET
 
 
 class TestOverheadReport:

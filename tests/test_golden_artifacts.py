@@ -59,7 +59,7 @@ SIMULATE_CASES = {
 DETECT_CASES = {
     "detect_fft_like_B_csv": (
         "trace.csv",
-        ["--preset", "fft_like", "--core-class", "B", "--seed", "5"],
+        ["--preset", "fft_like", "--core-class", "B"],
     ),
     "detect_fmm_like_A_jsonl": (
         "trace.jsonl",

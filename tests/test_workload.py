@@ -34,6 +34,36 @@ from phasesim import (
 from phasesim.detector import MAX_RETIRED
 from phasesim.workload import TRACE_COLUMNS
 
+#: Core names that a CSV trace has to quote or that a line reader could split
+#: on, drawn alongside arbitrary text.
+AWKWARD_CORES = ("", ",", '"', "A\n0", "A\r0", "A0\r\n", "é", "核")
+
+
+@st.composite
+def valid_streams(draw) -> list[IntervalSample]:
+    """Contiguous streams of any valid samples: counts from 0 to 2**63 - 1,
+    utilizations floats in [0, 1] or the ints 0 and 1, and core names of any
+    text but NUL (which the csv reader of Python 3.10 refuses) and lone
+    surrogates (which are not UTF-8)."""
+    counts = st.integers(0, MAX_RETIRED)
+    utilizations = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+    text = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\x00"))
+    cores = st.one_of(st.sampled_from(AWKWARD_CORES), text)
+    samples: list[IntervalSample] = []
+    start = draw(counts)
+    for index in range(draw(st.integers(0, 6))):
+        if start > MAX_RETIRED:
+            break
+        tau = draw(st.integers(1, MAX_RETIRED))
+        samples.append(
+            IntervalSample(
+                index, start, tau, draw(counts),
+                draw(utilizations), draw(utilizations), draw(cores),
+            )
+        )
+        start += tau
+    return samples
+
 
 class TestPresets:
     def test_registry_contents(self):
@@ -74,7 +104,7 @@ class TestPresets:
 
 class TestWorkloadSpecIO:
     def test_round_trip(self, tmp_path):
-        spec = fft_like(seed=42)
+        spec = replace(fft_like(), seed=42)
         path = tmp_path / "spec.json"
         save_workload_spec(spec, path)
         assert load_workload_spec(path) == spec
@@ -204,6 +234,19 @@ class TestTraceFormats:
         path = tmp / f"trace.{fmt}"
         save_trace(samples, path, fmt=fmt)
         assert list(load_trace(path, fmt=fmt)) == samples
+
+    @given(samples=valid_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_any_valid_stream_round_trips(self, tmp_path_factory, samples):
+        # save_trace and the two readers' unrolled conversions and type
+        # tests must agree with IntervalSample on every valid value.
+        tmp = tmp_path_factory.mktemp("traces")
+        for fmt in ("csv", "jsonl"):
+            path = tmp / f"trace.{fmt}"
+            save_trace(samples, path)
+            loaded = list(load_trace(path))
+            assert loaded == samples, fmt
+            assert all(type(s.util_int) is type(s.util_fp) is float for s in loaded), fmt
 
 
 class TestTraceErrors:
