@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -42,14 +43,18 @@ class CoreSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("core name must be non-empty")
-        if self.issue_width < 1:
-            raise ValueError("issue_width must be >= 1")
         if self.int_fu_count is None:
             object.__setattr__(self, "int_fu_count", self.issue_width)
         if self.fp_fu_count is None:
             object.__setattr__(self, "fp_fu_count", max(1, self.issue_width // 2))
-        if self.int_fu_count < 1 or self.fp_fu_count < 1:
-            raise ValueError("functional unit counts must be >= 1")
+        # simulate_interval divides float rates by these counts.
+        for name in ("issue_width", "int_fu_count", "fp_fu_count"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_RETIRED:
+                raise ValueError(
+                    f"{name} must be >= 1 and fit a 64-bit counter, "
+                    f"got {reprlib.repr(value)}"
+                )
 
 
 def a_core(name: str) -> CoreSpec:

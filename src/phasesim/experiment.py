@@ -9,8 +9,8 @@ leaves no partial outputs.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import operator
 import random
 from array import array
@@ -38,6 +38,7 @@ from .workload import (
     json_field,
     load_workload_spec,
     preset,
+    write_csv,
 )
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -183,13 +184,21 @@ def start_simulation(
 ) -> tuple[SegmentCursor, random.Random]:
     """The segment cursor and noise generator of a simulation of ``spec`` on
     ``cores``. Refuses a workload on which an interval could retire past a
-    64-bit count on the widest core. Both seeds take part, so re-seeding
-    either the run or the workload reshuffles the noise draws."""
-    cursor = SegmentCursor(generate_workload(spec))
+    64-bit count on the widest core, or whose demanded instructions in total
+    do not fit a float: an interval's blended demand sums a share of them.
+    Both seeds take part, so re-seeding either the run or the workload
+    reshuffles the noise draws."""
+    segments = generate_workload(spec)
+    cursor = SegmentCursor(segments)
     try:
         check_retire_range(cursor.total_cycles, max(core.issue_width for core in cores))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not math.isfinite(sum(s.duration * s.ipc_demand for s in segments)):
+        raise ConfigError(
+            "the workload demands more instructions in total (the sum of "
+            "duration * ipc_demand over its segments) than a float holds"
+        )
     return cursor, random.Random(seed + spec.seed)
 
 
@@ -395,10 +404,8 @@ _EVENT_FIELDS = operator.attrgetter(
 
 def emit_events_csv(events: list[PhaseEvent], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(EVENT_COLUMNS)
         # The csv module writes None as an empty field.
-        writer.writerows(map(_EVENT_FIELDS, events))
+        write_csv(handle, EVENT_COLUMNS, map(_EVENT_FIELDS, events))
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path) -> None:

@@ -8,7 +8,7 @@ import operator
 import reprlib
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core_model import WorkloadSegment
 from .detector import IntervalSample
@@ -27,8 +27,9 @@ _JSON_TYPES = {kind.__name__: kind for kind in _JSON_TYPE_NAMES}
 #: these keys.
 _TRACE_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(IntervalSample)}
 TRACE_COLUMNS = tuple(_TRACE_TYPES)
-_TRACE_KEYS = frozenset(TRACE_COLUMNS)
+_TRACE_ROW_TYPES = tuple(_TRACE_TYPES.values())
 _trace_values = operator.attrgetter(*TRACE_COLUMNS)
+_trace_row = operator.itemgetter(*TRACE_COLUMNS)
 
 #: A spec segment is a WorkloadSegment: its keys, in order, with their JSON
 #: types and defaults (None: required).
@@ -216,21 +217,32 @@ def detect_format(path: str | Path, explicit: str | None = None) -> str:
     return "csv"
 
 
+def write_csv(handle: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` to ``handle`` as CSV lines ending in
+    "\\n". Under that line end the csv module leaves a "\\r" unquoted, and a
+    reader ends the line there: a row with a "\\r" in a string is quoted."""
+    writer = csv.writer(handle, lineterminator="\n")
+    quoting = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    writer.writerow(header)
+    for row in rows:
+        if any(type(value) is str and "\r" in value for value in row):
+            quoting.writerow(row)
+        else:
+            writer.writerow(row)
+
+
 def save_trace(
     samples: Iterable[IntervalSample], path: str | Path, fmt: str | None = None
 ) -> None:
     fmt = detect_format(path, fmt)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            # Under a "\n" line end the csv module leaves a "\r" unquoted,
-            # and a reader ends the line there: such a core name is quoted.
-            quoting = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-            writer.writerow(TRACE_COLUMNS)
             types = _TRACE_TYPES.values()
-            for s in samples:
-                row = [kind(value) for kind, value in zip(types, _trace_values(s))]
-                (quoting if "\r" in s.source_core else writer).writerow(row)
+            rows = (
+                [kind(value) for kind, value in zip(types, _trace_values(s))]
+                for s in samples
+            )
+            write_csv(handle, TRACE_COLUMNS, rows)
         else:
             for s in samples:
                 record = {"schema_version": TRACE_SCHEMA_VERSION}
@@ -343,33 +355,20 @@ def _jsonl_rows(path: Path) -> Iterator[tuple]:
                 raise TraceParseError(
                     f"unsupported schema_version {version!r}", line_number
                 )
-            if not _TRACE_KEYS <= record.keys():
+            try:
+                row = _trace_row(record)
+            except KeyError:
                 missing = [c for c in TRACE_COLUMNS if c not in record]
-                raise TraceParseError(f"missing fields {missing}", line_number)
-            index = record["index"]
-            start_cycle = record["start_cycle"]
-            tau = record["tau"]
-            retired = record["retired_instructions"]
-            util_int = record["util_int"]
-            util_fp = record["util_fp"]
-            source_core = record["source_core"]
-            # json_field's rule over _TRACE_TYPES, inline for the common
-            # row: type identity, as a JSON true is a bool. Any other row
-            # goes through json_field, which names the first bad column.
-            if not (
-                type(index) is int
-                and type(start_cycle) is int
-                and type(tau) is int
-                and type(retired) is int
-                and type(source_core) is str
-                and type(util_int) is float
-                and type(util_fp) is float
-            ):
+                raise TraceParseError(
+                    f"missing fields {missing}", line_number
+                ) from None
+            # json_field's rule over _TRACE_TYPES, in one comparison for the
+            # common row: type identity, as a JSON true is a bool. Any other
+            # row goes through json_field, which names the first bad column.
+            if tuple(map(type, row)) != _TRACE_ROW_TYPES:
                 try:
-                    index, start_cycle, tau, retired, util_int, util_fp, source_core = (
-                        json_field(record, *field) for field in _TRACE_TYPES.items()
-                    )
+                    row = tuple(json_field(record, *f) for f in _TRACE_TYPES.items())
                 except ValueError as exc:
                     raise TraceValidationError(str(exc), row_index) from None
             row_index += 1
-            yield index, start_cycle, tau, retired, util_int, util_fp, source_core
+            yield row

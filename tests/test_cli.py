@@ -323,6 +323,52 @@ class TestSimulateCommand:
             [row] = list(csv.DictReader((out / "scatter.csv").read_text().splitlines()))
             assert int(row["throughput_raw"]) == 2**63 - 1024
 
+    @pytest.mark.parametrize("column", ["int_fu_count", "fp_fu_count"])
+    def test_unit_count_past_a_64_bit_counter_exits_one_naming_it(
+        self, tmp_path, capsys, column
+    ):
+        # simulate_interval divides a float rate by the count.
+        counts = {"int_fu_count": b"4", "fp_fu_count": b"2"}
+        counts[column] = b"1" + b"0" * 400
+        (tmp_path / "machine.csv").write_bytes(
+            MACHINE_HEADER + b"A0,A,4,80,32," + b",".join(counts.values()) + b"\n"
+        )
+        config = write_config(
+            tmp_path,
+            "workload.preset = fft_like\nfixed_tau = 100000\nmachine = machine.csv\n",
+        )
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"machine.csv:2: {column} must be >= 1 and fit a 64-bit counter" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "demand, code", [("1e305", 1), ("1e300", 0)], ids=["1e305", "1e300"]
+    )
+    def test_demand_past_a_float_exits_one(self, tmp_path, capsys, demand, code):
+        # 100000 cycles * 1e305 is inf, and the blended fp share inf / inf is
+        # NaN, which both utilization clips would let through as 1.0.
+        (tmp_path / "s.json").write_text(
+            '{"schema_version": 1, "name": "big", "segments": [{"duration": '
+            f'1000000, "ipc_demand": {demand}, "fp_fraction": 0.2}}]}}'
+        )
+        config = write_config(
+            tmp_path,
+            "workload.spec = s.json\nfixed_tau = 100000\n"
+            "start_core = A0\nscheduler.enabled = no\n",
+        )
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "config error: the workload demands more instructions" in err
+            assert not out.exists()
+        else:
+            rows = list(csv.DictReader((out / "scatter.csv").read_text().splitlines()))
+            assert {row["utilization"] for row in rows} == {"0.8"}
+
     def test_nan_detector_threshold_exits_one_naming_the_field(
         self, tmp_path, capsys
     ):

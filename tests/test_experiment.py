@@ -5,6 +5,7 @@ import gc
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from phasesim import (
     detect_over_samples,
     emit_scatter_csv,
     experiment,
+    fft_like,
     load_summary,
     load_trace,
     overhead_report,
@@ -36,6 +38,7 @@ from phasesim import (
 from phasesim.experiment import (
     _SCATTER_BLOCK,
     _SCATTER_PRIORITY,
+    EVENT_COLUMNS,
     SCATTER_COLUMNS,
     ScatterTable,
 )
@@ -399,6 +402,25 @@ class TestArtifacts:
         assert len(migration_rows) == 2
         assert migration_rows[0].endswith("fft_like,B0,A0")
         assert migration_rows[1].endswith("fft_like,A0,B0")
+
+    def test_events_csv_reads_back_with_a_carriage_return_in_the_label(self, tmp_path):
+        # Under a "\n" line end the csv module leaves a "\r" bare, and a
+        # reader would end the row there: the migration rows are quoted.
+        spec = tmp_path / "spec.json"
+        save_workload_spec(replace(fft_like(), name="fft\rlike"), spec)
+        config = ExperimentConfig(
+            workload_spec_path=spec, mode=Mode.VARIABLE, start_core="B0"
+        )
+        result = run_experiment(config, out_dir=tmp_path / "run")
+        with open(tmp_path / "run" / "events.csv", encoding="utf-8", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == list(EVENT_COLUMNS)
+        assert len(rows) == len(result.events) == 6
+        assert all(len(row) == len(EVENT_COLUMNS) for row in rows)
+        assert [row[5:] for row in rows if row[1] == "migration"] == [
+            ["fft\rlike", "B0", "A0"],
+            ["fft\rlike", "A0", "B0"],
+        ]
 
 
 SCATTER_TOKENS = ["none", *(kind.value for kind in _SCATTER_PRIORITY)]

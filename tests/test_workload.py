@@ -238,8 +238,9 @@ class TestTraceFormats:
     @given(samples=valid_streams())
     @settings(max_examples=60, deadline=None)
     def test_any_valid_stream_round_trips(self, tmp_path_factory, samples):
-        # save_trace and the two readers' unrolled conversions and type
-        # tests must agree with IntervalSample on every valid value.
+        # save_trace, the CSV reader's unrolled conversion and the JSONL
+        # reader's type comparison must agree with IntervalSample on every
+        # valid value.
         tmp = tmp_path_factory.mktemp("traces")
         for fmt in ("csv", "jsonl"):
             path = tmp / f"trace.{fmt}"
@@ -247,6 +248,17 @@ class TestTraceFormats:
             loaded = list(load_trace(path))
             assert loaded == samples, fmt
             assert all(type(s.util_int) is type(s.util_fp) is float for s in loaded), fmt
+
+    def test_jsonl_keys_in_any_order_and_extra_keys_load_alike(self, tmp_path):
+        samples = build_stream([1.0, 2.5, 0.0], utils=[0.5, 0.96, 0.2])
+        path = tmp_path / "trace.jsonl"
+        save_trace(samples, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        reordered = [dict(reversed(record.items())) for record in records]
+        extended = [{"note": "x", **record, "util": [1.0]} for record in records]
+        for variant in (reordered, extended):
+            path.write_text("".join(json.dumps(record) + "\n" for record in variant))
+            assert list(load_trace(path)) == samples
 
 
 class TestTraceErrors:
@@ -430,6 +442,28 @@ class TestTraceErrors:
         path.write_text(path.read_text().replace('"util_int": 1.0', '"util_int": 1'))
         (sample,) = load_trace(path)
         assert type(sample.util_int) is float and sample.util_int == 1.0
+
+    def test_jsonl_line_missing_two_fields_names_them_in_column_order(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        save_trace(build_stream([1.0, 1.0]), path)
+        first, second = path.read_text().splitlines()
+        record = json.loads(second)
+        del record["util_fp"], record["tau"]
+        path.write_text(f"{first}\n{json.dumps(record)}\n")
+        with pytest.raises(TraceParseError) as exc:
+            list(load_trace(path))
+        assert str(exc.value) == "line 2: missing fields ['tau', 'util_fp']"
+
+    def test_jsonl_integer_utilization_then_a_bool_names_the_bool(self, tmp_path):
+        # The integer passes as a number; the bool in a later column does not.
+        path = tmp_path / "trace.jsonl"
+        save_trace(build_stream([1.0], utils=1.0), path)
+        record = json.loads(path.read_text())
+        record.update(util_int=1, util_fp=True)
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(TraceValidationError) as exc:
+            list(load_trace(path))
+        assert str(exc.value) == "row 0: util_fp must be a JSON number, got True"
 
     def test_jsonl_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
