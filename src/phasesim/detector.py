@@ -44,16 +44,34 @@ PHASE_CHANGE_KINDS = frozenset(
 #: of counts this size stay finite, so summary.json holds no Infinity.
 MAX_RETIRED = 2**63 - 1
 
-#: A utilization's types: a bool, though an int subclass, is not a number.
-_NUMBER_TYPES = (float, int)
-
-#: The value types each field annotation of a sample takes, by type identity,
-#: and their name in a message. Any other annotation fails at import.
+#: The value-type rule of every record the program reads: for each field
+#: annotation, the types a value may have, by type identity (a bool, though an
+#: int subclass, is not a number), and their name in a message.
 _VALUE_TYPES = {
     "int": ((int,), "an int"),
-    "float": (_NUMBER_TYPES, "a number"),
+    "float": ((float, int), "a number"),
     "str": ((str,), "a string"),
 }
+
+
+def typed_value(name: str, value, annotation: str):
+    """``value`` as a field ``name`` annotated ``annotation`` holds it.
+
+    A value of another type is refused with a ``ValueError`` naming the
+    field; an int in a ``"float"`` field becomes a float, and one too large
+    for a float is refused.
+    """
+    kinds, noun = _VALUE_TYPES[annotation]
+    if type(value) not in kinds:
+        raise ValueError(f"{name} must be {noun}, got {reprlib.repr(value)}")
+    if type(value) is int and annotation == "float":
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(
+                f"{name} does not fit a float, got {reprlib.repr(value)}"
+            ) from None
+    return value
 
 
 class UtilizationClass(Enum):
@@ -71,7 +89,9 @@ class IntervalSample:
     floating-point units over the interval. ``tau`` is the interval length in
     cycles; consecutive samples are expected to tile the cycle axis without
     gaps (``start_cycle + tau`` of one sample is the next one's start).
-    Building one checks it; only the core model's samples skip the check.
+    Building one checks it, each value under :func:`typed_value`, so an int
+    utilization is held as a float; only the core model's samples skip the
+    check.
     """
 
     index: int
@@ -83,21 +103,19 @@ class IntervalSample:
     source_core: str = ""
 
     def __post_init__(self) -> None:
-        # _SAMPLE_TYPES, unrolled: int counts, float or int utilizations
-        # (never a bool), a str core.
+        # The value-type rule, unrolled for the common sample: int counts,
+        # float utilizations, a str core. Any other goes field by field.
         if not (
             type(self.index) is int
             and type(self.start_cycle) is int
             and type(self.tau) is int
             and type(self.retired_instructions) is int
-            and type(self.util_int) in _NUMBER_TYPES
-            and type(self.util_fp) in _NUMBER_TYPES
+            and type(self.util_int) is float
+            and type(self.util_fp) is float
             and type(self.source_core) is str
         ):
-            for name, (kinds, noun) in _SAMPLE_TYPES.items():
-                value = getattr(self, name)
-                if type(value) not in kinds:
-                    raise ValueError(f"{name} must be {noun}, got {reprlib.repr(value)}")
+            for f in fields(self):
+                setattr(self, f.name, typed_value(f.name, getattr(self, f.name), f.type))
         if self.index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.index}")
         if not 0 <= self.start_cycle <= MAX_RETIRED:
@@ -119,10 +137,6 @@ class IntervalSample:
             raise ValueError(f"util_int must lie in [0, 1], got {self.util_int}")
         if not 0.0 <= self.util_fp <= 1.0:
             raise ValueError(f"util_fp must lie in [0, 1], got {self.util_fp}")
-
-
-#: Each sample field's accepted value types and their name, in field order.
-_SAMPLE_TYPES = {f.name: _VALUE_TYPES[f.type] for f in fields(IntervalSample)}
 
 
 @dataclass(frozen=True)

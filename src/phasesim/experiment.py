@@ -231,12 +231,13 @@ def _simulate(config: ExperimentConfig) -> RunResult:
     def step(sample: IntervalSample, phase_id: int, events: list[PhaseEvent]) -> None:
         nonlocal current_core, dead_cycles
         # Detector events mark a phase boundary; other events join the list.
-        if events or sample.index == 0:
+        # The first interval raises none; observe_average takes it as the baseline.
+        if events:
             # The boundary interval seeds a fresh average; it casts no
             # steadiness verdict and steady runs never span phases.
             if controller is not None:
                 controller.reset_baseline(detector.phases[phase_id].running_avg)
-            if events and config.scheduler_enabled:
+            if config.scheduler_enabled:
                 # Only the first event, the phase change, can be a utilization event.
                 migration = decide_migration(events[0], spec.name, current_core, cores)
                 if migration is not None:
@@ -418,8 +419,10 @@ def write_artifacts(result: RunResult, out_dir: str | Path) -> None:
         handle.write("\n")
 
 
-#: The summary keys that overhead_report reads, with their JSON types.
-_REPORT_KEYS = {"cycles_covered": int, "sample_count": int, "label": str, "mode": str}
+#: The summary keys that overhead_report reads, with their annotations.
+_REPORT_KEYS = {
+    "cycles_covered": "int", "sample_count": "int", "label": "str", "mode": "str"
+}
 
 
 def load_summary(run_dir: str | Path) -> dict:
@@ -432,8 +435,8 @@ def load_summary(run_dir: str | Path) -> dict:
     # A summary that is not a JSON object lacks every key.
     record = summary if isinstance(summary, dict) else {}
     try:
-        for key, kind in _REPORT_KEYS.items():
-            json_field(record, key, kind)
+        for key, annotation in _REPORT_KEYS.items():
+            json_field(record, key, annotation)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return summary

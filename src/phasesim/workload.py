@@ -5,36 +5,26 @@ from __future__ import annotations
 import csv
 import json
 import operator
-import reprlib
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core_model import WorkloadSegment
-from .detector import IntervalSample
+from .detector import IntervalSample, typed_value
 
 SPEC_SCHEMA_VERSION = 1
 TRACE_SCHEMA_VERSION = 1
 
-_JSON_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
-
-#: The JSON type of each field annotation a file record uses; any other
-#: annotation fails at import.
-_JSON_TYPES = {kind.__name__: kind for kind in _JSON_TYPE_NAMES}
-
-#: A trace row is an IntervalSample: its columns, in order, and their types.
-#: CSV rows hold them in this order; JSONL rows are ``schema_version`` and
-#: these keys.
-_TRACE_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(IntervalSample)}
-TRACE_COLUMNS = tuple(_TRACE_TYPES)
-_TRACE_ROW_TYPES = tuple(_TRACE_TYPES.values())
+#: A trace row is an IntervalSample: its columns, in order. CSV rows hold
+#: them in this order; JSONL rows are ``schema_version`` and these keys.
+TRACE_COLUMNS = tuple(f.name for f in fields(IntervalSample))
 _trace_values = operator.attrgetter(*TRACE_COLUMNS)
 _trace_row = operator.itemgetter(*TRACE_COLUMNS)
 
-#: A spec segment is a WorkloadSegment: its keys, in order, with their JSON
-#: types and defaults (None: required).
+#: A spec segment is a WorkloadSegment: its keys, in order, with their
+#: annotations and defaults (None: required).
 _SEGMENT_FIELDS = tuple(
-    (f.name, _JSON_TYPES[f.type], None if f.default is MISSING else f.default)
+    (f.name, f.type, None if f.default is MISSING else f.default)
     for f in fields(WorkloadSegment)
 )
 _raw_decode = json.JSONDecoder().raw_decode
@@ -176,34 +166,20 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
             raise ValueError(f"{path}: segment {i}: {exc}") from exc
     try:
         return WorkloadSpec(
-            name=json_field(payload, "name", str, Path(path).stem),
+            name=json_field(payload, "name", "str", Path(path).stem),
             segments=tuple(segments),
-            seed=json_field(payload, "seed", int, 0),
+            seed=json_field(payload, "seed", "int", 0),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def json_field(record: dict, name: str, kind: type, default=None):
-    """``record[name]``, required unless a default is given, checked to be of
-    JSON type ``kind``: the one type rule of specs, JSONL traces and
-    summaries. Type identity, not isinstance: a JSON true is a bool, not an
-    integer. ``float`` takes any JSON number and returns a float."""
+def json_field(record: dict, name: str, annotation: str, default=None):
+    """``record[name]``, required unless a default is given, as a field
+    annotated ``annotation`` holds it (see :func:`typed_value`)."""
     if default is None and name not in record:
         raise ValueError(f"missing required field {name!r}")
-    value = record.get(name, default)
-    if type(value) is kind:
-        return value
-    if kind is float and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValueError(
-                f"{name} does not fit a float, got {reprlib.repr(value)}"
-            ) from None
-    raise ValueError(
-        f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {reprlib.repr(value)}"
-    )
+    return typed_value(name, record.get(name, default), annotation)
 
 
 def detect_format(path: str | Path, explicit: str | None = None) -> str:
@@ -237,12 +213,7 @@ def save_trace(
     fmt = detect_format(path, fmt)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if fmt == "csv":
-            types = _TRACE_TYPES.values()
-            rows = (
-                [kind(value) for kind, value in zip(types, _trace_values(s))]
-                for s in samples
-            )
-            write_csv(handle, TRACE_COLUMNS, rows)
+            write_csv(handle, TRACE_COLUMNS, map(_trace_values, samples))
         else:
             for s in samples:
                 record = {"schema_version": TRACE_SCHEMA_VERSION}
@@ -326,7 +297,6 @@ def _csv_rows(path: Path) -> Iterator[tuple]:
 def _jsonl_rows(path: Path) -> Iterator[tuple]:
     """Decode a JSONL trace into rows in ``TRACE_COLUMNS`` order."""
     with open(path, "r", encoding="utf-8") as handle:
-        row_index = 0  # json_field's type errors name the row, counted as _samples does
         for line_number, line in enumerate(handle, start=1):
             # A JSON value cannot start with whitespace: a decode that ends
             # the line equals json.loads(line); other lines go to json.loads.
@@ -362,13 +332,4 @@ def _jsonl_rows(path: Path) -> Iterator[tuple]:
                 raise TraceParseError(
                     f"missing fields {missing}", line_number
                 ) from None
-            # json_field's rule over _TRACE_TYPES, in one comparison for the
-            # common row: type identity, as a JSON true is a bool. Any other
-            # row goes through json_field, which names the first bad column.
-            if tuple(map(type, row)) != _TRACE_ROW_TYPES:
-                try:
-                    row = tuple(json_field(record, *f) for f in _TRACE_TYPES.items())
-                except ValueError as exc:
-                    raise TraceValidationError(str(exc), row_index) from None
-            row_index += 1
-            yield row
+            yield row  # the sample built from it checks its types

@@ -246,7 +246,7 @@ class TestSimulateCommand:
             (
                 '{"schema_version": 1, "segments": [{"duration": 1000000.7, '
                 '"ipc_demand": 1.0}]}',
-                "duration must be a JSON integer",
+                "duration must be an int",
             ),
         ],
         ids=["bool_schema_version", "float_duration"],

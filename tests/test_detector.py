@@ -471,6 +471,18 @@ class TestSampleRule:
             save_trace([IntervalSample(**self.fields(source_core=value))], tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_an_int_utilization_is_held_and_written_as_a_float(self, tmp_path, fmt):
+        sample = IntervalSample(**self.fields(util_int=1, util_fp=0))
+        assert (repr(sample.util_int), repr(sample.util_fp)) == ("1.0", "0.0")
+        path = tmp_path / f"trace.{fmt}"
+        save_trace([sample], path)
+        assert "1.0" in path.read_text() and "0.0" in path.read_text()
+
+    def test_an_int_utilization_too_large_for_a_float_is_named(self):
+        with pytest.raises(ValueError, match="^util_fp does not fit a float, got 1000"):
+            IntervalSample(**self.fields(util_fp=10**400))
+
     @pytest.mark.parametrize("value", [0, 1, 0.25], ids=repr)
     def test_number_utilizations_round_trip_through_jsonl(self, tmp_path, value):
         path = tmp_path / "trace.jsonl"

@@ -260,6 +260,9 @@ class TestDetectOverSamples:
             [100_000] * 3 + [50_000],  # truncated tail below tau_min
             [300_000] * 3 + [600_000],  # neither length on the ladder
             [6_400_000] * 2 + [12_800_000],  # above tau_max
+            # The previous length off the ladder, the new one on it:
+            [50_000] + [100_000] * 2,  # below tau_min, then tau_min
+            [12_800_000] + [6_400_000] * 2,  # above tau_max, then tau_max
         ],
     )
     def test_off_ladder_lengths_are_no_tau_events(self, taus):

@@ -119,3 +119,25 @@ class TestSchedulerInRun:
         unscheduled = run_experiment(ExperimentConfig(scheduler_enabled=False, **config))
         assert result.rows == unscheduled.rows
         assert result.events == unscheduled.events
+
+    def test_a_utilization_change_that_recurs_still_migrates(self):
+        # Demand 3 pins a weak core's integer units. At the fifth interval the
+        # over-utilization change closes phase 0, and phase 0 is also the
+        # closed phase it recurs to: the change comes first, then its
+        # recurrence note, and the change moves the process to a strong core.
+        result = run_experiment(
+            ExperimentConfig(
+                workload_preset="steady",
+                preset_args={"demand": 3.0, "total_cycles": 1_000_000},
+                fixed_tau=100_000,
+                start_core="B0",
+            )
+        )
+        assert [(e.interval_index, e.kind) for e in result.events] == [
+            (4, PhaseEventKind.OVER_UTILIZATION),
+            (4, PhaseEventKind.PHASE_RECURRED),
+            (4, PhaseEventKind.MIGRATION),
+        ]
+        (migration,) = result.migrations
+        assert (migration.from_core, migration.to_core) == ("B0", "A0")
+        assert migration.reason is PhaseEventKind.OVER_UTILIZATION

@@ -152,7 +152,7 @@ class TestWorkloadSpecIO:
         start = text.index(key) + len(key)
         end = min(text.index(",", start), text.index("\n", start))
         path.write_text(text[:start] + "1e400" + text[end:])
-        with pytest.raises(ValueError, match=f"{where} must be a JSON integer, got inf"):
+        with pytest.raises(ValueError, match=f"{where} must be an int, got inf"):
             load_workload_spec(path)
 
     @pytest.mark.parametrize(
@@ -463,7 +463,7 @@ class TestTraceErrors:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(TraceValidationError) as exc:
             list(load_trace(path))
-        assert str(exc.value) == "row 0: util_fp must be a JSON number, got True"
+        assert str(exc.value) == "row 0: util_fp must be a number, got True"
 
     def test_jsonl_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -738,9 +738,9 @@ class TestOneJsonTypeRule:
         }
         for field, error in errors.items():
             if type(value) is int:
-                assert error is None or "must be a JSON" not in error
+                assert error is None or "must be an int" not in error
             else:
-                expected = f"{field} must be a JSON integer, got {reprlib.repr(value)}"
+                expected = f"{field} must be an int, got {reprlib.repr(value)}"
                 assert error is not None and error.endswith(expected)
 
     @given(value=ANY_JSON_VALUE)
@@ -756,14 +756,14 @@ class TestOneJsonTypeRule:
         shown = reprlib.repr(value)
         for field, error in errors.items():
             if type(value) is float or (type(value) is int and fits_a_float(value)):
-                assert error is None or "must be a JSON" not in error
+                assert error is None or "must be a number" not in error
                 assert error is None or "does not fit a float" not in error
             elif type(value) is int:
                 assert error is not None
                 assert error.endswith(f"{field} does not fit a float, got {shown}")
             else:
                 assert error is not None
-                assert error.endswith(f"{field} must be a JSON number, got {shown}")
+                assert error.endswith(f"{field} must be a number, got {shown}")
 
 
 # One defect a raw trace row may carry, as (field, change, value): "shift"
