@@ -67,8 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--demand", type=float, default=None, help="steady preset only")
     gen.add_argument("--emit-trace", action="store_true",
                      help="simulate the preset and write an interval trace")
-    gen.add_argument("--core-class", choices=("A", "B"), default="A")
-    gen.add_argument("--tau", type=int, default=100_000)
+    gen.add_argument("--core-class", choices=("A", "B"), default=None,
+                     help="--emit-trace only (default A)")
+    gen.add_argument("--tau", type=int, default=None,
+                     help="--emit-trace only (default 100000)")
 
     return parser
 
@@ -144,15 +146,22 @@ def _cmd_gen_workload(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
 
     if not args.emit_trace:
+        for flag, value in (("--core-class", args.core_class), ("--tau", args.tau)):
+            if value is not None:
+                raise ConfigError(
+                    f"{flag} was given without --emit-trace, but "
+                    "--core-class/--tau only apply to a trace"
+                )
         save_workload_spec(spec, args.out)
         print(f"wrote workload spec {args.out} ({len(spec.segments)} segments)")
         return 0
 
-    core = a_core("A0") if args.core_class == "A" else b_core("B0")
-    if args.tau < 1:
-        raise ConfigError(f"--tau must be >= 1, got {args.tau}")
+    core = b_core("B0") if args.core_class == "B" else a_core("A0")
+    tau = 100_000 if args.tau is None else args.tau
+    if tau < 1:
+        raise ConfigError(f"--tau must be >= 1, got {tau}")
     cursor, rng = start_simulation(spec, [core], seed=0)
-    intervals = iter(partial(simulate_interval, core, cursor, args.tau, rng), None)
+    intervals = iter(partial(simulate_interval, core, cursor, tau, rng), None)
     save_trace(intervals, args.out)  # streamed: written as simulated, none kept
     print(f"wrote trace {args.out} ({cursor.next_index} intervals on {core.name})")
     return 0
@@ -187,8 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     except (TraceError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit:
-        raise
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

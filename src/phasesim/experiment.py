@@ -4,7 +4,9 @@ Every run produces three files in its output directory: ``scatter.csv`` (one
 row per interval, annotated with the most significant event), ``events.csv``
 (every event, one row each) and ``summary.json`` (counts and per-phase
 means). Artifacts are written only after the run completes, so a failing run
-leaves no partial outputs.
+leaves no partial outputs. They are written from ``RunResult.table``, the
+scatter rows as columns; ``RunResult.rows`` is a list of ``ScatterRow``
+built from the table at its first read and then kept.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import random
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
-from itertools import islice, repeat
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -80,59 +83,27 @@ class ScatterRow(NamedTuple):
 SCATTER_COLUMNS = ScatterRow._fields
 
 
-class ScatterTable(Sequence[ScatterRow]):
-    """A run's scatter rows as columns, read as a sequence of ScatterRow.
-
-    The counts are 64-bit integer arrays, the utilization a double array (an
-    integer occupancy reads back as a float, which the writer writes as
-    repr(float)), and the event one byte, its code in ``_SCATTER_TOKENS``.
-    ``interval_index`` is the row's position, as the detector observes
-    intervals in index order from 0, and ``throughput_per_cycle`` is
-    ``throughput_raw / tau``, the division the detector makes. Each row read
-    is built anew; the table compares equal to a list of the same rows.
+class ScatterTable(NamedTuple):
+    """A run's scatter rows as columns: 64-bit integer arrays for the counts,
+    a double array for the utilization (an integer occupancy reads back as a
+    float, which the writer writes as repr(float)) and one byte for the
+    event, its code in ``_SCATTER_TOKENS``. ``interval_index`` is not stored:
+    it is the row's position, as the detector observes intervals in index
+    order from 0. Nor is ``throughput_per_cycle``: it is ``throughput_raw /
+    tau``, the division the detector makes.
     """
 
-    __slots__ = ("start_cycle", "tau", "throughput_raw", "utilization", "phase_id", "event")
-    #: The stored columns, in ``__slots__`` order.
-    columns = property(operator.attrgetter(*__slots__))
-
-    def __init__(self) -> None:
-        self.start_cycle = array("q")
-        self.tau = array("q")
-        self.throughput_raw = array("q")
-        self.utilization = array("d")
-        self.phase_id = array("q")
-        self.event = bytearray()
-
-    def __len__(self) -> int:
-        return len(self.tau)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]  # negative indexes and IndexError as on a list
-        raw, tau = self.throughput_raw[i], self.tau[i]
-        return ScatterRow(
-            i, self.start_cycle[i], tau, raw, raw / tau, self.utilization[i],
-            self.phase_id[i], _SCATTER_TOKENS[self.event[i]],
-        )
-
-    def __iter__(self) -> Iterator[ScatterRow]:
-        # tuple.__new__ builds each row in C, without the named tuple's
-        # Python-level __new__.
-        return map(tuple.__new__, repeat(ScatterRow), _row_fields(self))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ScatterTable):
-            return self.columns == other.columns
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
+    start_cycle: array
+    tau: array
+    throughput_raw: array
+    utilization: array
+    phase_id: array
+    event: bytearray
 
 
-def _row_fields(rows: ScatterTable) -> Iterator[tuple]:
+def _row_fields(table: ScatterTable) -> Iterator[tuple]:
     """Each row's fields in ``SCATTER_COLUMNS`` order, read off the columns."""
-    starts, taus, raws, utilizations, phase_ids, codes = rows.columns
+    starts, taus, raws, utilizations, phase_ids, codes = table
     return zip(
         range(len(taus)), starts, taus, raws, map(operator.truediv, raws, taus),
         utilizations, phase_ids, map(_SCATTER_TOKENS.__getitem__, codes),
@@ -141,9 +112,14 @@ def _row_fields(rows: ScatterTable) -> Iterator[tuple]:
 
 @dataclass
 class RunResult:
-    rows: ScatterTable
+    table: ScatterTable = field(repr=False)
     events: list[PhaseEvent]
     summary: dict
+
+    @cached_property
+    def rows(self) -> list[ScatterRow]:
+        """The scatter rows, built from the table at the first read and kept."""
+        return list(map(ScatterRow._make, _row_fields(self.table)))
 
     @property
     def migrations(self) -> list[PhaseEvent]:
@@ -304,9 +280,11 @@ def _run_intervals(
 ) -> RunResult:
     """Every run's interval loop: observe, ``step`` (which may add events),
     record the row and events; summarize under ``header`` at the end."""
-    rows = ScatterTable()
+    table = ScatterTable(
+        array("q"), array("q"), array("q"), array("d"), array("q"), bytearray()
+    )
     add_start, add_tau, add_raw, add_util, add_phase, add_code = (
-        column.append for column in rows.columns
+        column.append for column in table
     )
     emitted: list[PhaseEvent] = []
     observe = detector.observe  # bound per run, after any tracer has wrapped it
@@ -320,7 +298,7 @@ def _run_intervals(
         add_phase(phase_id)
         add_code(_event_code(events) if events else 0)
         emitted.extend(events)
-    return RunResult(rows, emitted, _build_summary(rows, emitted, header))
+    return RunResult(table, emitted, _build_summary(table, emitted, header))
 
 
 def _event_code(interval_events: list[PhaseEvent]) -> int:
@@ -336,7 +314,7 @@ def _event_code(interval_events: list[PhaseEvent]) -> int:
     )
 
 
-def _build_summary(rows: ScatterTable, emitted: list[PhaseEvent], header: dict) -> dict:
+def _build_summary(table: ScatterTable, emitted: list[PhaseEvent], header: dict) -> dict:
     """``header`` (label, mode, seed, run settings), then the run's counts."""
     # _value_ is the attribute the Enum.value property reads.
     event_counts = dict(Counter(map(operator.attrgetter("kind._value_"), emitted)))
@@ -345,7 +323,7 @@ def _build_summary(rows: ScatterTable, emitted: list[PhaseEvent], header: dict) 
     # sum accumulated in row order from 0.0.
     per_phase: dict[int, list] = {}
     for phase_id, raw, tau, util in zip(
-        rows.phase_id, rows.throughput_raw, rows.tau, rows.utilization
+        table.phase_id, table.throughput_raw, table.tau, table.utilization
     ):
         acc = per_phase.get(phase_id)
         if acc is None:
@@ -368,8 +346,8 @@ def _build_summary(rows: ScatterTable, emitted: list[PhaseEvent], header: dict) 
     return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         **header,
-        "sample_count": len(rows),
-        "cycles_covered": sum(rows.tau),
+        "sample_count": len(table.tau),
+        "cycles_covered": sum(table.tau),
         # Every phase id the detector mints is assigned to the interval that
         # opened it, so the rows hold every phase.
         "phase_count": len(per_phase),
@@ -388,9 +366,9 @@ _SCATTER_LINE = ",".join(["%s"] * len(SCATTER_COLUMNS)) + "\n"
 _SCATTER_BLOCK = 512
 
 
-def emit_scatter_csv(rows: ScatterTable, path: str | Path) -> None:
+def emit_scatter_csv(table: ScatterTable, path: str | Path) -> None:
     """Write the scatter table, formatting each line from the columns."""
-    lines = map(_SCATTER_LINE.__mod__, _row_fields(rows))
+    lines = map(_SCATTER_LINE.__mod__, _row_fields(table))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(SCATTER_COLUMNS) + "\n")
         while block := "".join(islice(lines, _SCATTER_BLOCK)):
@@ -412,7 +390,7 @@ def emit_events_csv(events: list[PhaseEvent], path: str | Path) -> None:
 def write_artifacts(result: RunResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit_scatter_csv(result.rows, out / "scatter.csv")
+    emit_scatter_csv(result.table, out / "scatter.csv")
     emit_events_csv(result.events, out / "events.csv")
     with open(out / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(result.summary, handle, indent=2, sort_keys=True)

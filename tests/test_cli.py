@@ -500,6 +500,20 @@ class TestGenWorkloadCommand:
         assert "only apply to the steady preset" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tau", "0"), ("--tau", "100000"), ("--core-class", "B")]
+    )
+    def test_trace_only_flag_without_emit_trace_names_itself(
+        self, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "x.json"
+        argv = ["gen-workload", "--preset", "fft_like", flag, value, "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {flag} was given without --emit-trace" in err
+        assert "only apply to a trace" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--format", "jsonl")])
     def test_no_seed_or_format_flag(self, tmp_path, capsys, flag, value):
         # The presets are noise-free, and the output's suffix picks the format.
@@ -987,6 +1001,19 @@ class TestRarelyTakenPaths:
         config = write_config(tmp_path, "workload.trace = t.csv\n")
         assert cli.main(["detect", "--config", str(config)]) == 1
         assert "config error: no output directory" in capsys.readouterr().err
+
+    def test_unknown_preset_in_a_config_exits_one_listing_the_presets(
+        self, tmp_path, capsys
+    ):
+        config = write_config(tmp_path, "workload.preset = nope\nfixed_tau = 100000\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert (
+            "config error: unknown preset 'nope'; known presets: fft_like, fmm_like, steady"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_emit_trace_with_a_zero_tau_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"

@@ -194,6 +194,16 @@ class TestExperimentConfigValidate:
         with pytest.raises(ConfigError, match="the machine lists no cores"):
             run_experiment(config)
 
+    def test_negative_seed_rejected(self):
+        config = ExperimentConfig(workload_preset="steady", fixed_tau=100_000, seed=-1)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            config.validate()
+
+    def test_start_core_outside_the_machine_does_not_resolve(self):
+        config = ExperimentConfig(start_core="Z9")
+        with pytest.raises(ConfigError, match="start_core 'Z9' not in machine"):
+            config.resolved_start_core()
+
     def test_start_core_defaults_to_first(self):
         config = ExperimentConfig(workload_preset="steady", fixed_tau=100_000)
         assert config.resolved_start_core().name == "A0"

@@ -248,6 +248,36 @@ class TestUncheckedSamples:
             assert repr(sample) == repr(checked)
 
 
+def one_segment_cursor() -> SegmentCursor:
+    return SegmentCursor([WorkloadSegment(1000, 1.0, 0.0, 0.0)])
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: CoreSpec("", CoreClass.A, 4), "core name must be non-empty"),
+            (lambda: SegmentCursor([]), "workload needs at least one segment"),
+            (
+                lambda: simulate_interval(
+                    a_core("A0"), one_segment_cursor(), 0, random.Random(0)
+                ),
+                "tau must be >= 1, got 0",
+            ),
+            (
+                lambda: simulate_interval(
+                    a_core("A0"), one_segment_cursor(), 100, random.Random(0), -1
+                ),
+                "dead_cycles must be >= 0, got -1",
+            ),
+        ],
+        ids=["empty_core_name", "no_segments", "zero_tau", "negative_dead_cycles"],
+    )
+    def test_refusal_names_its_cause(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestWorkloadSegmentValidation:
     def test_rejects_bad_duration(self):
         with pytest.raises(ValueError):

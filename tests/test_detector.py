@@ -103,6 +103,27 @@ class TestOnLadder:
             DetectorConfig(tau_max=tau_max)
 
 
+class TestDetectorConfigBounds:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("delta_th", 0.0, "delta_th must be > 0, got 0.0"),
+            ("util_window", 0, "util_window must be >= 1, got 0"),
+            ("steady_band", 0.0, "steady_band must be > 0, got 0.0"),
+            ("steady_upper_bound", 0, "steady_upper_bound must be >= 1, got 0"),
+            ("tau_min", 0, "tau_min must be >= 1, got 0"),
+        ],
+        ids=["delta_th", "util_window", "steady_band", "steady_upper_bound", "tau_min"],
+    )
+    def test_out_of_range_value_is_named(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetectorConfig(**{field: value})
+
+    def test_no_current_phase_before_any_interval(self):
+        with pytest.raises(ValueError, match="no interval observed yet"):
+            PhaseDetector(DetectorConfig()).current_phase
+
+
 class TestUtilization:
     def test_effective_is_max_of_pools(self):
         assert effective_utilization(0.3, 0.8) == 0.8

@@ -5,6 +5,7 @@ import gc
 import io
 import math
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -358,8 +359,8 @@ class TestReplayOfSimulatedSamples:
 
         n = len(simulated.rows)
         assert len(recorded) == n
-        assert replayed.rows.phase_id == simulated.rows.phase_id
-        assert replayed.rows.utilization == simulated.rows.utilization
+        assert replayed.table.phase_id == simulated.table.phase_id
+        assert replayed.table.utilization == simulated.table.utilization
         assert detector_events(replayed) == detector_events(simulated)
         # simulate stamps a tau event on the interval whose verdict moved
         # tau; a replay sees the new length one interval later. The final
@@ -434,12 +435,12 @@ SCATTER_FLOATS = st.one_of(
 )
 
 
-def scatter_table(*columns) -> ScatterTable:
-    """A table holding the given columns, in ``ScatterTable.columns`` order."""
-    table = ScatterTable()
-    for column, values in zip(table.columns, columns, strict=True):
-        column.extend(values)
-    return table
+def scatter_table(starts, taus, raws, utilizations, phase_ids, codes) -> ScatterTable:
+    """A table holding the given columns, in ``ScatterTable`` field order."""
+    return ScatterTable(
+        array("q", starts), array("q", taus), array("q", raws),
+        array("d", utilizations), array("q", phase_ids), bytearray(codes),
+    )
 
 
 @st.composite
@@ -467,7 +468,7 @@ def csv_module_scatter(table: ScatterTable) -> bytes:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCATTER_COLUMNS)
-    starts, taus, raws, utilizations, phase_ids, codes = table.columns
+    starts, taus, raws, utilizations, phase_ids, codes = table
     writer.writerows(
         [i, starts[i], taus[i], raws[i], raws[i] / taus[i], utilizations[i],
          phase_ids[i], SCATTER_TOKENS[codes[i]]]

@@ -183,12 +183,12 @@ def simulate_spec(
 def decisions(run: RunResult) -> tuple:
     """Every verdict of a run: its phase ids and interval lengths, its
     retired counts, and each event without d_i."""
-    rows = run.rows
+    table = run.table
     events = [
         (e.interval_index, e.kind, e.old_phase_id, e.new_phase_id, e.to_core)
         for e in run.events
     ]
-    return rows.phase_id, rows.tau, rows.throughput_raw, events
+    return table.phase_id, table.tau, table.throughput_raw, events
 
 
 class TestSplittingASegment:
@@ -225,5 +225,5 @@ class TestSplittingASegment:
         whole = simulate_spec(tmp_path_factory.mktemp("whole"), spec, mode, start, scheduler)
         split_run = simulate_spec(tmp_path_factory.mktemp("split"), split, mode, start, scheduler)
         assert decisions(split_run) == decisions(whole)
-        for a, b in zip(split_run.rows.utilization, whole.rows.utilization, strict=True):
+        for a, b in zip(split_run.table.utilization, whole.table.utilization, strict=True):
             assert math.isclose(a, b, rel_tol=16 * sys.float_info.epsilon, abs_tol=0.0)

@@ -97,6 +97,21 @@ class TestPresets:
         assert demands[1::2] == [demands[1]] * 4
         assert demands[0] != demands[1]
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: WorkloadSpec(name="", segments=steady().segments),
+                "workload name must be non-empty",
+            ),
+            (lambda: fmm_like(repeats=0), "repeats must be >= 1, got 0"),
+        ],
+        ids=["empty_name", "fmm_like_zero_repeats"],
+    )
+    def test_refusal_names_its_cause(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("fibonacci")
