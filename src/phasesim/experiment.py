@@ -4,9 +4,9 @@ Every run produces three files in its output directory: ``scatter.csv`` (one
 row per interval, annotated with the most significant event), ``events.csv``
 (every event, one row each) and ``summary.json`` (counts and per-phase
 means). Artifacts are written only after the run completes, so a failing run
-leaves no partial outputs. They are written from ``RunResult.table``, the
-scatter rows as columns; ``RunResult.rows`` is a list of ``ScatterRow``
-built from the table at its first read and then kept.
+leaves no partial outputs. Scatter rows are built from ``RunResult.table``,
+five columns, and ``RunResult.events``, which annotate them;
+``RunResult.rows`` is a list of ``ScatterRow`` built at its first read and kept.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ _SCATTER_PRIORITY = (
     PhaseEventKind.TAU_DOUBLED,
     PhaseEventKind.TAU_HALVED,
 )
-#: The annotation token of each event code a ScatterTable stores: 0 is
-#: "none", code i the kind at _SCATTER_PRIORITY[i - 1].
+#: The annotation token of each interval's event code: 0 is "none", code i
+#: the kind at _SCATTER_PRIORITY[i - 1].
 _SCATTER_TOKENS = ("none", *(kind.value for kind in _SCATTER_PRIORITY))
 
 
@@ -84,13 +84,13 @@ SCATTER_COLUMNS = ScatterRow._fields
 
 
 class ScatterTable(NamedTuple):
-    """A run's scatter rows as columns: 64-bit integer arrays for the counts,
-    a double array for the utilization (an integer occupancy reads back as a
-    float, which the writer writes as repr(float)) and one byte for the
-    event, its code in ``_SCATTER_TOKENS``. ``interval_index`` is not stored:
-    it is the row's position, as the detector observes intervals in index
-    order from 0. Nor is ``throughput_per_cycle``: it is ``throughput_raw /
-    tau``, the division the detector makes.
+    """A run's scatter rows as columns: 64-bit integer arrays for the counts
+    and a double array for the utilization (an integer occupancy reads back
+    as a float, which the writer writes as repr(float)). ``interval_index``
+    is not stored: it is the row's position, as the detector observes
+    intervals in index order from 0. Nor is ``throughput_per_cycle``: it is
+    ``throughput_raw / tau``, the division the detector makes. Nor is
+    ``event``: it is read off the run's events.
     """
 
     start_cycle: array
@@ -98,12 +98,18 @@ class ScatterTable(NamedTuple):
     throughput_raw: array
     utilization: array
     phase_id: array
-    event: bytearray
 
 
-def _row_fields(table: ScatterTable) -> Iterator[tuple]:
-    """Each row's fields in ``SCATTER_COLUMNS`` order, read off the columns."""
-    starts, taus, raws, utilizations, phase_ids, codes = table
+def _row_fields(table: ScatterTable, events: list[PhaseEvent]) -> Iterator[tuple]:
+    """Each row's fields in ``SCATTER_COLUMNS`` order: the columns, and as
+    the annotation the most significant kind among the row's events."""
+    starts, taus, raws, utilizations, phase_ids = table
+    codes = bytearray(len(taus))
+    for event in events:
+        if event.kind in _SCATTER_PRIORITY:
+            code = _SCATTER_PRIORITY.index(event.kind) + 1
+            index = event.interval_index
+            codes[index] = min(codes[index] or code, code)
     return zip(
         range(len(taus)), starts, taus, raws, map(operator.truediv, raws, taus),
         utilizations, phase_ids, map(_SCATTER_TOKENS.__getitem__, codes),
@@ -118,8 +124,8 @@ class RunResult:
 
     @cached_property
     def rows(self) -> list[ScatterRow]:
-        """The scatter rows, built from the table at the first read and kept."""
-        return list(map(ScatterRow._make, _row_fields(self.table)))
+        """The scatter rows, built from the table and events at first read, then kept."""
+        return list(map(ScatterRow._make, _row_fields(self.table, self.events)))
 
     @property
     def migrations(self) -> list[PhaseEvent]:
@@ -242,7 +248,9 @@ def detect_over_samples(
     det_cfg: DetectorConfig,
     label: str = "trace",
 ) -> RunResult:
-    """Run the detector over recorded intervals.
+    """Run the detector over recorded intervals. The detector refuses a sample
+    out of index order; a gap in start cycles is :func:`load_trace`'s check,
+    so in-memory samples replay with one.
 
     Interval-length events are reconstructed from the recorded lengths: the
     first sample observed at double/half the previous length is annotated,
@@ -280,12 +288,8 @@ def _run_intervals(
 ) -> RunResult:
     """Every run's interval loop: observe, ``step`` (which may add events),
     record the row and events; summarize under ``header`` at the end."""
-    table = ScatterTable(
-        array("q"), array("q"), array("q"), array("d"), array("q"), bytearray()
-    )
-    add_start, add_tau, add_raw, add_util, add_phase, add_code = (
-        column.append for column in table
-    )
+    table = ScatterTable(array("q"), array("q"), array("q"), array("d"), array("q"))
+    add_start, add_tau, add_raw, add_util, add_phase = (column.append for column in table)
     emitted: list[PhaseEvent] = []
     observe = detector.observe  # bound per run, after any tracer has wrapped it
     for sample in samples:
@@ -296,22 +300,8 @@ def _run_intervals(
         add_raw(sample.retired_instructions)
         add_util(detector.last_utilization)
         add_phase(phase_id)
-        add_code(_event_code(events) if events else 0)
         emitted.extend(events)
     return RunResult(table, emitted, _build_summary(table, emitted, header))
-
-
-def _event_code(interval_events: list[PhaseEvent]) -> int:
-    """The scatter annotation of an interval's events, as its code in
-    ``_SCATTER_TOKENS``: the most significant kind, or 0 for none."""
-    return min(
-        (
-            _SCATTER_PRIORITY.index(e.kind) + 1
-            for e in interval_events
-            if e.kind in _SCATTER_PRIORITY
-        ),
-        default=0,
-    )
 
 
 def _build_summary(table: ScatterTable, emitted: list[PhaseEvent], header: dict) -> dict:
@@ -366,9 +356,12 @@ _SCATTER_LINE = ",".join(["%s"] * len(SCATTER_COLUMNS)) + "\n"
 _SCATTER_BLOCK = 512
 
 
-def emit_scatter_csv(table: ScatterTable, path: str | Path) -> None:
-    """Write the scatter table, formatting each line from the columns."""
-    lines = map(_SCATTER_LINE.__mod__, _row_fields(table))
+def emit_scatter_csv(
+    table: ScatterTable, events: list[PhaseEvent], path: str | Path
+) -> None:
+    """Write the scatter rows of ``table`` and its run's ``events``,
+    formatting each line from the columns."""
+    lines = map(_SCATTER_LINE.__mod__, _row_fields(table, events))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(SCATTER_COLUMNS) + "\n")
         while block := "".join(islice(lines, _SCATTER_BLOCK)):
@@ -390,7 +383,7 @@ def emit_events_csv(events: list[PhaseEvent], path: str | Path) -> None:
 def write_artifacts(result: RunResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit_scatter_csv(result.table, out / "scatter.csv")
+    emit_scatter_csv(result.table, result.events, out / "scatter.csv")
     emit_events_csv(result.events, out / "events.csv")
     with open(out / "summary.json", "w", encoding="utf-8") as handle:
         json.dump(result.summary, handle, indent=2, sort_keys=True)

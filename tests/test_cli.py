@@ -156,6 +156,11 @@ class TestSimulateCommand:
                 {"s.json": b"[" * 100_000},
                 "s.json",
             ),
+            (
+                b"workload.spec = s.json\nfixed_tau = 100000\n",
+                {"s.json": b'{"schema_version": 1, "segments": [[1000000, 1.5]]}'},
+                "s.json: segment 0: a segment must be a JSON object",
+            ),
             (b"machine = m\0.csv\n", {}, "machine:"),
             (b"workload.trace = t\0.csv\n", {}, "workload.trace:"),
         ],
@@ -164,6 +169,7 @@ class TestSimulateCommand:
             "machine_invalid_utf8",
             "machine_field_over_limit",
             "spec_deep_nesting",
+            "spec_segment_not_an_object",
             "machine_nul_path",
             "trace_nul_path",
         ],

@@ -20,7 +20,9 @@ from phasesim import (
     ExperimentConfig,
     IntervalSample,
     Mode,
+    PhaseEvent,
     PhaseEventKind,
+    RunResult,
     ScatterRow,
     cli,
     detect_over_samples,
@@ -296,6 +298,17 @@ class TestDetectOverSamples:
         assert result.summary["sample_count"] == 0
         assert result.summary["phase_count"] == 0
 
+    @pytest.mark.parametrize(
+        "indexes, message",
+        [([0, 2], "got index 2, expected 1"), ([1], "got index 1, expected 0")],
+        ids=["skip", "first_not_zero"],
+    )
+    def test_in_memory_samples_out_of_order_are_refused(self, indexes, message):
+        samples = build_stream([1.0] * len(indexes))
+        shifted = [replace(s, index=i) for s, i in zip(samples, indexes)]
+        with pytest.raises(ValueError, match=f"^out-of-order sample: {message}$"):
+            detect_over_samples(shifted, DetectorConfig())
+
 
 _TAU_KINDS = (PhaseEventKind.TAU_DOUBLED, PhaseEventKind.TAU_HALVED)
 
@@ -435,71 +448,112 @@ SCATTER_FLOATS = st.one_of(
 )
 
 
-def scatter_table(starts, taus, raws, utilizations, phase_ids, codes) -> ScatterTable:
+def scatter_table(starts, taus, raws, utilizations, phase_ids) -> ScatterTable:
     """A table holding the given columns, in ``ScatterTable`` field order."""
     return ScatterTable(
         array("q", starts), array("q", taus), array("q", raws),
-        array("d", utilizations), array("q", phase_ids), bytearray(codes),
+        array("d", utilizations), array("q", phase_ids),
     )
+
+
+def scatter_event(index: int, kind: PhaseEventKind) -> PhaseEvent:
+    """An event of ``kind`` at row ``index``, valid for its kind."""
+    if kind is PhaseEventKind.MIGRATION:
+        return PhaseEvent(
+            index, kind, None, None, None, process="p", from_core="B0",
+            to_core="A0", reason=PhaseEventKind.OVER_UTILIZATION,
+        )
+    return PhaseEvent(index, kind, 0, 0, 0.0)
 
 
 @st.composite
 def scatter_tables(draw):
     """A table of 0-12 rows: any 64-bit counts (a tau of at least 1, as a
-    sample's), any double as the utilization, any event code."""
+    sample's), any double as the utilization; and 0-3 events of any kind at
+    each row, in row order as a run emits them."""
     n = draw(st.integers(0, 12))
 
     def column(elements):
         return draw(st.lists(elements, min_size=n, max_size=n))
 
-    return scatter_table(
+    table = scatter_table(
         column(INT64),
         column(st.integers(1, 2**63 - 1)),
         column(INT64),
         column(SCATTER_FLOATS),
         column(INT64),
-        column(st.integers(0, len(SCATTER_TOKENS) - 1)),
     )
+    events = [
+        scatter_event(index, kind)
+        for index in range(n)
+        for kind in draw(st.lists(st.sampled_from(PhaseEventKind), max_size=3))
+    ]
+    return table, events
 
 
-def csv_module_scatter(table: ScatterTable) -> bytes:
-    """The scatter table as the csv module writes it from the columns: the
-    reference for the format-string writer."""
+def csv_module_scatter(table: ScatterTable, events: list[PhaseEvent]) -> bytes:
+    """The scatter rows as the csv module writes them from the columns and
+    the events: the reference for the format-string writer. A row's token is
+    the first kind in ``_SCATTER_PRIORITY`` found among its events."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCATTER_COLUMNS)
-    starts, taus, raws, utilizations, phase_ids, codes = table
-    writer.writerows(
-        [i, starts[i], taus[i], raws[i], raws[i] / taus[i], utilizations[i],
-         phase_ids[i], SCATTER_TOKENS[codes[i]]]
-        for i in range(len(taus))
-    )
+    starts, taus, raws, utilizations, phase_ids = table
+    for i in range(len(taus)):
+        kinds = [e.kind for e in events if e.interval_index == i]
+        token = next((k.value for k in _SCATTER_PRIORITY if k in kinds), "none")
+        writer.writerow(
+            [i, starts[i], taus[i], raws[i], raws[i] / taus[i], utilizations[i],
+             phase_ids[i], token]
+        )
     return buffer.getvalue().encode("utf-8")
 
 
 class TestScatterWriter:
-    @given(table=scatter_tables())
+    @given(drawn=scatter_tables())
     @settings(max_examples=200, deadline=None)
-    def test_bytes_equal_the_csv_module(self, tmp_path_factory, table):
+    def test_bytes_equal_the_csv_module(self, tmp_path_factory, drawn):
         path = tmp_path_factory.mktemp("scatter") / "scatter.csv"
-        emit_scatter_csv(table, path)
-        assert path.read_bytes() == csv_module_scatter(table)
+        emit_scatter_csv(*drawn, path)
+        assert path.read_bytes() == csv_module_scatter(*drawn)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, _SCATTER_BLOCK + 3])
     def test_bytes_across_write_blocks(self, tmp_path, extra):
         n = _SCATTER_BLOCK + extra
         special = [-0.0, 5e-324, 1e22, 0.1, math.inf, -math.inf, math.nan]
+        kinds = list(PhaseEventKind)
         table = scatter_table(
             [7**i % 2**63 for i in range(n)],
             [1 + 3**i % 2**40 for i in range(n)],
             [-(5**i % 2**63) for i in range(n)],
             [special[i % len(special)] for i in range(n)],
             [i // 5 for i in range(n)],
-            [i % len(SCATTER_TOKENS) for i in range(n)],
         )
+        # Row i holds i % 4 events, of kinds that rotate with i.
+        events = [
+            scatter_event(i, kinds[(i + j) % len(kinds)])
+            for i in range(n)
+            for j in range(i % 4)
+        ]
         path = tmp_path / "scatter.csv"
-        emit_scatter_csv(table, path)
-        assert path.read_bytes() == csv_module_scatter(table)
+        emit_scatter_csv(table, events, path)
+        assert path.read_bytes() == csv_module_scatter(table, events)
+
+    def test_rows_that_share_events_take_the_most_significant(self, tmp_path):
+        table = scatter_table([0, 100, 200], [100] * 3, [50] * 3, [0.5] * 3, [0, 1, 2])
+        events = [
+            scatter_event(0, PhaseEventKind.OVER_UTILIZATION),
+            scatter_event(0, PhaseEventKind.PHASE_RECURRED),
+            scatter_event(0, PhaseEventKind.MIGRATION),
+            scatter_event(1, PhaseEventKind.THROUGHPUT_CHANGE),
+            scatter_event(1, PhaseEventKind.PHASE_RECURRED),
+        ]
+        path = tmp_path / "scatter.csv"
+        emit_scatter_csv(table, events, path)
+        assert path.read_bytes() == csv_module_scatter(table, events)
+        tokens = ["migration", "throughput_change", "none"]
+        assert [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]] == tokens
+        assert [row.event for row in RunResult(table, events, {}).rows] == tokens
 
     @pytest.mark.parametrize("token", SCATTER_TOKENS)
     def test_annotation_tokens_need_no_quoting(self, token):
@@ -603,8 +657,8 @@ def retained_bytes_per_interval(run) -> float:
 
 
 class TestRetainedMemory:
-    """A run keeps its rows as columns: 5 eight-byte fields and a one-byte
-    event per interval, plus the arrays' over-allocation."""
+    """A run keeps its rows as columns: 5 eight-byte fields per interval,
+    plus the arrays' over-allocation."""
 
     BUDGET = 64
 

@@ -23,6 +23,7 @@ from phasesim import (
     ExperimentConfig,
     Mode,
     RunResult,
+    WorkloadSegment,
     WorkloadSpec,
     default_machine,
     preset,
@@ -181,14 +182,33 @@ def simulate_spec(
 
 
 def decisions(run: RunResult) -> tuple:
-    """Every verdict of a run: its phase ids and interval lengths, its
-    retired counts, and each event without d_i."""
+    """Every verdict of a run: its phase ids and interval lengths, and each
+    event without d_i."""
     table = run.table
     events = [
         (e.interval_index, e.kind, e.old_phase_id, e.new_phase_id, e.to_core)
         for e in run.events
     ]
-    return table.phase_id, table.tau, table.throughput_raw, events
+    return table.phase_id, table.tau, events
+
+
+def assert_split_matches_whole(split_run: RunResult, whole: RunResult, cut: int) -> None:
+    """``split_run``, of a spec cut in two at cycle ``cut``, makes ``whole``'s
+    decisions. Retired counts are equal, save on the interval that holds the
+    cut, where they may differ by exactly 1; utilizations agree to a relative
+    error of 16 machine epsilons."""
+    assert decisions(split_run) == decisions(whole)
+    table = whole.table
+    for start, tau, split_raw, whole_raw in zip(
+        table.start_cycle, table.tau, split_run.table.throughput_raw,
+        table.throughput_raw, strict=True,
+    ):
+        if start < cut < start + tau:
+            assert abs(split_raw - whole_raw) <= 1
+        else:
+            assert split_raw == whole_raw
+    for a, b in zip(split_run.table.utilization, table.utilization, strict=True):
+        assert math.isclose(a, b, rel_tol=16 * sys.float_info.epsilon, abs_tol=0.0)
 
 
 class TestSplittingASegment:
@@ -197,9 +217,13 @@ class TestSplittingASegment:
 
     The bytes may change: an interval that spans the cut sums its demand,
     fp and noise cycles over two spans instead of one, so its utilization
-    can round differently in the last bits. Counts are rounded to integers
-    and hide that. So the decisions are compared exactly, and the
-    utilizations to a relative error of 16 machine epsilons.
+    can round differently in the last bits. Rounding a retired count to an
+    integer hides that, except at an exact tie: a product ``ipc * live`` of
+    ``x.5`` in one sum and a last bit above it in the other rounds to two
+    counts 1 apart. So the decisions are compared exactly, the retired
+    counts exactly but on the interval that holds the cut, where they may
+    differ by 1, and the utilizations to a relative error of 16 machine
+    epsilons.
     """
 
     @given(
@@ -224,6 +248,28 @@ class TestSplittingASegment:
 
         whole = simulate_spec(tmp_path_factory.mktemp("whole"), spec, mode, start, scheduler)
         split_run = simulate_spec(tmp_path_factory.mktemp("split"), split, mode, start, scheduler)
-        assert decisions(split_run) == decisions(whole)
-        for a, b in zip(split_run.table.utilization, whole.table.utilization, strict=True):
-            assert math.isclose(a, b, rel_tol=16 * sys.float_info.epsilon, abs_tol=0.0)
+        cut = sum(s.duration for s in spec.segments[:at]) + head
+        assert_split_matches_whole(split_run, whole, cut)
+
+    def test_a_rounding_tie_moves_the_count_at_the_cut_by_one(self, tmp_path_factory):
+        # The interval at cycles 6 700 000-6 800 000 retires 224 234.5
+        # instructions in one sum and 224 234.50000000003 in the other.
+        ahead = (
+            WorkloadSegment(100_000, 1.6),
+            WorkloadSegment(100_000, 1.6),
+            WorkloadSegment(6_541_605, 1.6),
+        )
+        last = WorkloadSegment(100_000, 2.7, 0.5)
+        spec = WorkloadSpec("tie", (*ahead, last))
+        split = WorkloadSpec(
+            "tie", (*ahead, replace(last, duration=203), replace(last, duration=99_797))
+        )
+        whole = simulate_spec(tmp_path_factory.mktemp("whole"), spec, Mode.FIXED, "A0", False)
+        split_run = simulate_spec(
+            tmp_path_factory.mktemp("split"), split, Mode.FIXED, "A0", False
+        )
+        assert_split_matches_whole(split_run, whole, cut=6_741_605 + 203)
+        assert whole.table.start_cycle[67] == 6_700_000
+        assert (whole.table.throughput_raw[67], split_run.table.throughput_raw[67]) == (
+            224_234, 224_235
+        )

@@ -105,8 +105,12 @@ class TestPresets:
                 "workload name must be non-empty",
             ),
             (lambda: fmm_like(repeats=0), "repeats must be >= 1, got 0"),
+            (
+                lambda: WorkloadSpec(name="s", segments=steady().segments, seed=-1),
+                "seed must be >= 0, got -1",
+            ),
         ],
-        ids=["empty_name", "fmm_like_zero_repeats"],
+        ids=["empty_name", "fmm_like_zero_repeats", "negative_seed"],
     )
     def test_refusal_names_its_cause(self, call, message):
         with pytest.raises(ValueError, match=message):
@@ -314,6 +318,27 @@ class TestTraceErrors:
         save_trace(gapped, path)
         with pytest.raises(TraceValidationError):
             list(load_trace(path))
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(index=2), "row 1: index 2 does not follow 0"),
+            (
+                dict(start_cycle=100_001),
+                "row 1: start_cycle 100001 leaves a gap (expected 100000)",
+            ),
+        ],
+        ids=["index_skip", "cycle_gap"],
+    )
+    def test_a_row_out_of_sequence_is_named(self, tmp_path, fmt, change, message):
+        first, second = build_stream([1.0, 1.0])
+        path = tmp_path / f"trace.{fmt}"
+        save_trace([first, replace(second, **change)], path)
+        with pytest.raises(TraceValidationError) as exc:
+            list(load_trace(path))
+        assert str(exc.value) == message
+        assert exc.value.row_index == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_first_index_other_than_zero_is_a_validation_error(self, tmp_path, fmt):
