@@ -94,26 +94,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     if args.config is not None:
-        config = parse_config_file(args.config)
+        config = parse_config_file(args.config, detect=True)
     else:
         config = ExperimentConfig()
-    if args.trace is not None:
-        config.workload_trace_path = Path(args.trace)
-        config.workload_preset = None
-        config.workload_spec_path = None
-    if config.workload_trace_path is None:
+    trace = Path(args.trace) if args.trace is not None else config.workload_trace_path
+    if trace is None:
         raise ConfigError("detect needs a trace: pass --trace or set workload.trace")
-    if config.workload_preset is not None or config.workload_spec_path is not None:
-        raise ConfigError(
-            "exactly one workload source required: detect replays "
-            "workload.trace, but the config also sets workload.preset or workload.spec"
-        )
     out_dir = Path(args.out) if args.out else config.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set out= in the config")
-    samples = load_trace(config.workload_trace_path, fmt=args.format)
     result = detect_over_samples(
-        samples, config.detector, label=config.workload_trace_path.name
+        load_trace(trace, fmt=args.format), config.detector, label=trace.name
     )
     write_artifacts(result, out_dir)
     _print_summary(result.summary, out_dir)

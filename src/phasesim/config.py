@@ -59,14 +59,12 @@ class ExperimentConfig:
                 "exactly one workload source required "
                 "(workload.preset or workload.spec)"
             )
-        if self.mode is Mode.FIXED:
-            if self.fixed_tau is None:
-                raise ConfigError("mode=fixed_tau requires a fixed_tau value")
-            if self.fixed_tau < self.detector.tau_min:
-                raise ConfigError(
-                    f"fixed_tau={self.fixed_tau} is below tau_min="
-                    f"{self.detector.tau_min}"
-                )
+        if self.mode is Mode.FIXED and self.fixed_tau is None:
+            raise ConfigError("mode=fixed_tau requires a fixed_tau value")
+        if self.fixed_tau is not None and self.fixed_tau < self.detector.tau_min:
+            raise ConfigError(
+                f"fixed_tau={self.fixed_tau} is below tau_min={self.detector.tau_min}"
+            )
         if self.preset_args and self.workload_preset != "steady":
             raise ConfigError(
                 "workload.cycles/demand/fp_fraction/noise only apply to the "
@@ -134,7 +132,9 @@ def _parse_path(value: str, key: str, base_dir: Path) -> Path:
     return base_dir / value
 
 
-def parse_config_file(path: str | Path) -> ExperimentConfig:
+def parse_config_file(path: str | Path, *, detect: bool = False) -> ExperimentConfig:
+    """Parse a config file; ``detect=True`` refuses every key ``detect`` does
+    not read, before any value is parsed or any file it names is opened."""
     path = Path(path)
     pairs: dict[str, str] = {}
     try:
@@ -152,6 +152,11 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key in pairs:
             raise ConfigError(f"{path}:{line_number}: duplicate key {key!r}")
+        if detect and key not in ("workload.trace", "out") and not key.startswith("detector."):
+            raise ConfigError(
+                f"{path}:{line_number}: detect reads only workload.trace, out "
+                f"and detector.* keys, got {key!r}"
+            )
         pairs[key] = value
     return parse_config_pairs(pairs, base_dir=path.parent)
 

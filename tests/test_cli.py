@@ -663,14 +663,15 @@ class TestDetectCommand:
         )
         out = tmp_path / "out"
         assert cli.main(["detect", "--config", str(config), "--out", str(out)]) == 1
-        assert "exactly one workload source" in capsys.readouterr().err
+        assert (
+            f"{config}:2: detect reads only workload.trace, out and detector.* "
+            "keys, got 'workload.preset'"
+        ) in capsys.readouterr().err
         assert not out.exists()
 
     def test_trace_flag_overrides_the_config_source(self, tmp_path):
         (tmp_path / "t.csv").write_bytes(TRACE_HEADER)
-        config = write_config(
-            tmp_path, "workload.preset = steady\nworkload.trace = other.csv\n"
-        )
+        config = write_config(tmp_path, "workload.trace = other.csv\n")
         out = tmp_path / "out"
         code = cli.main(
             ["detect", "--config", str(config), "--trace", str(tmp_path / "t.csv"),
@@ -678,6 +679,45 @@ class TestDetectCommand:
         )
         assert code == 0
         assert load_summary(out)["label"] == "t.csv"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("workload.preset", "steady"),
+            ("workload.spec", "spec.json"),
+            ("workload.cycles", "2000000"),
+            ("workload.demand", "2.0"),
+            ("workload.fp_fraction", "0.5"),
+            ("workload.noise", "0.5"),
+            ("machine", "nope.csv"),
+            ("start_core", "Z9"),
+            ("mode", "variable_tau"),
+            ("fixed_tau", "3"),
+            ("seed", "7"),
+            ("scheduler.enabled", "no"),
+            ("scheduler.migration_penalty", "-1"),
+        ],
+    )
+    def test_config_key_detect_does_not_read_exits_one(
+        self, tmp_path, capsys, key, value
+    ):
+        # Every simulate-only key is refused at its line, valid value or not,
+        # before any file it names is opened.
+        (tmp_path / "t.csv").write_bytes(TRACE_HEADER)
+        config = write_config(
+            tmp_path,
+            "# replay\nworkload.trace = t.csv\ndetector.tau_min = 50000\n"
+            f"{key} = {value}\n",
+        )
+        out = tmp_path / "out"
+        assert cli.main(["detect", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"{config}:4: detect reads only workload.trace, out and detector.* "
+            f"keys, got {key!r}"
+        ) in err
+        assert "cannot read machine file" not in err
+        assert not out.exists()
 
     def test_empty_trace_writes_header_only_artifacts(self, tmp_path):
         trace = tmp_path / "empty.csv"

@@ -136,10 +136,11 @@ detector.recurrence_matching = no
     def test_arbitrary_bytes_parse_or_raise_config_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("fuzz") / "run.conf"
         path.write_bytes(text)
-        try:
-            parse_config_file(path)
-        except ConfigError:
-            pass
+        for detect in (False, True):
+            try:
+                parse_config_file(path, detect=detect)
+            except ConfigError:
+                pass
 
 
 class TestExperimentConfigValidate:
@@ -165,9 +166,12 @@ class TestExperimentConfigValidate:
             config.validate()
 
     def test_fixed_tau_below_floor_rejected(self):
-        config = ExperimentConfig(workload_preset="steady", fixed_tau=50_000)
-        with pytest.raises(ConfigError):
-            config.validate()
+        # In either mode: a variable-tau run never reads fixed_tau, but a
+        # value that is set is still range-checked.
+        for mode in Mode:
+            config = ExperimentConfig(workload_preset="steady", mode=mode, fixed_tau=50_000)
+            with pytest.raises(ConfigError, match="fixed_tau=50000 is below tau_min"):
+                config.validate()
 
     def test_preset_args_only_fit_steady(self):
         config = ExperimentConfig(
