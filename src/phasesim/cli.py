@@ -8,17 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, Mode, parse_config_file
-from .core_model import a_core, b_core, simulate_interval
 from .experiment import (
     detect_over_samples,
     format_overhead_report,
     overhead_report,
     run_experiment,
-    start_simulation,
     write_artifacts,
 )
 from .workload import (
@@ -26,7 +23,6 @@ from .workload import (
     TraceError,
     load_trace,
     preset,
-    save_trace,
     save_workload_spec,
 )
 
@@ -47,6 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     tau_group.add_argument("--fixed-tau", type=int, default=None, metavar="N")
     tau_group.add_argument("--variable-tau", action="store_true")
     simulate.add_argument("--out", default=None, metavar="DIR")
+    simulate.add_argument("--emit-trace", default=None, metavar="PATH",
+                          help="also write each interval to a trace (csv or jsonl)")
 
     detect = sub.add_parser("detect", help="run the detector over a recorded trace")
     detect.add_argument("--trace", default=None, help="trace file (csv or jsonl)")
@@ -60,17 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("fixed_dir")
     compare.add_argument("variable_dir")
 
-    gen = sub.add_parser("gen-workload", help="write a preset workload or trace")
+    gen = sub.add_parser("gen-workload", help="write a preset workload spec")
     gen.add_argument("--preset", required=True)
     gen.add_argument("--out", required=True, metavar="PATH")
     gen.add_argument("--cycles", type=int, default=None, help="steady preset only")
     gen.add_argument("--demand", type=float, default=None, help="steady preset only")
-    gen.add_argument("--emit-trace", action="store_true",
-                     help="simulate the preset and write an interval trace")
-    gen.add_argument("--core-class", choices=("A", "B"), default=None,
-                     help="--emit-trace only (default A)")
-    gen.add_argument("--tau", type=int, default=None,
-                     help="--emit-trace only (default 100000)")
 
     return parser
 
@@ -87,7 +79,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else config.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set out= in the config")
-    result = run_experiment(config, out_dir)
+    result = run_experiment(config, out_dir, trace=args.emit_trace)
     _print_summary(result.summary, out_dir)
     return 0
 
@@ -135,26 +127,8 @@ def _cmd_gen_workload(args: argparse.Namespace) -> int:
         spec = preset(args.preset, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    if not args.emit_trace:
-        for flag, value in (("--core-class", args.core_class), ("--tau", args.tau)):
-            if value is not None:
-                raise ConfigError(
-                    f"{flag} was given without --emit-trace, but "
-                    "--core-class/--tau only apply to a trace"
-                )
-        save_workload_spec(spec, args.out)
-        print(f"wrote workload spec {args.out} ({len(spec.segments)} segments)")
-        return 0
-
-    core = b_core("B0") if args.core_class == "B" else a_core("A0")
-    tau = 100_000 if args.tau is None else args.tau
-    if tau < 1:
-        raise ConfigError(f"--tau must be >= 1, got {tau}")
-    cursor, rng = start_simulation(spec, [core], seed=0)
-    intervals = iter(partial(simulate_interval, core, cursor, tau, rng), None)
-    save_trace(intervals, args.out)  # streamed: written as simulated, none kept
-    print(f"wrote trace {args.out} ({cursor.next_index} intervals on {core.name})")
+    save_workload_spec(spec, args.out)
+    print(f"wrote workload spec {args.out} ({len(spec.segments)} segments)")
     return 0
 
 

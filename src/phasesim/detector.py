@@ -286,11 +286,12 @@ def match_recurring_phase(
 class PhaseDetector:
     """Streaming phase classifier.
 
-    Feed intervals in index order via :meth:`observe`; the detector assigns
-    each to a phase and reports change events. The utilization window is
-    cleared whenever a phase boundary is crossed, so a utilization streak
-    never spans two phases. One instance tracks one process and carries its
-    phase table across core migrations; instances are not thread-safe.
+    Feed intervals in index order, each starting where the previous one
+    ended, via :meth:`observe`; the detector assigns each to a phase and
+    reports change events. The utilization window is cleared whenever a phase
+    boundary is crossed, so a utilization streak never spans two phases. One
+    instance tracks one process and carries its phase table across core
+    migrations; instances are not thread-safe.
     """
 
     def __init__(self, config: DetectorConfig | None = None) -> None:
@@ -298,6 +299,8 @@ class PhaseDetector:
         self.phases: dict[int, PhaseState] = {}
         self.current_phase_id: int | None = None
         self.last_index: int | None = None
+        # Where the last observed interval ended: the next one starts there.
+        self._end_cycle = 0
         #: Percent deviation computed at the most recent interval, None while
         #: the deviation was undefined (first interval ever).
         self.last_delta: float | None = None
@@ -333,7 +336,10 @@ class PhaseDetector:
             raise ValueError(
                 f"out-of-order sample: got index {sample.index}, expected {expected}"
             )
-        self.last_index = expected
+        start = sample.start_cycle
+        if expected and start != self._end_cycle:
+            raise ValueError(f"start_cycle {start} leaves a gap (expected {self._end_cycle})")
+        self.last_index, self._end_cycle = expected, start + sample.tau
 
         config = self.config
         th = sample.retired_instructions / sample.tau

@@ -17,7 +17,6 @@ import operator
 import random
 from array import array
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import islice
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .config import ConfigError, ExperimentConfig, Mode
-from .core_model import CoreSpec, SegmentCursor, check_retire_range, simulate_interval
+from .core_model import SegmentCursor, check_retire_range, simulate_interval
 from .detector import (
     DetectorConfig,
     IntervalSample,
@@ -37,11 +36,13 @@ from .interval_control import IntervalController
 from .scheduler import decide_migration
 from .workload import (
     WorkloadSpec,
+    csv_writer,
+    detect_format,
     generate_workload,
     json_field,
     load_workload_spec,
     preset,
-    write_csv,
+    recorded,
 )
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -133,16 +134,20 @@ class RunResult:
 
 
 def run_experiment(
-    config: ExperimentConfig, out_dir: str | Path | None = None
+    config: ExperimentConfig,
+    out_dir: str | Path | None = None,
+    trace: str | Path | None = None,
 ) -> RunResult:
     """Simulate one preset or workload-spec source and write its artifacts.
+    With ``trace``, each interval is also written to that file as it is
+    simulated, in the format its suffix picks (see :func:`save_trace`).
 
     :meth:`ExperimentConfig.validate` refuses a trace source:
     ``detect_over_samples`` (``phasesim detect``) is the one replay path.
     """
     config.validate()
     target = Path(out_dir) if out_dir is not None else config.out_dir
-    result = _simulate(config)
+    result = _simulate(config, trace)
     if target is not None:
         write_artifacts(result, target)
     return result
@@ -161,15 +166,19 @@ def _resolve_workload(config: ExperimentConfig) -> WorkloadSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def start_simulation(
-    spec: WorkloadSpec, cores: Sequence[CoreSpec], seed: int
-) -> tuple[SegmentCursor, random.Random]:
-    """The segment cursor and noise generator of a simulation of ``spec`` on
-    ``cores``. Refuses a workload on which an interval could retire past a
-    64-bit count on the widest core, or whose demanded instructions in total
-    do not fit a float: an interval's blended demand sums a share of them.
-    Both seeds take part, so re-seeding either the run or the workload
-    reshuffles the noise draws."""
+def _simulate(config: ExperimentConfig, trace: str | Path | None) -> RunResult:
+    """Set up a run and simulate it. Set-up refuses a workload shorter than
+    ``tau_min``, one on which an interval could retire past a 64-bit count on
+    the widest core, and one whose demanded instructions do not sum to a
+    float. The trace file is opened after set-up: a refused run writes none."""
+    det_cfg = config.detector
+    spec = _resolve_workload(config)
+    if spec.total_cycles < det_cfg.tau_min:
+        raise ConfigError(
+            f"workload covers {spec.total_cycles} cycles, shorter than "
+            f"tau_min={det_cfg.tau_min}"
+        )
+    cores = config.machine_cores
     segments = generate_workload(spec)
     cursor = SegmentCursor(segments)
     try:
@@ -181,19 +190,9 @@ def start_simulation(
             "the workload demands more instructions in total (the sum of "
             "duration * ipc_demand over its segments) than a float holds"
         )
-    return cursor, random.Random(seed + spec.seed)
-
-
-def _simulate(config: ExperimentConfig) -> RunResult:
-    det_cfg = config.detector
-    spec = _resolve_workload(config)
-    if spec.total_cycles < det_cfg.tau_min:
-        raise ConfigError(
-            f"workload covers {spec.total_cycles} cycles, shorter than "
-            f"tau_min={det_cfg.tau_min}"
-        )
-    cores = config.machine_cores
-    cursor, rng = start_simulation(spec, cores, config.seed)
+    # Both seeds take part, so re-seeding either the run or the workload
+    # reshuffles the noise draws.
+    rng = random.Random(config.seed + spec.seed)
     start = current_core = config.resolved_start_core()
     detector = PhaseDetector(det_cfg)
     controller = IntervalController(det_cfg) if config.mode is Mode.VARIABLE else None
@@ -240,7 +239,11 @@ def _simulate(config: ExperimentConfig) -> RunResult:
         "start_core": start.name,
         "scheduler_enabled": config.scheduler_enabled,
     }
-    return _run_intervals(intervals(), detector, step, header)
+    if trace is None:
+        return _run_intervals(intervals(), detector, step, header)
+    with open(trace, "w", encoding="utf-8", newline="") as handle:
+        samples = recorded(intervals(), handle, detect_format(trace))
+        return _run_intervals(samples, detector, step, header)
 
 
 def detect_over_samples(
@@ -249,8 +252,7 @@ def detect_over_samples(
     label: str = "trace",
 ) -> RunResult:
     """Run the detector over recorded intervals. The detector refuses a sample
-    out of index order; a gap in start cycles is :func:`load_trace`'s check,
-    so in-memory samples replay with one.
+    out of index order or one that does not start where the previous ended.
 
     Interval-length events are reconstructed from the recorded lengths: the
     first sample observed at double/half the previous length is annotated,
@@ -376,8 +378,9 @@ _EVENT_FIELDS = operator.attrgetter(
 
 def emit_events_csv(events: list[PhaseEvent], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        # The csv module writes None as an empty field.
-        write_csv(handle, EVENT_COLUMNS, map(_EVENT_FIELDS, events))
+        write = csv_writer(handle, EVENT_COLUMNS)
+        for event in events:
+            write(_EVENT_FIELDS(event))  # the csv module writes None as an empty field
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path) -> None:

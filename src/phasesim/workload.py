@@ -20,6 +20,7 @@ TRACE_SCHEMA_VERSION = 1
 TRACE_COLUMNS = tuple(f.name for f in fields(IntervalSample))
 _trace_values = operator.attrgetter(*TRACE_COLUMNS)
 _trace_row = operator.itemgetter(*TRACE_COLUMNS)
+_JSONL_KEYS = ("schema_version", *TRACE_COLUMNS)
 
 #: A spec segment is a WorkloadSegment: its keys, in order, with their
 #: annotations and defaults (None: required).
@@ -193,18 +194,38 @@ def detect_format(path: str | Path, explicit: str | None = None) -> str:
     return "csv"
 
 
-def write_csv(handle: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and ``rows`` to ``handle`` as CSV lines ending in
-    "\\n". Under that line end the csv module leaves a "\\r" unquoted, and a
-    reader ends the line there: a row with a "\\r" in a string is quoted."""
-    writer = csv.writer(handle, lineterminator="\n")
-    quoting = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-    writer.writerow(header)
-    for row in rows:
+def csv_writer(handle: TextIO, header: Sequence[str]) -> Callable[[Sequence], None]:
+    """Write ``header`` to ``handle``; return a function that writes one row.
+    Lines end in "\\n". Under that line end the csv module leaves a "\\r"
+    unquoted, and a reader ends the line there: a row with a "\\r" in a
+    string is quoted."""
+    plain = csv.writer(handle, lineterminator="\n").writerow
+    quoting = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerow
+
+    def write(row: Sequence) -> None:
         if any(type(value) is str and "\r" in value for value in row):
-            quoting.writerow(row)
+            quoting(row)
         else:
-            writer.writerow(row)
+            plain(row)
+
+    plain(header)
+    return write
+
+
+def recorded(
+    samples: Iterable[IntervalSample], handle: TextIO, fmt: str
+) -> Iterator[IntervalSample]:
+    """``samples``, each yielded after its trace row is written to ``handle``
+    in ``fmt``, "csv" or "jsonl"; none is kept, so a trace of any length streams."""
+    if fmt == "csv":
+        write = csv_writer(handle, TRACE_COLUMNS)
+    else:
+        def write(values: tuple) -> None:
+            record = dict(zip(_JSONL_KEYS, (TRACE_SCHEMA_VERSION, *values)))
+            handle.write(json.dumps(record) + "\n")
+    for sample in samples:
+        write(_trace_values(sample))
+        yield sample
 
 
 def save_trace(
@@ -212,13 +233,8 @@ def save_trace(
 ) -> None:
     fmt = detect_format(path, fmt)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        if fmt == "csv":
-            write_csv(handle, TRACE_COLUMNS, map(_trace_values, samples))
-        else:
-            for s in samples:
-                record = {"schema_version": TRACE_SCHEMA_VERSION}
-                record.update(zip(TRACE_COLUMNS, _trace_values(s)))
-                handle.write(json.dumps(record) + "\n")
+        for _ in recorded(samples, handle, fmt):
+            pass
 
 
 def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[IntervalSample]:

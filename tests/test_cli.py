@@ -32,6 +32,21 @@ MACHINE_HEADER = (
     b"name,core_class,issue_width,int_window,fp_window,int_fu_count,fp_fu_count\n"
 )
 
+#: simulate at a fixed tau on its start core: a replay of the trace of such a
+#: run writes the run's own scatter and events.
+ONE_CORE_FIXED = "mode = fixed_tau\nfixed_tau = 100000\nscheduler.enabled = no\n"
+
+
+def simulate_trace(tmp_path, text, trace_name):
+    """Write ``trace_name`` with ``simulate --emit-trace`` over a config of
+    ``text``; the run's artifacts go to ``simulated``."""
+    config = write_config(tmp_path, text, name="traced.conf")
+    trace = tmp_path / trace_name
+    simulated = tmp_path / "simulated"
+    argv = ["simulate", "--config", str(config), "--out", str(simulated)]
+    assert cli.main([*argv, "--emit-trace", str(trace)]) == 0
+    return trace
+
 
 class TestSimulateCommand:
     def test_happy_path(self, tmp_path, capsys):
@@ -411,68 +426,6 @@ class TestGenWorkloadCommand:
         )
         assert load_summary(out)["sample_count"] == 10
 
-    def test_emit_trace_then_detect(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.csv"
-        code = cli.main(
-            [
-                "gen-workload",
-                "--preset",
-                "fft_like",
-                "--emit-trace",
-                "--out",
-                str(trace_path),
-            ]
-        )
-        assert code == 0
-        assert "270 intervals" in capsys.readouterr().out
-        out = tmp_path / "detected"
-        code = cli.main(["detect", "--trace", str(trace_path), "--out", str(out)])
-        assert code == 0
-        summary = load_summary(out)
-        assert summary["sample_count"] == 270
-        assert summary["phase_count"] == 3
-        assert summary["mode"] == "detect"
-
-    def test_emit_trace_on_small_core(self, tmp_path):
-        trace_path = tmp_path / "trace.jsonl"
-        code = cli.main(
-            [
-                "gen-workload",
-                "--preset",
-                "steady",
-                "--cycles",
-                "500000",
-                "--demand",
-                "3.0",
-                "--emit-trace",
-                "--core-class",
-                "B",
-                "--out",
-                str(trace_path),
-            ]
-        )
-        assert code == 0
-        lines = trace_path.read_text().splitlines()
-        assert len(lines) == 5
-        first = json.loads(lines[0])
-        assert first["source_core"] == "B0"
-        assert first["retired_instructions"] == 200_000
-
-    @pytest.mark.parametrize("cycles", [2**62, 2**61 - 1])
-    def test_emit_trace_that_could_retire_past_a_64_bit_counter_exits_one(
-        self, tmp_path, capsys, cycles
-    ):
-        out = tmp_path / "t.csv"
-        code = cli.main(
-            [
-                "gen-workload", "--preset", "steady", "--cycles", str(cycles),
-                "--demand", "4.0", "--tau", str(2**62), "--emit-trace", "--out", str(out),
-            ]
-        )
-        assert code == 1
-        assert "could retire more than" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_unknown_preset_exits_one(self, tmp_path):
         code = cli.main(
             ["gen-workload", "--preset", "mystery", "--out", str(tmp_path / "x.json")]
@@ -507,27 +460,105 @@ class TestGenWorkloadCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--tau", "0"), ("--tau", "100000"), ("--core-class", "B")]
+        "flag, value",
+        [
+            ("--seed", "5"),
+            ("--format", "jsonl"),
+            ("--emit-trace", "t.csv"),
+            ("--tau", "100000"),
+            ("--core-class", "B"),
+        ],
     )
-    def test_trace_only_flag_without_emit_trace_names_itself(
-        self, tmp_path, capsys, flag, value
-    ):
+    def test_no_trace_seed_or_format_flag(self, tmp_path, capsys, flag, value):
+        # gen-workload writes specs only: simulate --emit-trace writes traces,
+        # at the core and tau its config names. The presets are noise-free.
         out = tmp_path / "x.json"
         argv = ["gen-workload", "--preset", "fft_like", flag, value, "--out", str(out)]
         assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"config error: {flag} was given without --emit-trace" in err
-        assert "only apply to a trace" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--format", "jsonl")])
-    def test_no_seed_or_format_flag(self, tmp_path, capsys, flag, value):
-        # The presets are noise-free, and the output's suffix picks the format.
-        out = tmp_path / "t.csv"
-        argv = ["gen-workload", "--preset", "fft_like", "--emit-trace", flag, value]
-        assert cli.main([*argv, "--out", str(out)]) == 1
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestEmitTrace:
+    def test_trace_then_detect(self, tmp_path, capsys):
+        text = "workload.preset = fft_like\n" + ONE_CORE_FIXED
+        trace = simulate_trace(tmp_path, text, "t.csv")
+        assert "samples=270 " in capsys.readouterr().out
+        assert len(trace.read_text().splitlines()) == 271
+        out = tmp_path / "detected"
+        assert cli.main(["detect", "--trace", str(trace), "--out", str(out)]) == 0
+        summary = load_summary(out)
+        assert summary["sample_count"] == 270
+        assert summary["phase_count"] == 3
+        assert summary["mode"] == "detect"
+
+    def test_jsonl_trace_on_small_core(self, tmp_path):
+        text = (
+            "workload.preset = steady\nworkload.cycles = 500000\n"
+            "workload.demand = 3.0\nstart_core = B0\n" + ONE_CORE_FIXED
+        )
+        lines = simulate_trace(tmp_path, text, "t.jsonl").read_text().splitlines()
+        assert len(lines) == 5
+        first = json.loads(lines[0])
+        assert first["schema_version"] == 1
+        assert first["source_core"] == "B0"
+        assert first["retired_instructions"] == 200_000
+
+    def test_artifacts_are_those_of_a_run_without_the_flag(self, tmp_path):
+        # Variable tau on a weak core: migrations, tau changes, dead cycles.
+        config = write_config(
+            tmp_path, "workload.preset = fft_like\nmode = variable_tau\nstart_core = B0\n"
+        )
+        plain, traced = tmp_path / "plain", tmp_path / "traced"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(plain)]) == 0
+        argv = ["simulate", "--config", str(config), "--out", str(traced)]
+        assert cli.main([*argv, "--emit-trace", str(tmp_path / "t.csv")]) == 0
+        for name in ("scatter.csv", "events.csv", "summary.json"):
+            assert (plain / name).read_bytes() == (traced / name).read_bytes(), name
+        summary = load_summary(traced)
+        assert summary["migration_count"] > 0
+        rows = len((tmp_path / "t.csv").read_text().splitlines()) - 1
+        assert rows == summary["sample_count"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "workload.preset = steady\nworkload.cycles = 99999\nfixed_tau = 100000\n",
+                "workload covers 99999 cycles, shorter than tau_min=100000",
+            ),
+            ("workload.preset = steady\nfixed_tau = 0\n", "fixed_tau=0 is below tau_min"),
+            (
+                f"workload.preset = steady\nworkload.cycles = {2**62}\n"
+                f"workload.demand = 4.0\nfixed_tau = {2**62}\n",
+                f"workload covers {2**62} cycles: at issue width 4 an interval "
+                f"could retire more than {MAX_RETIRED} instructions",
+            ),
+            (
+                f"workload.preset = steady\nworkload.cycles = {2**61 - 1}\n"
+                f"workload.demand = 4.0\nfixed_tau = {2**62}\n",
+                f"workload covers {2**61 - 1} cycles: at issue width 4 an interval "
+                f"could retire more than {MAX_RETIRED} instructions",
+            ),
+        ],
+        ids=["shorter_than_tau_min", "zero_tau", "2**62", "2**61-1"],
+    )
+    def test_run_refused_at_set_up_writes_no_trace(self, tmp_path, capsys, text, message):
+        config = write_config(tmp_path, text)
+        trace, out = tmp_path / "t.csv", tmp_path / "run"
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        assert cli.main([*argv, "--emit-trace", str(trace)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not trace.exists()
+        assert not out.exists()
+
+    def test_trace_needs_an_output_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path, FIXED_STEADY)
+        trace = tmp_path / "t.csv"
+        argv = ["simulate", "--config", str(config), "--emit-trace", str(trace)]
+        assert cli.main(argv) == 1
+        assert "config error: no output directory" in capsys.readouterr().err
+        assert not trace.exists()
 
 
 class TestDetectCommand:
@@ -733,19 +764,8 @@ class TestDetectCommand:
 
     def test_format_override(self, tmp_path):
         # A jsonl stream behind a .log extension only loads when --format says so.
-        spec_trace = tmp_path / "trace.jsonl"
-        cli.main(
-            [
-                "gen-workload",
-                "--preset",
-                "steady",
-                "--cycles",
-                "300000",
-                "--emit-trace",
-                "--out",
-                str(spec_trace),
-            ]
-        )
+        text = "workload.preset = steady\nworkload.cycles = 300000\n" + ONE_CORE_FIXED
+        spec_trace = simulate_trace(tmp_path, text, "trace.jsonl")
         renamed = tmp_path / "trace.log"
         renamed.write_bytes(spec_trace.read_bytes())
         out = tmp_path / "out"
@@ -770,19 +790,8 @@ class TestDetectCommand:
         assert bad == 2
 
     def test_detector_overrides_from_config(self, tmp_path):
-        trace = tmp_path / "trace.csv"
-        cli.main(
-            [
-                "gen-workload",
-                "--preset",
-                "steady",
-                "--cycles",
-                "1000000",
-                "--emit-trace",
-                "--out",
-                str(trace),
-            ]
-        )
+        text = "workload.preset = steady\nworkload.cycles = 1000000\n" + ONE_CORE_FIXED
+        trace = simulate_trace(tmp_path, text, "trace.csv")
         config = write_config(
             tmp_path,
             f"workload.trace = {trace.name}\ndetector.delta_under = 0.5\n",
@@ -940,29 +949,67 @@ class TestCompareCommand:
         assert cli.main(["compare-overhead", str(a), str(b)]) == 1
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("core_class", ["A", "B"])
-@pytest.mark.parametrize("preset_name", ["fft_like", "fmm_like"])
-def test_simulate_agrees_with_detect_over_gen_workload_trace(
-    tmp_path, preset_name, core_class, seed
-):
-    # simulate and gen-workload --emit-trace each run their own interval
-    # loop; with a fixed tau and no scheduler they must produce the same
-    # intervals, so detect over the trace writes the same scatter and events.
-    # The presets carry no noise, so simulate's seed moves no interval.
-    config = write_config(
-        tmp_path,
-        f"workload.preset = {preset_name}\nmode = fixed_tau\nfixed_tau = 100000\n"
-        f"scheduler.enabled = no\nstart_core = {core_class}0\nseed = {seed}\n",
-    )
-    trace = tmp_path / "trace.csv"
-    simulated, replayed = tmp_path / "simulated", tmp_path / "replayed"
-    assert cli.main(["simulate", "--config", str(config), "--out", str(simulated)]) == 0
-    gen = ["gen-workload", "--preset", preset_name, "--emit-trace"]
-    assert cli.main([*gen, "--core-class", core_class, "--out", str(trace)]) == 0
+def simulate_and_replay(tmp_path, text):
+    """``simulate --emit-trace`` over a config of ``text``, then ``detect``
+    over its trace: the two runs' output directories."""
+    trace = simulate_trace(tmp_path, text, "trace.csv")
+    replayed = tmp_path / "replayed"
     assert cli.main(["detect", "--trace", str(trace), "--out", str(replayed)]) == 0
+    return tmp_path / "simulated", replayed
+
+
+REPLAY_MATRIX = [
+    pytest.param(
+        f"workload.preset = {preset_name}\nstart_core = {core}\nseed = {seed}\n",
+        id=f"{preset_name}-{core}-{seed}",
+    )
+    for preset_name in ("fft_like", "fmm_like")
+    for core in ("A0", "B0")
+    for seed in (0, 7)
+]
+
+
+@pytest.mark.parametrize("text", REPLAY_MATRIX)
+def test_simulate_agrees_with_detect_over_its_own_trace(tmp_path, text):
+    # At a fixed tau on one core the replay sees every interval simulate saw,
+    # at the length simulate ran it, and migrates nothing: it writes the same
+    # scatter and events. The presets carry no noise, so the seed moves no
+    # interval.
+    simulated, replayed = simulate_and_replay(tmp_path, text + ONE_CORE_FIXED)
     for name in ("scatter.csv", "events.csv"):
         assert (simulated / name).read_bytes() == (replayed / name).read_bytes(), name
+
+
+def _csv_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+#: Events a replay does not repeat: it migrates nothing, and it stamps a tau
+#: event on the first interval at the new length, one after simulate does.
+_SIMULATE_ONLY_EVENTS = ("migration", "tau_doubled", "tau_halved")
+
+
+@pytest.mark.parametrize("scheduler", ["yes", "no"])
+@pytest.mark.parametrize(
+    "mode", ["mode = fixed_tau\nfixed_tau = 100000\n", "mode = variable_tau\n"]
+)
+@pytest.mark.parametrize("text", REPLAY_MATRIX)
+def test_replay_of_simulate_trace_repeats_phases_and_detector_events(
+    tmp_path, text, mode, scheduler
+):
+    simulated, replayed = simulate_and_replay(
+        tmp_path, f"{text}{mode}scheduler.enabled = {scheduler}\n"
+    )
+    runs = (simulated, replayed)
+    phase_ids = [[row["phase_id"] for row in _csv_rows(run / "scatter.csv")] for run in runs]
+    events = [
+        [row for row in _csv_rows(run / "events.csv") if row["kind"] not in _SIMULATE_ONLY_EVENTS]
+        for run in runs
+    ]
+    assert phase_ids[0] == phase_ids[1]
+    assert events[0] == events[1]
+    assert events[0]  # every run changes phase at least once
 
 
 def test_documented_example_runs(tmp_path, capsys):
@@ -1060,16 +1107,6 @@ class TestRarelyTakenPaths:
             in capsys.readouterr().err
         )
         assert not out.exists()
-
-    def test_emit_trace_with_a_zero_tau_exits_one(self, tmp_path, capsys):
-        trace = tmp_path / "t.csv"
-        code = cli.main(
-            ["gen-workload", "--preset", "steady", "--emit-trace", "--tau", "0",
-             "--out", str(trace)]
-        )
-        assert code == 1
-        assert "config error: --tau must be >= 1, got 0" in capsys.readouterr().err
-        assert not trace.exists()
 
     @pytest.mark.parametrize(
         "extra, utilization", [("", 0.4), ("workload.fp_fraction = 1.0\n", 0.8)]

@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import math
+import re
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -299,15 +300,21 @@ class TestDetectOverSamples:
         assert result.summary["phase_count"] == 0
 
     @pytest.mark.parametrize(
-        "indexes, message",
-        [([0, 2], "got index 2, expected 1"), ([1], "got index 1, expected 0")],
-        ids=["skip", "first_not_zero"],
+        "heads, message",
+        [
+            ([(0, 0), (2, 500)], "out-of-order sample: got index 2, expected 1"),
+            ([(1, 0)], "out-of-order sample: got index 1, expected 0"),
+            ([(0, 0), (1, 1000)], "start_cycle 1000 leaves a gap (expected 500)"),
+            ([(0, 0), (1, 499)], "start_cycle 499 leaves a gap (expected 500)"),
+        ],
+        ids=["skip", "first_not_zero", "gap", "overlap"],
     )
-    def test_in_memory_samples_out_of_order_are_refused(self, indexes, message):
-        samples = build_stream([1.0] * len(indexes))
-        shifted = [replace(s, index=i) for s, i in zip(samples, indexes)]
-        with pytest.raises(ValueError, match=f"^out-of-order sample: {message}$"):
-            detect_over_samples(shifted, DetectorConfig())
+    def test_in_memory_samples_out_of_order_are_refused(self, heads, message):
+        # Each sample is (index, start_cycle) on a stream of 500-cycle intervals.
+        samples = build_stream([0.5] * len(heads), tau=500)
+        moved = [replace(s, index=i, start_cycle=c) for s, (i, c) in zip(samples, heads)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            detect_over_samples(moved, DetectorConfig())
 
 
 _TAU_KINDS = (PhaseEventKind.TAU_DOUBLED, PhaseEventKind.TAU_HALVED)
@@ -677,26 +684,32 @@ class TestRetainedMemory:
 
 
 class TestStreamedTraceMemory:
-    """gen-workload --emit-trace writes each sample as it is simulated, so its
-    peak memory does not grow with the trace: 20 000 intervals stay under a
-    MiB (a list of their samples alone takes several)."""
+    """simulate --emit-trace writes each sample as it is simulated, so the
+    trace adds nothing that grows with the run to its peak memory: over
+    20 000 intervals it stays within a quarter MiB of the same run without
+    the flag (a list of their samples alone takes several MiB)."""
 
-    BUDGET = 1 << 20
+    BUDGET = 1 << 18
 
     def test_emit_trace_keeps_no_samples(self, tmp_path, capsys):
-        argv = [
-            "gen-workload", "--preset", "steady", "--cycles", str(20_000 * 100_000),
-            "--emit-trace", "--out", str(tmp_path / "steady.csv"),
-        ]
-        assert cli.main(argv) == 0  # first calls may fill caches
-        tracemalloc.start()
-        try:
-            assert cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert "20000 intervals" in capsys.readouterr().out
-        assert peak < self.BUDGET
+        config = tmp_path / "steady.conf"
+        config.write_text(
+            f"workload.preset = steady\nworkload.cycles = {20_000 * 100_000}\n"
+            "mode = fixed_tau\nfixed_tau = 100000\n"
+        )
+        run = ["simulate", "--config", str(config), "--out", str(tmp_path / "run")]
+        traced = [*run, "--emit-trace", str(tmp_path / "steady.csv")]
+        peaks = []
+        for argv in (run, traced, run, traced):  # first calls may fill caches
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert "samples=20000 " in capsys.readouterr().out
+        assert len((tmp_path / "steady.csv").read_text().splitlines()) == 20_001
+        assert peaks[3] - peaks[2] < self.BUDGET
 
 
 class TestOverheadReport:

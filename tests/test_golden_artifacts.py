@@ -55,15 +55,17 @@ SIMULATE_CASES = {
 }
 
 #: Detect cases: the trace file name (its suffix picks the format) and the
-#: ``gen-workload --emit-trace`` flags that write it.
+#: config of the ``simulate --emit-trace`` run that writes it, at a fixed tau
+#: on one core.
+_TRACED = "mode = fixed_tau\nfixed_tau = 100000\nscheduler.enabled = no\n"
 DETECT_CASES = {
     "detect_fft_like_B_csv": (
         "trace.csv",
-        ["--preset", "fft_like", "--core-class", "B"],
+        "workload.preset = fft_like\nstart_core = B0\n" + _TRACED,
     ),
     "detect_fmm_like_A_jsonl": (
         "trace.jsonl",
-        ["--preset", "fmm_like", "--core-class", "A"],
+        "workload.preset = fmm_like\nstart_core = A0\n" + _TRACED,
     ),
 }
 
@@ -251,10 +253,12 @@ def run_simulate_case(name: str, tmp_path: Path) -> dict[str, str]:
 
 
 def run_detect_case(name: str, tmp_path: Path) -> dict[str, str]:
-    trace_name, flags = DETECT_CASES[name]
+    trace_name, text = DETECT_CASES[name]
+    config = tmp_path / "traced.conf"
+    config.write_text(text)
     trace = tmp_path / trace_name
-    code = cli.main(["gen-workload", *flags, "--emit-trace", "--out", str(trace)])
-    assert code == 0
+    simulated = ["simulate", "--config", str(config), "--out", str(tmp_path / "simulated")]
+    assert cli.main([*simulated, "--emit-trace", str(trace)]) == 0
     out = tmp_path / "run"
     assert cli.main(["detect", "--trace", str(trace), "--out", str(out)]) == 0
     return {
@@ -291,5 +295,7 @@ def test_phase_count_is_every_phase_in_the_rows(name, tmp_path, monkeypatch):
     summary = json.loads((out / "summary.json").read_text())
     with open(out / "scatter.csv", newline="") as handle:
         phase_ids = {row["phase_id"] for row in csv.DictReader(handle)}
-    [detector] = detectors
+    # A detect case simulates its trace first: the last detector is the replay's.
+    assert len(detectors) == (1 if name in SIMULATE_CASES else 2)
+    detector = detectors[-1]
     assert summary["phase_count"] == len(phase_ids) == len(detector.phases)
