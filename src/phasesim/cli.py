@@ -76,31 +76,34 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config.fixed_tau = args.fixed_tau
     elif args.variable_tau:
         config.mode = Mode.VARIABLE
-    out_dir = Path(args.out) if args.out else config.out_dir
-    if out_dir is None:
-        raise ConfigError("no output directory: pass --out or set out= in the config")
-    result = run_experiment(config, out_dir, trace=args.emit_trace)
+    out_dir = _out_dir(args, config)
+    result = run_experiment(config, out_dir, trace=args.emit_trace or None)
     _print_summary(result.summary, out_dir)
     return 0
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        config = parse_config_file(args.config, detect=True)
-    else:
-        config = ExperimentConfig()
-    trace = Path(args.trace) if args.trace is not None else config.workload_trace_path
+    config = (
+        ExperimentConfig() if args.config is None else parse_config_file(args.config, detect=True)
+    )
+    trace = Path(args.trace) if args.trace else config.workload_trace_path
     if trace is None:
         raise ConfigError("detect needs a trace: pass --trace or set workload.trace")
-    out_dir = Path(args.out) if args.out else config.out_dir
-    if out_dir is None:
-        raise ConfigError("no output directory: pass --out or set out= in the config")
+    out_dir = _out_dir(args, config)
     result = detect_over_samples(
         load_trace(trace, fmt=args.format), config.detector, label=trace.name
     )
     write_artifacts(result, out_dir)
     _print_summary(result.summary, out_dir)
     return 0
+
+
+def _out_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
+    """``--out``, else the config's ``out``; an empty flag counts as not given."""
+    out_dir = Path(args.out) if args.out else config.out_dir
+    if out_dir is None:
+        raise ConfigError("no output directory: pass --out or set out= in the config")
+    return out_dir
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

@@ -126,6 +126,9 @@ _DETECTOR_PARSERS = {
 
 
 def _parse_path(value: str, key: str, base_dir: Path) -> Path:
+    # An empty value would name base_dir itself.
+    if not value:
+        raise ConfigError(f"{key}: expected a path, got an empty value")
     # The OS cannot open a path with a NUL byte; Python raises ValueError.
     if "\0" in value:
         raise ConfigError(f"{key}: path contains a NUL byte: {value!r}")

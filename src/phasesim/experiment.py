@@ -138,18 +138,21 @@ def run_experiment(
     out_dir: str | Path | None = None,
     trace: str | Path | None = None,
 ) -> RunResult:
-    """Simulate one preset or workload-spec source and write its artifacts.
-    With ``trace``, each interval is also written to that file as it is
-    simulated, in the format its suffix picks (see :func:`save_trace`).
+    """Simulate one preset or workload-spec source and, given ``out_dir``,
+    write its artifacts there. With ``trace``, each interval is also written
+    to that file as it is simulated, in the format its suffix picks (see
+    :func:`save_trace`); it may sit in ``out_dir`` but may not be ``out_dir``.
 
     :meth:`ExperimentConfig.validate` refuses a trace source:
     ``detect_over_samples`` (``phasesim detect``) is the one replay path.
     """
     config.validate()
-    target = Path(out_dir) if out_dir is not None else config.out_dir
-    result = _simulate(config, trace)
-    if target is not None:
-        write_artifacts(result, target)
+    out = Path(out_dir) if out_dir is not None else None
+    if trace is not None and out is not None and Path(trace).resolve() == out.resolve():
+        raise ConfigError(f"the trace {str(trace)!r} is the output directory; name a file in it")
+    result = _simulate(config, out, trace)
+    if out is not None:
+        write_artifacts(result, out)
     return result
 
 
@@ -166,11 +169,14 @@ def _resolve_workload(config: ExperimentConfig) -> WorkloadSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _simulate(config: ExperimentConfig, trace: str | Path | None) -> RunResult:
+def _simulate(
+    config: ExperimentConfig, out: Path | None, trace: str | Path | None
+) -> RunResult:
     """Set up a run and simulate it. Set-up refuses a workload shorter than
     ``tau_min``, one on which an interval could retire past a 64-bit count on
     the widest core, and one whose demanded instructions do not sum to a
-    float. The trace file is opened after set-up: a refused run writes none."""
+    float. The output directory is made after set-up and the trace file
+    opened after that: a refused run writes neither."""
     det_cfg = config.detector
     spec = _resolve_workload(config)
     if spec.total_cycles < det_cfg.tau_min:
@@ -239,6 +245,8 @@ def _simulate(config: ExperimentConfig, trace: str | Path | None) -> RunResult:
         "start_core": start.name,
         "scheduler_enabled": config.scheduler_enabled,
     }
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     if trace is None:
         return _run_intervals(intervals(), detector, step, header)
     with open(trace, "w", encoding="utf-8", newline="") as handle:
@@ -251,35 +259,20 @@ def detect_over_samples(
     det_cfg: DetectorConfig,
     label: str = "trace",
 ) -> RunResult:
-    """Run the detector over recorded intervals. The detector refuses a sample
-    out of index order or one that does not start where the previous ended.
+    """Run the detector alone over recorded intervals. The detector refuses a
+    sample out of index order or one that does not start where the previous
+    ended.
 
-    Interval-length events are reconstructed from the recorded lengths: the
-    first sample observed at double/half the previous length is annotated,
-    provided both lengths lie on the configured ladder (the only lengths the
-    interval controller ever sets). An off-ladder length, such as a final
-    interval truncated below ``tau_min``, is no tau event.
+    A replay raises no tau or migration events: those are the interval
+    controller's and the scheduler's decisions, which only ``simulate`` runs.
+    Every recorded length is in the table's ``tau`` column.
     """
-    detector = PhaseDetector(det_cfg)
-    prev_tau: int | None = None
-
-    def step(sample: IntervalSample, phase_id: int, events: list[PhaseEvent]) -> None:
-        nonlocal prev_tau
-        tau = sample.tau
-        if (
-            prev_tau is not None
-            and (tau == prev_tau * 2 or tau * 2 == prev_tau)
-            and det_cfg.on_ladder(tau)
-            and det_cfg.on_ladder(prev_tau)
-        ):
-            kind = PhaseEventKind.TAU_DOUBLED if tau > prev_tau else PhaseEventKind.TAU_HALVED
-            events.append(
-                PhaseEvent(sample.index, kind, phase_id, phase_id, detector.last_delta)
-            )
-        prev_tau = tau
-
     header = {"label": label, "mode": "detect", "seed": None}
-    return _run_intervals(samples, detector, step, header)
+    return _run_intervals(samples, PhaseDetector(det_cfg), _detector_only, header)
+
+
+def _detector_only(sample: IntervalSample, phase_id: int, events: list[PhaseEvent]) -> None:
+    """``detect``'s step: the detector's events are the run's events."""
 
 
 def _run_intervals(

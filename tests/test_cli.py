@@ -178,6 +178,10 @@ class TestSimulateCommand:
             ),
             (b"machine = m\0.csv\n", {}, "machine:"),
             (b"workload.trace = t\0.csv\n", {}, "workload.trace:"),
+            (b"fixed_tau = 100000\nout =\n", {}, "out: expected a path, got an empty value"),
+            (b"workload.spec = \n", {}, "workload.spec: expected a path, got an empty value"),
+            (b"workload.trace =\n", {}, "workload.trace: expected a path, got an empty value"),
+            (b"machine =\n", {}, "machine: expected a path, got an empty value"),
         ],
         ids=[
             "config_invalid_utf8",
@@ -187,6 +191,10 @@ class TestSimulateCommand:
             "spec_segment_not_an_object",
             "machine_nul_path",
             "trace_nul_path",
+            "out_empty_path",
+            "spec_empty_path",
+            "trace_empty_path",
+            "machine_empty_path",
         ],
     )
     def test_unreadable_config_input_exits_one(
@@ -560,6 +568,38 @@ class TestEmitTrace:
         assert "config error: no output directory" in capsys.readouterr().err
         assert not trace.exists()
 
+    def test_trace_in_the_output_directory(self, tmp_path):
+        # The output directory is made before the trace opens.
+        config = write_config(tmp_path, FIXED_STEADY)
+        out = tmp_path / "run"
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        assert cli.main([*argv, "--emit-trace", str(out / "trace.csv")]) == 0
+        names = ["events.csv", "scatter.csv", "summary.json", "trace.csv"]
+        assert sorted(path.name for path in out.iterdir()) == names
+        assert len((out / "trace.csv").read_text().splitlines()) == 21
+
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    @pytest.mark.parametrize("suffix", ["", "/"], ids=["bare", "trailing_slash"])
+    def test_trace_that_is_the_output_directory_exits_one(
+        self, tmp_path, capsys, monkeypatch, relative, suffix
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, FIXED_STEADY)
+        trace = ("run" if relative else str(tmp_path / "run")) + suffix
+        argv = ["simulate", "--config", str(config), "--out", "run"]
+        assert cli.main([*argv, "--emit-trace", trace]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: the trace '{trace}' is the output directory" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.conf"]
+
+    def test_empty_trace_path_counts_as_not_given(self, tmp_path, capsys):
+        config = write_config(tmp_path, FIXED_STEADY)
+        out = tmp_path / "run"
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        assert cli.main([*argv, "--emit-trace", ""]) == 0
+        assert "samples=20 " in capsys.readouterr().out
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run", "run.conf"]
+
 
 class TestDetectCommand:
     def test_missing_trace_file_exits_two(self, tmp_path):
@@ -710,6 +750,16 @@ class TestDetectCommand:
         )
         assert code == 0
         assert load_summary(out)["label"] == "t.csv"
+
+    def test_empty_trace_flag_counts_as_not_given(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_bytes(TRACE_HEADER)
+        config = write_config(tmp_path, "workload.trace = t.csv\n")
+        out = tmp_path / "out"
+        argv = ["detect", "--trace", "", "--out", str(out)]
+        assert cli.main([*argv, "--config", str(config)]) == 0
+        assert load_summary(out)["label"] == "t.csv"
+        assert cli.main(argv) == 1
+        assert "config error: detect needs a trace" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value",
@@ -985,8 +1035,9 @@ def _csv_rows(path):
         return list(csv.DictReader(handle))
 
 
-#: Events a replay does not repeat: it migrates nothing, and it stamps a tau
-#: event on the first interval at the new length, one after simulate does.
+#: Events a replay does not raise: tau changes and migrations are the
+#: interval controller's and the scheduler's decisions, which only simulate
+#: runs. Without them a replay's events are simulate's, in every mode.
 _SIMULATE_ONLY_EVENTS = ("migration", "tau_doubled", "tau_halved")
 
 

@@ -222,45 +222,42 @@ class TestSimulateVariable:
         assert result.summary["phase_count"] == 2
 
 
-class TestDetectOverSamples:
-    def test_tau_events_reconstructed_from_lengths(self):
-        taus = [100_000] * 3 + [200_000] * 3 + [100_000] * 2
-        samples = []
-        start = 0
-        for i, tau in enumerate(taus):
-            samples.append(
-                IntervalSample(
-                    index=i,
-                    start_cycle=start,
-                    tau=tau,
-                    retired_instructions=tau,
-                    util_int=0.5,
-                    util_fp=0.0,
-                )
-            )
-            start += tau
-        result = detect_over_samples(samples, DetectorConfig())
-        kinds = [
-            (e.interval_index, e.kind.value)
-            for e in result.events
-        ]
-        assert kinds == [(3, "tau_doubled"), (6, "tau_halved")]
-        assert result.summary["mode"] == "detect"
+#: The controller's and the scheduler's events: only ``simulate`` runs them.
+_SIMULATE_ONLY_KINDS = (
+    PhaseEventKind.TAU_DOUBLED,
+    PhaseEventKind.TAU_HALVED,
+    PhaseEventKind.MIGRATION,
+)
 
-    def test_detect_stamps_the_first_sample_at_the_new_length(self):
-        # The simulator stamps the interval whose steady streak triggered the
-        # change; replaying the recorded trace can only see the new length
-        # arrive, one sample later.
+
+def detector_only(events: list[PhaseEvent]) -> list[PhaseEvent]:
+    """``events`` without the controller's and the scheduler's."""
+    return [e for e in events if e.kind not in _SIMULATE_ONLY_KINDS]
+
+
+class TestDetectOverSamples:
+    def test_replay_records_every_length_but_stamps_no_tau_event(self):
+        # simulate stamps each doubling on the interval whose steady streak
+        # triggered it; the replay runs no controller, so the new lengths
+        # are only its tau column, from the interval after.
         sim = run_experiment(steady_config(mode=Mode.VARIABLE))
+        doubled = [e.interval_index for e in sim.events]
+        assert doubled == [75, 150, 225, 300]
         result = detect_over_samples(replay_rows(sim.rows), DetectorConfig())
-        doubled = [e.interval_index for e in result.events]
-        assert doubled == [76, 151, 226, 301]
+        assert result.events == []
+        taus = result.table.tau
+        assert taus == sim.table.tau
+        assert [i for i in range(1, len(taus)) if taus[i] == 2 * taus[i - 1]] == [
+            76, 151, 226, 301
+        ]
         assert result.summary["sample_count"] == 356
         assert result.summary["phase_count"] == 1
 
     @pytest.mark.parametrize(
         "taus",
         [
+            # Doubling, then halving, on the tau_min * 2**k ladder:
+            [100_000] * 3 + [200_000] * 3 + [100_000] * 2,
             [100_000] * 3 + [50_000],  # truncated tail below tau_min
             [300_000] * 3 + [600_000],  # neither length on the ladder
             [6_400_000] * 2 + [12_800_000],  # above tau_max
@@ -268,29 +265,45 @@ class TestDetectOverSamples:
             [50_000] + [100_000] * 2,  # below tau_min, then tau_min
             [12_800_000] + [6_400_000] * 2,  # above tau_max, then tau_max
         ],
+        ids=["ladder", "truncated", "off_ladder", "above_tau_max", "to_tau_min", "to_tau_max"],
     )
-    def test_off_ladder_lengths_are_no_tau_events(self, taus):
+    def test_detect_stamps_no_tau_event(self, taus):
         samples = build_stream([1.0] * len(taus), utils=0.5, tau=taus)
-        assert detect_over_samples(samples, DetectorConfig()).events == []
+        result = detect_over_samples(samples, DetectorConfig())
+        assert result.events == []
+        assert list(result.table.tau) == taus
+        assert result.summary["mode"] == "detect"
 
-    def test_truncated_tail_is_neither_a_phase_nor_a_tau_change(self):
-        # 100.5 intervals of 100k cycles: the last one is cut to 50k. Its
-        # per-cycle throughput matches the phase, and half of tau_min is no
-        # length the controller ever sets.
-        sim = run_experiment(
-            steady_config(
-                preset_args={"total_cycles": 10_050_000},
-                detector=DetectorConfig(delta_th=20.0),
-            )
-        )
-        assert sim.rows[-1].tau == 50_000
+    @pytest.mark.parametrize(
+        "config, tail",
+        [
+            # 100.5 intervals of 100k cycles: the last one is cut to 50k. Its
+            # per-cycle throughput matches the phase.
+            (
+                steady_config(
+                    preset_args={"total_cycles": 10_050_000},
+                    detector=DetectorConfig(delta_th=20.0),
+                ),
+                50_000,
+            ),
+            # The controller doubles tau to 1.6M; the last interval is cut to
+            # 800k, half of it and on the ladder.
+            (
+                steady_config(mode=Mode.VARIABLE, preset_args={"total_cycles": 199_800_000}),
+                800_000,
+            ),
+        ],
+        ids=["fixed", "variable"],
+    )
+    def test_truncated_tail_is_neither_a_phase_nor_a_tau_change(self, config, tail):
+        sim = run_experiment(config)
+        assert sim.rows[-1].tau == tail
         assert sim.summary["phase_count"] == 1
-        assert sim.events == []
+        assert detector_only(sim.events) == []
+        assert all(e.interval_index < len(sim.rows) - 1 for e in sim.events)
 
-        replay = detect_over_samples(
-            replay_rows(sim.rows), DetectorConfig(delta_th=20.0)
-        )
-        assert [r.phase_id for r in replay.rows] == [r.phase_id for r in sim.rows]
+        replay = detect_over_samples(replay_rows(sim.rows), config.detector)
+        assert replay.table == sim.table
         assert replay.events == []
 
     def test_empty_stream_gives_an_empty_run(self):
@@ -317,31 +330,9 @@ class TestDetectOverSamples:
             detect_over_samples(moved, DetectorConfig())
 
 
-_TAU_KINDS = (PhaseEventKind.TAU_DOUBLED, PhaseEventKind.TAU_HALVED)
-
-
-def detector_events(run) -> list[tuple]:
-    """The phase-change and recurrence events, with everything they carry."""
-    return [
-        (e.interval_index, e.kind, e.old_phase_id, e.new_phase_id, e.d_i)
-        for e in run.events
-        if e.kind in PHASE_CHANGE_KINDS or e.kind is PhaseEventKind.PHASE_RECURRED
-    ]
-
-
-def tau_events(run, shift: int, before: int) -> list[tuple]:
-    """Each tau event as (interval + shift, kind), for shifted intervals
-    below ``before``."""
-    return [
-        (e.interval_index + shift, e.kind)
-        for e in run.events
-        if e.kind in _TAU_KINDS and e.interval_index + shift < before
-    ]
-
-
 class TestReplayOfSimulatedSamples:
-    """``detect_over_samples`` over the samples ``simulate`` drew repeats
-    every detector verdict of the run."""
+    """``detect_over_samples`` over the samples ``simulate`` drew repeats the
+    run's table and every event but the controller's and the scheduler's."""
 
     @given(
         spec=workload_specs(),
@@ -377,16 +368,9 @@ class TestReplayOfSimulatedSamples:
             simulated = run_experiment(config)
         replayed = detect_over_samples(recorded, config.detector)
 
-        n = len(simulated.rows)
-        assert len(recorded) == n
-        assert replayed.table.phase_id == simulated.table.phase_id
-        assert replayed.table.utilization == simulated.table.utilization
-        assert detector_events(replayed) == detector_events(simulated)
-        # simulate stamps a tau event on the interval whose verdict moved
-        # tau; a replay sees the new length one interval later. The final
-        # interval is left out: its truncated length can hide a change or
-        # read as a halving that never happened.
-        assert tau_events(replayed, 0, n - 1) == tau_events(simulated, 1, n - 1)
+        # Every row, the final one too, whatever its length.
+        assert replayed.table == simulated.table
+        assert replayed.events == detector_only(simulated.events)
 
 
 class TestArtifacts:
