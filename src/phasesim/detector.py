@@ -74,6 +74,23 @@ def typed_value(name: str, value, annotation: str):
     return value
 
 
+def sample_in_range(
+    index: int, start_cycle: int, tau: int, retired_instructions: int,
+    util_int: float, util_fp: float,
+) -> bool:
+    """The range rule of an :class:`IntervalSample`'s values, one chained
+    test: an index >= 0, counts that fit a 64-bit counter (``tau`` at least
+    1 cycle) and utilizations in [0, 1] (NaN is not)."""
+    return (
+        0 <= index
+        and 0 <= start_cycle <= MAX_RETIRED
+        and 1 <= tau <= MAX_RETIRED
+        and 0 <= retired_instructions <= MAX_RETIRED
+        and 0.0 <= util_int <= 1.0
+        and 0.0 <= util_fp <= 1.0
+    )
+
+
 class UtilizationClass(Enum):
     UNDER = "under"
     NORMAL = "normal"
@@ -90,8 +107,10 @@ class IntervalSample:
     cycles; consecutive samples are expected to tile the cycle axis without
     gaps (``start_cycle + tau`` of one sample is the next one's start).
     Building one checks it, each value under :func:`typed_value`, so an int
-    utilization is held as a float; only the core model's samples skip the
-    check.
+    utilization is held as a float, and the values under
+    :func:`sample_in_range`. The core model's samples skip the check, and the
+    trace loaders build a sample unchecked once its values pass
+    :func:`sample_in_range`.
     """
 
     index: int
@@ -116,6 +135,12 @@ class IntervalSample:
         ):
             for f in fields(self):
                 setattr(self, f.name, typed_value(f.name, getattr(self, f.name), f.type))
+        if sample_in_range(
+            self.index, self.start_cycle, self.tau, self.retired_instructions,
+            self.util_int, self.util_fp,
+        ):
+            return
+        # Out of range: name the first field that is.
         if self.index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.index}")
         if not 0 <= self.start_cycle <= MAX_RETIRED:

@@ -36,7 +36,7 @@ from .interval_control import IntervalController
 from .scheduler import decide_migration
 from .workload import (
     WorkloadSpec,
-    csv_writer,
+    csv_writers,
     detect_format,
     generate_workload,
     json_field,
@@ -46,6 +46,9 @@ from .workload import (
 )
 
 SUMMARY_SCHEMA_VERSION = 1
+
+#: The files a run writes in its output directory.
+ARTIFACTS = ("scatter.csv", "events.csv", "summary.json")
 
 #: An events.csv row is a PhaseEvent without its ``reason``.
 EVENT_COLUMNS = tuple(f.name for f in fields(PhaseEvent) if f.name != "reason")
@@ -141,15 +144,24 @@ def run_experiment(
     """Simulate one preset or workload-spec source and, given ``out_dir``,
     write its artifacts there. With ``trace``, each interval is also written
     to that file as it is simulated, in the format its suffix picks (see
-    :func:`save_trace`); it may sit in ``out_dir`` but may not be ``out_dir``.
+    :func:`save_trace`); it may sit in ``out_dir`` but may be neither
+    ``out_dir`` nor one of the artifacts written there.
 
     :meth:`ExperimentConfig.validate` refuses a trace source:
     ``detect_over_samples`` (``phasesim detect``) is the one replay path.
     """
     config.validate()
     out = Path(out_dir) if out_dir is not None else None
-    if trace is not None and out is not None and Path(trace).resolve() == out.resolve():
-        raise ConfigError(f"the trace {str(trace)!r} is the output directory; name a file in it")
+    if trace is not None and out is not None:
+        target, out_path = Path(trace).resolve(), out.resolve()
+        if target == out_path:
+            raise ConfigError(
+                f"the trace {str(trace)!r} is the output directory; name a file in it"
+            )
+        if target.parent == out_path and target.name in ARTIFACTS:
+            raise ConfigError(
+                f"the trace {str(trace)!r} is the run's {target.name}; name another file"
+            )
     result = _simulate(config, out, trace)
     if out is not None:
         write_artifacts(result, out)
@@ -370,18 +382,30 @@ _EVENT_FIELDS = operator.attrgetter(
 
 
 def emit_events_csv(events: list[PhaseEvent], path: str | Path) -> None:
+    """Write ``events``, one row each; the csv module writes None as an empty
+    field. Only a row that names a process or a core (a migration's) can hold
+    a "\\r" (see :func:`csv_writers`); the rows between two such rows are
+    written by the csv module alone, streamed."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        write = csv_writer(handle, EVENT_COLUMNS)
-        for event in events:
-            write(_EVENT_FIELDS(event))  # the csv module writes None as an empty field
+        plain, quoting = csv_writers(handle, EVENT_COLUMNS)
+        written = 0
+        for position, event in enumerate(events):
+            if event.process or event.from_core or event.to_core:
+                plain.writerows(map(_EVENT_FIELDS, events[written:position]))
+                row = _EVENT_FIELDS(event)
+                carriage = any(type(value) is str and "\r" in value for value in row)
+                (quoting if carriage else plain).writerow(row)
+                written = position + 1
+        plain.writerows(map(_EVENT_FIELDS, events[written:]))
 
 
 def write_artifacts(result: RunResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit_scatter_csv(result.table, result.events, out / "scatter.csv")
-    emit_events_csv(result.events, out / "events.csv")
-    with open(out / "summary.json", "w", encoding="utf-8") as handle:
+    scatter_path, events_path, summary_path = (out / name for name in ARTIFACTS)
+    emit_scatter_csv(result.table, result.events, scatter_path)
+    emit_events_csv(result.events, events_path)
+    with open(summary_path, "w", encoding="utf-8") as handle:
         json.dump(result.summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core_model import WorkloadSegment
-from .detector import IntervalSample, typed_value
+from .detector import IntervalSample, sample_in_range, typed_value
 
 SPEC_SCHEMA_VERSION = 1
 TRACE_SCHEMA_VERSION = 1
@@ -194,22 +194,15 @@ def detect_format(path: str | Path, explicit: str | None = None) -> str:
     return "csv"
 
 
-def csv_writer(handle: TextIO, header: Sequence[str]) -> Callable[[Sequence], None]:
-    """Write ``header`` to ``handle``; return a function that writes one row.
-    Lines end in "\\n". Under that line end the csv module leaves a "\\r"
-    unquoted, and a reader ends the line there: a row with a "\\r" in a
-    string is quoted."""
-    plain = csv.writer(handle, lineterminator="\n").writerow
-    quoting = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerow
-
-    def write(row: Sequence) -> None:
-        if any(type(value) is str and "\r" in value for value in row):
-            quoting(row)
-        else:
-            plain(row)
-
-    plain(header)
-    return write
+def csv_writers(handle: TextIO, header: Sequence[str]) -> tuple:
+    """Write ``header`` to ``handle``; return two csv writers, ``plain`` and
+    ``quoting``. Lines end in "\\n". Under that line end the csv module leaves
+    a "\\r" unquoted, and a reader ends the line there: a row with a "\\r" in
+    a string goes to ``quoting``, which quotes every string."""
+    plain = csv.writer(handle, lineterminator="\n")
+    quoting = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    plain.writerow(header)
+    return plain, quoting
 
 
 def recorded(
@@ -218,7 +211,11 @@ def recorded(
     """``samples``, each yielded after its trace row is written to ``handle``
     in ``fmt``, "csv" or "jsonl"; none is kept, so a trace of any length streams."""
     if fmt == "csv":
-        write = csv_writer(handle, TRACE_COLUMNS)
+        plain, quoting = (writer.writerow for writer in csv_writers(handle, TRACE_COLUMNS))
+
+        def write(values: tuple) -> None:
+            # source_core, the last column, is the one string a row holds.
+            (quoting if "\r" in values[-1] else plain)(values)
     else:
         def write(values: tuple) -> None:
             record = dict(zip(_JSONL_KEYS, (TRACE_SCHEMA_VERSION, *values)))
@@ -240,112 +237,154 @@ def save_trace(
 def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[IntervalSample]:
     """Stream samples from a trace file, validating as it goes.
 
-    Per-row invariants and stream contiguity (consecutive indexes, each
-    sample starting where the previous one ended) are enforced; an empty
-    file yields an empty stream.
+    Each row must make an :class:`IntervalSample`, the first index is 0, and
+    each sample follows the previous one by index and starts where it ended;
+    an empty file yields an empty stream.
     """
     path = Path(path)
-    rows = _csv_rows(path) if detect_format(path, fmt) == "csv" else _jsonl_rows(path)
-    return _samples(path, rows)
+    return (_csv_samples if detect_format(path, fmt) == "csv" else _jsonl_samples)(path)
 
 
-def _samples(path: Path, rows: Iterator[tuple]) -> Iterator[IntervalSample]:
-    """The decoded rows of a trace as checked samples: each row must make an
-    :class:`IntervalSample`, the first index is 0, and each sample follows
-    the previous one by index and starts where it ended."""
-    previous: IntervalSample | None = None
+# Both loaders decode a row into locals, test them with sample_in_range and
+# build the sample unchecked, as the core model does; a row that fails the
+# test, or a JSONL row whose value types are not the sample's, is built by
+# IntervalSample, which converts its values or names the bad one.
+
+
+def _csv_samples(path: Path) -> Iterator[IntervalSample]:
+    """The samples of a CSV trace, whose rows hold ``TRACE_COLUMNS`` in order."""
+    new = object.__new__
+    end = 0  # where the previous sample ended
     try:
-        for row_index, row in enumerate(rows):
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
             try:
-                sample = IntervalSample(*row)
-            except ValueError as exc:
-                raise TraceValidationError(str(exc), row_index) from exc
-            if previous is None:
-                if sample.index != 0:
-                    raise TraceValidationError(
-                        f"the first index is {sample.index}, expected 0", row_index
-                    )
-            elif sample.index != previous.index + 1:
-                raise TraceValidationError(
-                    f"index {sample.index} does not follow {previous.index}", row_index
-                )
-            elif sample.start_cycle != previous.start_cycle + previous.tau:
-                raise TraceValidationError(
-                    f"start_cycle {sample.start_cycle} leaves a gap "
-                    f"(expected {previous.start_cycle + previous.tau})",
-                    row_index,
-                )
-            previous = sample
-            yield sample
-    except UnicodeDecodeError as exc:
-        # The decoder works on whole chunks, so the line is unknown.
-        raise TraceError(f"{path} is not valid UTF-8: {exc.reason}") from exc
-
-
-def _csv_rows(path: Path) -> Iterator[tuple]:
-    """Decode a CSV trace into rows in ``TRACE_COLUMNS`` order."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header is None:
-                return
-            if tuple(header) != TRACE_COLUMNS:
-                raise TraceParseError(
-                    f"bad header {header!r}, expected {list(TRACE_COLUMNS)}", 1
-                )
-            for line_number, row in enumerate(reader, start=2):
-                if len(row) != len(TRACE_COLUMNS):
+                header = next(reader, None)
+                if header is None:
+                    return
+                if tuple(header) != TRACE_COLUMNS:
                     raise TraceParseError(
-                        f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}",
-                        line_number,
+                        f"bad header {header!r}, expected {list(TRACE_COLUMNS)}", 1
+                    )
+                for row_index, row in enumerate(reader):
+                    try:
+                        index, start, tau, retired, util_int, util_fp, core = row
+                    except ValueError:
+                        raise TraceParseError(
+                            f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}",
+                            row_index + 2,
+                        ) from None
+                    try:
+                        index, start, tau, retired = int(index), int(start), int(tau), int(retired)
+                        util_int, util_fp = float(util_int), float(util_fp)
+                    except ValueError as exc:
+                        raise TraceParseError(str(exc), row_index + 2) from exc
+                    if sample_in_range(index, start, tau, retired, util_int, util_fp):
+                        sample = new(IntervalSample)
+                        sample.index, sample.start_cycle, sample.tau = index, start, tau
+                        sample.retired_instructions, sample.util_int = retired, util_int
+                        sample.util_fp, sample.source_core = util_fp, core
+                    else:
+                        sample = _checked_sample(
+                            row_index, index, start, tau, retired, util_int, util_fp, core
+                        )
+                    if index != row_index or (start != end and row_index):
+                        raise _sequence_error(row_index, index, start, end)
+                    end = start + tau
+                    yield sample
+            except csv.Error as exc:
+                raise TraceParseError(f"{exc} in {path}", reader.line_num) from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
+def _jsonl_samples(path: Path) -> Iterator[IntervalSample]:
+    """The samples of a JSONL trace, one record a line; blank lines are skipped."""
+    new = object.__new__
+    row_index = 0
+    end = 0  # where the previous sample ended
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                # A JSON value cannot start with whitespace: a decode that ends
+                # the line equals json.loads(line); other lines go to json.loads.
+                try:
+                    record, stop = _raw_decode(line)
+                    exact = stop == len(line) or line[stop:] == "\n"
+                except (RecursionError, ValueError):
+                    exact = False
+                if not exact:
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise TraceParseError(str(exc), line_number) from exc
+                    except (RecursionError, ValueError) as exc:
+                        # Nesting too deep, or an integer past the
+                        # interpreter's digit limit.
+                        raise TraceParseError(f"{exc} in {path}", line_number) from exc
+                if not isinstance(record, dict):
+                    raise TraceParseError("each line must be a JSON object", line_number)
+                if "schema_version" not in record:
+                    raise TraceParseError("missing schema_version", line_number)
+                version = record["schema_version"]
+                if version != TRACE_SCHEMA_VERSION or type(version) is not int:
+                    raise TraceParseError(
+                        f"unsupported schema_version {version!r}", line_number
                     )
                 try:
-                    index, start_cycle, tau, retired = map(int, row[:4])
-                    util_int, util_fp = float(row[4]), float(row[5])
-                except ValueError as exc:
-                    raise TraceParseError(str(exc), line_number) from exc
-                yield index, start_cycle, tau, retired, util_int, util_fp, row[6]
-        except csv.Error as exc:
-            raise TraceParseError(f"{exc} in {path}", reader.line_num) from exc
+                    index, start, tau, retired, util_int, util_fp, core = _trace_row(record)
+                except KeyError:
+                    missing = [c for c in TRACE_COLUMNS if c not in record]
+                    raise TraceParseError(f"missing fields {missing}", line_number) from None
+                if (
+                    type(index) is int
+                    and type(start) is int
+                    and type(tau) is int
+                    and type(retired) is int
+                    and type(util_int) is float
+                    and type(util_fp) is float
+                    and type(core) is str
+                    and sample_in_range(index, start, tau, retired, util_int, util_fp)
+                ):
+                    sample = new(IntervalSample)
+                    sample.index, sample.start_cycle, sample.tau = index, start, tau
+                    sample.retired_instructions, sample.util_int = retired, util_int
+                    sample.util_fp, sample.source_core = util_fp, core
+                else:
+                    sample = _checked_sample(
+                        row_index, index, start, tau, retired, util_int, util_fp, core
+                    )
+                if index != row_index or (start != end and row_index):
+                    raise _sequence_error(row_index, index, start, end)
+                end = start + tau
+                row_index += 1
+                yield sample
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
-def _jsonl_rows(path: Path) -> Iterator[tuple]:
-    """Decode a JSONL trace into rows in ``TRACE_COLUMNS`` order."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            # A JSON value cannot start with whitespace: a decode that ends
-            # the line equals json.loads(line); other lines go to json.loads.
-            try:
-                record, end = _raw_decode(line)
-                exact = end == len(line) or line[end:] == "\n"
-            except (RecursionError, ValueError):
-                exact = False
-            if not exact:
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceParseError(str(exc), line_number) from exc
-                except (RecursionError, ValueError) as exc:
-                    # Nesting too deep, or an integer past the
-                    # interpreter's digit limit.
-                    raise TraceParseError(f"{exc} in {path}", line_number) from exc
-            if not isinstance(record, dict):
-                raise TraceParseError("each line must be a JSON object", line_number)
-            if "schema_version" not in record:
-                raise TraceParseError("missing schema_version", line_number)
-            version = record["schema_version"]
-            if version != TRACE_SCHEMA_VERSION or type(version) is not int:
-                raise TraceParseError(
-                    f"unsupported schema_version {version!r}", line_number
-                )
-            try:
-                row = _trace_row(record)
-            except KeyError:
-                missing = [c for c in TRACE_COLUMNS if c not in record]
-                raise TraceParseError(
-                    f"missing fields {missing}", line_number
-                ) from None
-            yield row  # the sample built from it checks its types
+def _checked_sample(row_index: int, *values) -> IntervalSample:
+    """The sample of row ``row_index``, built by IntervalSample."""
+    try:
+        return IntervalSample(*values)
+    except ValueError as exc:
+        raise TraceValidationError(str(exc), row_index) from exc
+
+
+def _sequence_error(row_index: int, index: int, start: int, end: int) -> TraceValidationError:
+    """Why row ``row_index``, holding ``index`` and starting at ``start``,
+    does not follow a row that ended at ``end``."""
+    if index == row_index:
+        return TraceValidationError(
+            f"start_cycle {start} leaves a gap (expected {end})", row_index
+        )
+    if row_index == 0:
+        return TraceValidationError(f"the first index is {index}, expected 0", row_index)
+    return TraceValidationError(f"index {index} does not follow {row_index - 1}", row_index)
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> TraceError:
+    # The decoder works on whole chunks, so the line is unknown.
+    return TraceError(f"{path} is not valid UTF-8: {exc.reason}")

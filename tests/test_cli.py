@@ -592,6 +592,34 @@ class TestEmitTrace:
         assert f"config error: the trace '{trace}' is the output directory" in err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["run.conf"]
 
+    @pytest.mark.parametrize(
+        "trace, artifact",
+        [
+            ("run/scatter.csv", "scatter.csv"),
+            ("run/events.csv", "events.csv"),
+            ("run/summary.json", "summary.json"),
+            ("run/./summary.json", "summary.json"),
+        ],
+        ids=["scatter", "events", "summary", "dot_summary"],
+    )
+    def test_trace_named_after_an_artifact_exits_one(
+        self, tmp_path, capsys, monkeypatch, trace, artifact
+    ):
+        # write_artifacts would write the artifact over the trace.
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, FIXED_STEADY)
+        argv = ["simulate", "--config", str(config), "--out", "run"]
+        assert cli.main([*argv, "--emit-trace", trace]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: the trace '{trace}' is the run's {artifact}" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.conf"]
+
+    def test_artifact_name_outside_the_output_directory_is_a_trace(self, tmp_path):
+        config = write_config(tmp_path, FIXED_STEADY)
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "run")]
+        assert cli.main([*argv, "--emit-trace", str(tmp_path / "summary.json")]) == 0
+        assert (tmp_path / "summary.json").read_text().startswith("index,")
+
     def test_empty_trace_path_counts_as_not_given(self, tmp_path, capsys):
         config = write_config(tmp_path, FIXED_STEADY)
         out = tmp_path / "run"

@@ -27,6 +27,7 @@ from phasesim import (
     ScatterRow,
     cli,
     detect_over_samples,
+    emit_events_csv,
     emit_scatter_csv,
     experiment,
     fft_like,
@@ -429,6 +430,70 @@ class TestArtifacts:
             ["fft\rlike", "B0", "A0"],
             ["fft\rlike", "A0", "B0"],
         ]
+
+
+#: Names a CSV writer has to quote, or that a line reader could split on,
+#: drawn alongside arbitrary text.
+AWKWARD_NAMES = st.one_of(
+    st.sampled_from(["", ",", '"', "\r", "\n", "é", "A\r0", 'p,"\r\n']),
+    st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\x00"), max_size=5),
+)
+
+
+@st.composite
+def event_lists(draw) -> list[PhaseEvent]:
+    """0-12 events of every kind, in any order: detector and tau events with
+    any phase ids and deviation (and, rarely, names, which a library caller
+    may give them), and migrations naming any process and two cores."""
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        index = draw(st.integers(0, 10**6))
+        kind = draw(st.sampled_from(PhaseEventKind))
+        if kind is PhaseEventKind.MIGRATION:
+            from_core, to_core = draw(
+                st.lists(AWKWARD_NAMES, min_size=2, max_size=2, unique=True)
+            )
+            reason = draw(st.sampled_from(
+                [PhaseEventKind.OVER_UTILIZATION, PhaseEventKind.UNDER_UTILIZATION]
+            ))
+            events.append(PhaseEvent(
+                index, kind, None, None, None, draw(AWKWARD_NAMES), from_core, to_core, reason
+            ))
+        else:
+            names = draw(st.one_of(
+                *[st.just((None, None, None))] * 3,
+                st.tuples(*[st.one_of(st.none(), AWKWARD_NAMES)] * 3),
+            ))
+            events.append(PhaseEvent(
+                index, kind, draw(st.integers(0, 99)), draw(st.integers(0, 99)),
+                draw(st.one_of(st.none(), st.floats())), *names,
+            ))
+    return events
+
+
+def row_by_row_events(events: list[PhaseEvent]) -> bytes:
+    """events.csv as the csv module writes it one row at a time, a row with a
+    "\\r" in any string under QUOTE_NONNUMERIC: the reference for the
+    streamed writer."""
+    buffer = io.StringIO()
+    plain = csv.writer(buffer, lineterminator="\n")
+    quoting = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    plain.writerow(EVENT_COLUMNS)
+    for e in events:
+        row = (e.interval_index, e.kind.value, e.old_phase_id, e.new_phase_id, e.d_i,
+               e.process, e.from_core, e.to_core)
+        carriage = any(type(value) is str and "\r" in value for value in row)
+        (quoting if carriage else plain).writerow(row)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestEventsWriter:
+    @given(events=event_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_the_row_by_row_rule(self, tmp_path_factory, events):
+        path = tmp_path_factory.mktemp("events") / "events.csv"
+        emit_events_csv(events, path)
+        assert path.read_bytes() == row_by_row_events(events)
 
 
 SCATTER_TOKENS = ["none", *(kind.value for kind in _SCATTER_PRIORITY)]

@@ -530,6 +530,104 @@ class TestTraceErrors:
         )
 
 
+def two_row_trace(path, row: int, changes: dict) -> None:
+    """A valid two-row trace at ``path``, in the format its suffix names,
+    with ``changes`` laid over row ``row``: a value None drops the field. A
+    JSONL trace opens with a blank line, so in either format row ``i`` sits
+    on line ``i + 2``. Text is written with ``surrogateescape``, so "\\udcff"
+    in a value is the byte 0xff, which is not UTF-8."""
+    rows = [dict(zip(TRACE_COLUMNS, (i, i * 100_000, 100_000, 60_000, 0.6, 0.0, "A0")))
+            for i in range(2)]
+    rows[row].update(changes)
+    rows[row] = {key: value for key, value in rows[row].items() if value is not None}
+    if path.suffix == ".csv":
+        lines = [TRACE_COLUMNS, *(values.values() for values in rows)]
+        text = "".join(",".join(map(str, line)) + "\n" for line in lines)
+    else:
+        records = ({"schema_version": 1, **values} for values in rows)
+        text = "\n" + "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
+
+
+def both_formats(error, message, number) -> dict:
+    return dict.fromkeys(["csv", "jsonl"], (error, message, number))
+
+
+#: One case per class of malformed row: the row of two_row_trace to change
+#: and the change, then for each format the error, its text and the line (a
+#: parse error) or row (a validation error) it names.
+MALFORMED_ROWS = {
+    "short_row": (
+        1,
+        {"source_core": None},
+        {"csv": (TraceParseError, "line 3: expected 7 fields, got 6", 3),
+         "jsonl": (TraceParseError, "line 3: missing fields ['source_core']", 3)},
+    ),
+    "non_integer_count": (
+        1,
+        {"tau": 1e5},
+        {"csv": (TraceParseError,
+                 "line 3: invalid literal for int() with base 10: '100000.0'", 3),
+         "jsonl": (TraceValidationError, "row 1: tau must be an int, got 100000.0", 1)},
+    ),
+    "out_of_range_value": (
+        1,
+        {"util_fp": 1.5},
+        both_formats(TraceValidationError, "row 1: util_fp must lie in [0, 1], got 1.5", 1),
+    ),
+    "first_index_not_0": (
+        0,
+        {"index": 1},
+        both_formats(TraceValidationError, "row 0: the first index is 1, expected 0", 0),
+    ),
+    "skipped_index": (
+        1,
+        {"index": 2},
+        both_formats(TraceValidationError, "row 1: index 2 does not follow 0", 1),
+    ),
+    "gap": (
+        1,
+        {"start_cycle": 100_001},
+        both_formats(
+            TraceValidationError, "row 1: start_cycle 100001 leaves a gap (expected 100000)", 1
+        ),
+    ),
+    "overlap": (
+        1,
+        {"start_cycle": 99_999},
+        both_formats(
+            TraceValidationError, "row 1: start_cycle 99999 leaves a gap (expected 100000)", 1
+        ),
+    ),
+    "bad_utf8": (
+        1,
+        {"source_core": "A\udcff"},
+        both_formats(TraceError, "{path} is not valid UTF-8: invalid start byte", None),
+    ),
+}
+
+
+class TestMalformedRows:
+    """Each class of malformed row fails the load with its own text and the
+    number of its line or row."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("case", MALFORMED_ROWS)
+    def test_message_and_number(self, tmp_path, fmt, case):
+        row, changes, expected = MALFORMED_ROWS[case]
+        error, message, number = expected[fmt]
+        path = tmp_path / f"trace.{fmt}"
+        two_row_trace(path, row, changes)
+        with pytest.raises(TraceError) as exc:
+            list(load_trace(path))
+        assert type(exc.value) is error
+        assert str(exc.value) == message.format(path=path)
+        if error is TraceParseError:
+            assert exc.value.line_number == number
+        elif error is TraceValidationError:
+            assert exc.value.row_index == number
+
+
 TRACE_HEADER = (
     b"index,start_cycle,tau,retired_instructions,util_int,util_fp,source_core\n"
 )
