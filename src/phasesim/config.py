@@ -1,9 +1,8 @@
 """Experiment configuration: flat key=value files plus machine descriptions.
 
 Config files are plain text, one ``key=value`` per line, ``#`` starting a
-comment line. Dotted prefixes group related keys (``detector.delta_th``,
-``scheduler.enabled``, ``workload.preset``). Paths are resolved relative to
-the config file's directory.
+comment line; :data:`CONFIG_KEYS` lists the keys. Paths are resolved relative
+to the config file's directory.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ import csv
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .core_model import CoreClass, CoreSpec, a_core, b_core
 from .detector import DetectorConfig
@@ -51,9 +51,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check a ``simulate`` run: one preset or spec source, no trace."""
         if self.workload_trace_path is not None:
-            raise ConfigError(
-                "workload.trace is replayed by `phasesim detect`, not simulated"
-            )
+            raise ConfigError("workload.trace is replayed by `phasesim detect`, not simulated")
         if (self.workload_preset is None) == (self.workload_spec_path is None):
             raise ConfigError(
                 "exactly one workload source required "
@@ -95,7 +93,11 @@ class ExperimentConfig:
         raise ConfigError(f"start_core {name!r} not in machine")
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_str(value: str, key: str, base_dir: Path) -> str:
+    return value
+
+
+def _parse_bool(value: str, key: str, base_dir: Path) -> bool:
     lowered = value.lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
@@ -104,25 +106,25 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def _parse_int(value: str, key: str) -> int:
+def _parse_int(value: str, key: str, base_dir: Path) -> int:
     try:
         return int(value)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
-def _parse_float(value: str, key: str) -> float:
+def _parse_float(value: str, key: str, base_dir: Path) -> float:
     try:
         return float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
-#: Each detector option parsed by the type of its default.
-_DETECTOR_PARSERS = {
-    f.name: {bool: _parse_bool, int: _parse_int, float: _parse_float}[type(f.default)]
-    for f in fields(DetectorConfig)
-}
+def _parse_mode(value: str, key: str, base_dir: Path) -> Mode:
+    try:
+        return Mode(value)
+    except ValueError:
+        raise ConfigError(f"mode must be fixed_tau or variable_tau, got {value!r}") from None
 
 
 def _parse_path(value: str, key: str, base_dir: Path) -> Path:
@@ -133,6 +135,45 @@ def _parse_path(value: str, key: str, base_dir: Path) -> Path:
     if "\0" in value:
         raise ConfigError(f"{key}: path contains a NUL byte: {value!r}")
     return base_dir / value
+
+
+def _parse_machine(value: str, key: str, base_dir: Path) -> list[CoreSpec]:
+    return load_machine_file(_parse_path(value, key, base_dir))
+
+
+class ConfigKey(NamedTuple):
+    """A config key's row in :data:`CONFIG_KEYS`."""
+
+    field: str  # an ExperimentConfig field, preset_args.<name> or detector.<name>
+    parse: Callable[[str, str, Path], object]  # (value, key, config file's directory)
+    detect: bool = False  # whether detect reads the key
+
+
+_DETECTOR = "detector."
+_BY_TYPE = {bool: _parse_bool, int: _parse_int, float: _parse_float}
+
+#: Every config key, in the order README lists them.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "workload.preset": ConfigKey("workload_preset", _parse_str),
+    "workload.spec": ConfigKey("workload_spec_path", _parse_path),
+    "workload.trace": ConfigKey("workload_trace_path", _parse_path, detect=True),
+    "mode": ConfigKey("mode", _parse_mode),
+    "fixed_tau": ConfigKey("fixed_tau", _parse_int),
+    "machine": ConfigKey("machine_cores", _parse_machine),
+    "start_core": ConfigKey("start_core", _parse_str),
+    "seed": ConfigKey("seed", _parse_int),
+    "out": ConfigKey("out_dir", _parse_path, detect=True),
+    "scheduler.enabled": ConfigKey("scheduler_enabled", _parse_bool),
+    "scheduler.migration_penalty": ConfigKey("migration_penalty", _parse_int),
+    **{  # each detector option parsed by the type of its default
+        _DETECTOR + f.name: ConfigKey(_DETECTOR + f.name, _BY_TYPE[type(f.default)], True)
+        for f in fields(DetectorConfig)
+    },
+    "workload.cycles": ConfigKey("preset_args.total_cycles", _parse_int),
+    "workload.demand": ConfigKey("preset_args.demand", _parse_float),
+    "workload.fp_fraction": ConfigKey("preset_args.fp_fraction", _parse_float),
+    "workload.noise": ConfigKey("preset_args.noise", _parse_float),
+}
 
 
 def parse_config_file(path: str | Path, *, detect: bool = False) -> ExperimentConfig:
@@ -155,7 +196,9 @@ def parse_config_file(path: str | Path, *, detect: bool = False) -> ExperimentCo
         key, value = key.strip(), value.strip()
         if key in pairs:
             raise ConfigError(f"{path}:{line_number}: duplicate key {key!r}")
-        if detect and key not in ("workload.trace", "out") and not key.startswith("detector."):
+        # An unknown detector.* key passes, so parsing names it as one.
+        row = CONFIG_KEYS.get(key)
+        if detect and not (row.detect if row else key.startswith(_DETECTOR)):
             raise ConfigError(
                 f"{path}:{line_number}: detect reads only workload.trace, out "
                 f"and detector.* keys, got {key!r}"
@@ -164,73 +207,31 @@ def parse_config_file(path: str | Path, *, detect: bool = False) -> ExperimentCo
     return parse_config_pairs(pairs, base_dir=path.parent)
 
 
-def parse_config_pairs(
-    pairs: dict[str, str], base_dir: str | Path = "."
-) -> ExperimentConfig:
+def parse_config_pairs(pairs: dict[str, str], base_dir: str | Path = ".") -> ExperimentConfig:
+    """The config the pairs set, each value parsed in order by its key's row
+    of :data:`CONFIG_KEYS`."""
     base_dir = Path(base_dir)
     config = ExperimentConfig()
-    detector_overrides: dict[str, object] = {}
-
+    # Where each field prefix stores its values; detector options make one DetectorConfig.
+    stores = {"": vars(config), "preset_args": config.preset_args, "detector": {}}
     for key, value in pairs.items():
-        if key == "workload.preset":
-            config.workload_preset = value
-        elif key == "workload.spec":
-            config.workload_spec_path = _parse_path(value, key, base_dir)
-        elif key == "workload.trace":
-            config.workload_trace_path = _parse_path(value, key, base_dir)
-        elif key == "workload.cycles":
-            config.preset_args["total_cycles"] = _parse_int(value, key)
-        elif key == "workload.demand":
-            config.preset_args["demand"] = _parse_float(value, key)
-        elif key == "workload.fp_fraction":
-            config.preset_args["fp_fraction"] = _parse_float(value, key)
-        elif key == "workload.noise":
-            config.preset_args["noise"] = _parse_float(value, key)
-        elif key == "machine":
-            config.machine_cores = load_machine_file(_parse_path(value, key, base_dir))
-        elif key == "start_core":
-            config.start_core = value
-        elif key == "mode":
-            try:
-                config.mode = Mode(value)
-            except ValueError:
-                raise ConfigError(
-                    f"mode must be fixed_tau or variable_tau, got {value!r}"
-                ) from None
-        elif key == "fixed_tau":
-            config.fixed_tau = _parse_int(value, key)
-        elif key == "seed":
-            config.seed = _parse_int(value, key)
-        elif key == "out":
-            config.out_dir = _parse_path(value, key, base_dir)
-        elif key == "scheduler.enabled":
-            config.scheduler_enabled = _parse_bool(value, key)
-        elif key == "scheduler.migration_penalty":
-            config.migration_penalty = _parse_int(value, key)
-        elif key.startswith("detector."):
-            field_name = key[len("detector.") :]
-            if field_name not in _DETECTOR_PARSERS:
+        row = CONFIG_KEYS.get(key)
+        if row is None:
+            if key.startswith(_DETECTOR):
                 raise ConfigError(f"unknown detector option {key!r}")
-            detector_overrides[field_name] = _DETECTOR_PARSERS[field_name](value, key)
-        else:
             raise ConfigError(f"unknown config key {key!r}")
-
-    if detector_overrides:
+        store, _, name = row.field.rpartition(".")
+        stores[store][name] = row.parse(value, key, base_dir)
+    if stores["detector"]:
         try:
-            config.detector = DetectorConfig(**detector_overrides)
+            config.detector = DetectorConfig(**stores["detector"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return config
 
 
 MACHINE_COLUMNS = (
-    "name",
-    "core_class",
-    "issue_width",
-    "int_window",
-    "fp_window",
-    "int_fu_count",
-    "fp_fu_count",
+    "name", "core_class", "issue_width", "int_window", "fp_window", "int_fu_count", "fp_fu_count"
 )
 
 
@@ -255,17 +256,13 @@ def load_machine_file(path: str | Path) -> list[CoreSpec]:
         raise ConfigError(f"{path}: empty machine file")
     header = rows[0]
     if tuple(header) != MACHINE_COLUMNS:
-        raise ConfigError(
-            f"{path}: bad header {header!r}, expected {list(MACHINE_COLUMNS)}"
-        )
+        raise ConfigError(f"{path}: bad header {header!r}, expected {list(MACHINE_COLUMNS)}")
     cores: list[CoreSpec] = []
     for row_number, row in enumerate(rows[1:], start=2):
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) != len(MACHINE_COLUMNS):
-            raise ConfigError(
-                f"{path}:{row_number}: expected {len(MACHINE_COLUMNS)} fields"
-            )
+            raise ConfigError(f"{path}:{row_number}: expected {len(MACHINE_COLUMNS)} fields")
         try:
             cores.append(
                 CoreSpec(

@@ -76,13 +76,21 @@ def typed_value(name: str, value, annotation: str):
 
 def sample_in_range(
     index: int, start_cycle: int, tau: int, retired_instructions: int,
-    util_int: float, util_fp: float,
+    util_int: float, util_fp: float, source_core: str,
 ) -> bool:
-    """The range rule of an :class:`IntervalSample`'s values, one chained
-    test: an index >= 0, counts that fit a 64-bit counter (``tau`` at least
-    1 cycle) and utilizations in [0, 1] (NaN is not)."""
+    """Whether the values make an :class:`IntervalSample` as they stand, one
+    chained test: the sample's exact types (int counts, float utilizations,
+    a str core), an index >= 0, counts that fit a 64-bit counter (``tau`` at
+    least 1 cycle) and utilizations in [0, 1] (NaN is not)."""
     return (
-        0 <= index
+        type(index) is int
+        and type(start_cycle) is int
+        and type(tau) is int
+        and type(retired_instructions) is int
+        and type(util_int) is float
+        and type(util_fp) is float
+        and type(source_core) is str
+        and 0 <= index
         and 0 <= start_cycle <= MAX_RETIRED
         and 1 <= tau <= MAX_RETIRED
         and 0 <= retired_instructions <= MAX_RETIRED
@@ -106,11 +114,11 @@ class IntervalSample:
     floating-point units over the interval. ``tau`` is the interval length in
     cycles; consecutive samples are expected to tile the cycle axis without
     gaps (``start_cycle + tau`` of one sample is the next one's start).
-    Building one checks it, each value under :func:`typed_value`, so an int
-    utilization is held as a float, and the values under
-    :func:`sample_in_range`. The core model's samples skip the check, and the
-    trace loaders build a sample unchecked once its values pass
-    :func:`sample_in_range`.
+    Building one checks it under :func:`sample_in_range`; values that fail
+    are converted under :func:`typed_value`, so an int utilization is held as
+    a float, or refused naming the first bad field. The core model's samples
+    skip the check, and the trace loaders build a sample unchecked once its
+    values pass :func:`sample_in_range`.
     """
 
     index: int
@@ -122,25 +130,15 @@ class IntervalSample:
     source_core: str = ""
 
     def __post_init__(self) -> None:
-        # The value-type rule, unrolled for the common sample: int counts,
-        # float utilizations, a str core. Any other goes field by field.
-        if not (
-            type(self.index) is int
-            and type(self.start_cycle) is int
-            and type(self.tau) is int
-            and type(self.retired_instructions) is int
-            and type(self.util_int) is float
-            and type(self.util_fp) is float
-            and type(self.source_core) is str
-        ):
-            for f in fields(self):
-                setattr(self, f.name, typed_value(f.name, getattr(self, f.name), f.type))
         if sample_in_range(
             self.index, self.start_cycle, self.tau, self.retired_instructions,
-            self.util_int, self.util_fp,
+            self.util_int, self.util_fp, self.source_core,
         ):
             return
-        # Out of range: name the first field that is.
+        # Convert each value, or name the first of the wrong type; then name
+        # the first out of range, if any is.
+        for f in fields(self):
+            setattr(self, f.name, typed_value(f.name, getattr(self, f.name), f.type))
         if self.index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.index}")
         if not 0 <= self.start_cycle <= MAX_RETIRED:

@@ -247,7 +247,7 @@ def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[IntervalSam
 
 # Both loaders decode a row into locals, test them with sample_in_range and
 # build the sample unchecked, as the core model does; a row that fails the
-# test, or a JSONL row whose value types are not the sample's, is built by
+# test (a JSONL int utilization, say, or a value out of range) is built by
 # IntervalSample, which converts its values or names the bad one.
 
 
@@ -279,7 +279,7 @@ def _csv_samples(path: Path) -> Iterator[IntervalSample]:
                         util_int, util_fp = float(util_int), float(util_fp)
                     except ValueError as exc:
                         raise TraceParseError(str(exc), row_index + 2) from exc
-                    if sample_in_range(index, start, tau, retired, util_int, util_fp):
+                    if sample_in_range(index, start, tau, retired, util_int, util_fp, core):
                         sample = new(IntervalSample)
                         sample.index, sample.start_cycle, sample.tau = index, start, tau
                         sample.retired_instructions, sample.util_int = retired, util_int
@@ -338,16 +338,7 @@ def _jsonl_samples(path: Path) -> Iterator[IntervalSample]:
                 except KeyError:
                     missing = [c for c in TRACE_COLUMNS if c not in record]
                     raise TraceParseError(f"missing fields {missing}", line_number) from None
-                if (
-                    type(index) is int
-                    and type(start) is int
-                    and type(tau) is int
-                    and type(retired) is int
-                    and type(util_int) is float
-                    and type(util_fp) is float
-                    and type(core) is str
-                    and sample_in_range(index, start, tau, retired, util_int, util_fp)
-                ):
+                if sample_in_range(index, start, tau, retired, util_int, util_fp, core):
                     sample = new(IntervalSample)
                     sample.index, sample.start_cycle, sample.tau = index, start, tau
                     sample.retired_instructions, sample.util_int = retired, util_int

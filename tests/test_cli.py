@@ -828,6 +828,20 @@ class TestDetectCommand:
         assert "cannot read machine file" not in err
         assert not out.exists()
 
+    def test_documented_example_is_refused_at_its_first_key(self, tmp_path, capsys):
+        example = Path(__file__).resolve().parent.parent / "docs" / "example.conf"
+        lines = example.read_text(encoding="utf-8").splitlines()
+        line = lines.index("workload.preset = fft_like") + 1
+        (tmp_path / "t.csv").write_bytes(TRACE_HEADER)
+        out = tmp_path / "out"
+        argv = ["detect", "--config", str(example), "--trace", str(tmp_path / "t.csv")]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {example}:{line}: detect reads only workload.trace, out "
+            "and detector.* keys, got 'workload.preset'\n"
+        )
+        assert not out.exists()
+
     def test_empty_trace_writes_header_only_artifacts(self, tmp_path):
         trace = tmp_path / "empty.csv"
         trace.write_text("")

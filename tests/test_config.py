@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,14 @@ from phasesim import (
     parse_config_pairs,
     run_experiment,
 )
+from phasesim.config import CONFIG_KEYS
+
+
+
+def refused(message: str):
+    """``pytest.raises`` for a ConfigError whose message is ``message`` exactly."""
+    return pytest.raises(ConfigError, match=f"^{re.escape(message)}$")
+
 
 MACHINE_CSV = """\
 name,core_class,issue_width,int_window,fp_window,int_fu_count,fp_fu_count
@@ -71,33 +81,58 @@ detector.recurrence_matching = no
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("seed = 1\nseed = 2\n")
-        with pytest.raises(ConfigError):
+        with refused(f"{path}:2: duplicate key 'seed'"):
             parse_config_file(path)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with refused("unknown config key 'wizard'"):
             parse_config_pairs({"wizard": "gandalf"})
 
     def test_unknown_detector_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with refused("unknown detector option 'detector.delta_theta'"):
             parse_config_pairs({"detector.delta_theta": "1.0"})
 
+    def test_unknown_detector_key_in_a_detect_config_rejected(self, tmp_path):
+        # detect reads every detector.* key, so the detector names the bad one.
+        path = tmp_path / "run.conf"
+        path.write_text("workload.trace = t.csv\ndetector.delta_theta = 1.0\n")
+        with refused("unknown detector option 'detector.delta_theta'"):
+            parse_config_file(path, detect=True)
+
     def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
+        with refused("mode must be fixed_tau or variable_tau, got 'adaptive'"):
             parse_config_pairs({"mode": "adaptive"})
 
-    def test_bad_boolean_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_pairs({"scheduler.enabled": "maybe"})
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("scheduler.enabled", "maybe", "scheduler.enabled: expected a boolean, got 'maybe'"),
+            ("detector.recurrence_matching", "", "detector.recurrence_matching: expected a boolean, got ''"),
+            ("seed", "1.5", "seed: expected an integer, got '1.5'"),
+            ("workload.cycles", "1e6", "workload.cycles: expected an integer, got '1e6'"),
+            ("detector.tau_min", "fast", "detector.tau_min: expected an integer, got 'fast'"),
+            ("workload.demand", "lots", "workload.demand: expected a number, got 'lots'"),
+            ("detector.delta_th", "1,5", "detector.delta_th: expected a number, got '1,5'"),
+            ("out", "", "out: expected a path, got an empty value"),
+            ("workload.spec", "a\0b", "workload.spec: path contains a NUL byte: 'a\\x00b'"),
+            ("machine", "m\0.csv", "machine: path contains a NUL byte: 'm\\x00.csv'"),
+        ],
+    )
+    def test_bad_value_rejected(self, key, value, message):
+        with refused(message):
+            parse_config_pairs({key: value})
 
     def test_line_without_equals_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("just a sentence\n")
-        with pytest.raises(ConfigError):
+        with refused(f"{path}:1: expected key=value, got 'just a sentence'"):
             parse_config_file(path)
 
     def test_invalid_detector_combination_rejected(self):
-        with pytest.raises(ConfigError):
+        with refused(
+            "utilization bounds must satisfy 0 <= delta_under < delta_over <= 1, "
+            "got delta_under=0.8, delta_over=0.5"
+        ):
             parse_config_pairs(
                 {"detector.delta_under": "0.8", "detector.delta_over": "0.5"}
             )
@@ -111,24 +146,84 @@ detector.recurrence_matching = no
             parse_config_pairs({f"detector.{field}": value})
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config_file(tmp_path / "missing.conf")
+        path = tmp_path / "missing.conf"
+        with refused(
+            f"cannot read config {path}: [Errno 2] No such file or directory: '{path}'"
+        ):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # Keys are parsed in file order: the first bad one is named.
+            ("seed = x\nwizard = 1\n", "seed: expected an integer, got 'x'"),
+            ("wizard = 1\nseed = x\n", "unknown config key 'wizard'"),
+            # The machine file loads at its own line, before later keys parse.
+            (
+                "machine = m.csv\nseed = x\n",
+                "cannot read machine file {dir}/m.csv: [Errno 2] No such file or "
+                "directory: '{dir}/m.csv'",
+            ),
+            ("seed = x\nmachine = m.csv\n", "seed: expected an integer, got 'x'"),
+            # Detector options are checked together, after every other key.
+            (
+                "detector.delta_under = 0.8\ndetector.delta_over = 0.5\nseed = x\n",
+                "seed: expected an integer, got 'x'",
+            ),
+            (
+                "detector.delta_theta = 1\nseed = 1\nmode = adaptive\n",
+                "unknown detector option 'detector.delta_theta'",
+            ),
+            # Lines are read before any value parses.
+            ("seed = x\nseed = 1\n", "{path}:2: duplicate key 'seed'"),
+            ("seed = x\noops\n", "{path}:2: expected key=value, got 'oops'"),
+        ],
+    )
+    def test_first_refusal_wins(self, tmp_path, text, message):
+        path = tmp_path / "run.conf"
+        path.write_text(text)
+        with refused(message.format(dir=tmp_path, path=path)):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # A key detect does not read is refused at its line, before any
+            # value is parsed or any file named is opened.
+            (
+                "detector.tau_min = x\nmachine = m.csv\n",
+                "{path}:2: detect reads only workload.trace, out and detector.* "
+                "keys, got 'machine'",
+            ),
+            (
+                "wizard = 1\n",
+                "{path}:1: detect reads only workload.trace, out and detector.* "
+                "keys, got 'wizard'",
+            ),
+            # Lines are checked in file order, each for '=', then for a
+            # duplicate, then for a key detect reads.
+            (
+                "seed = 1\nseed = 2\n",
+                "{path}:1: detect reads only workload.trace, out and detector.* "
+                "keys, got 'seed'",
+            ),
+            ("out = a\nout = b\n", "{path}:2: duplicate key 'out'"),
+            ("oops\nseed = 1\n", "{path}:1: expected key=value, got 'oops'"),
+            # Keys detect reads parse as in any config.
+            ("out =\n", "out: expected a path, got an empty value"),
+            ("detector.tau_min = x\n", "detector.tau_min: expected an integer, got 'x'"),
+        ],
+    )
+    def test_detect_refusals(self, tmp_path, text, message):
+        path = tmp_path / "run.conf"
+        path.write_text(text)
+        with refused(message.format(path=path)):
+            parse_config_file(path, detect=True)
 
     @given(
         text=st.binary(max_size=400)
         | st.lists(
-            st.tuples(
-                st.sampled_from(
-                    [
-                        "workload.preset", "workload.spec", "workload.trace",
-                        "workload.cycles", "workload.demand", "machine", "mode",
-                        "fixed_tau", "seed", "out", "scheduler.enabled",
-                        "detector.delta_th", "detector.tau_max",
-                        "detector.recurrence_matching",
-                    ]
-                ),
-                st.text(max_size=30),
-            ),
+            st.tuples(st.sampled_from(sorted(CONFIG_KEYS)), st.text(max_size=30)),
             max_size=6,
         ).map(lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs).encode())
     )
@@ -146,7 +241,9 @@ detector.recurrence_matching = no
 class TestExperimentConfigValidate:
     def test_needs_exactly_one_source(self):
         config = ExperimentConfig(fixed_tau=100_000)
-        with pytest.raises(ConfigError):
+        with refused(
+            "exactly one workload source required (workload.preset or workload.spec)"
+        ):
             config.validate()
         config.workload_preset = "steady"
         config.validate()
@@ -157,12 +254,12 @@ class TestExperimentConfigValidate:
             workload_trace_path=tmp_path / "t.csv",
             fixed_tau=100_000,
         )
-        with pytest.raises(ConfigError):
+        with refused("workload.trace is replayed by `phasesim detect`, not simulated"):
             config.validate()
 
     def test_fixed_mode_needs_fixed_tau(self):
         config = ExperimentConfig(workload_preset="steady")
-        with pytest.raises(ConfigError):
+        with refused("mode=fixed_tau requires a fixed_tau value"):
             config.validate()
 
     def test_fixed_tau_below_floor_rejected(self):
@@ -179,14 +276,16 @@ class TestExperimentConfigValidate:
             fixed_tau=100_000,
             preset_args={"demand": 2.0},
         )
-        with pytest.raises(ConfigError):
+        with refused(
+            "workload.cycles/demand/fp_fraction/noise only apply to the steady preset"
+        ):
             config.validate()
 
     def test_unknown_start_core_rejected(self):
         config = ExperimentConfig(
             workload_preset="steady", fixed_tau=100_000, start_core="Z9"
         )
-        with pytest.raises(ConfigError):
+        with refused("start_core 'Z9' not in machine ['A0', 'A1', 'B0', 'B1']"):
             config.validate()
 
     def test_empty_machine_rejected(self):
@@ -238,13 +337,16 @@ class TestMachineFile:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "machine.csv"
         path.write_text("name,width\nA0,4\n")
-        with pytest.raises(ConfigError):
+        with refused(
+            f"{path}: bad header ['name', 'width'], expected ['name', 'core_class', "
+            "'issue_width', 'int_window', 'fp_window', 'int_fu_count', 'fp_fu_count']"
+        ):
             load_machine_file(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "machine.csv"
         path.write_text("")
-        with pytest.raises(ConfigError):
+        with refused(f"{path}: empty machine file"):
             load_machine_file(path)
 
     def test_bad_class_rejected(self, tmp_path):
@@ -253,5 +355,5 @@ class TestMachineFile:
             "name,core_class,issue_width,int_window,fp_window,int_fu_count,fp_fu_count\n"
             "X0,C,4,80,32,,\n"
         )
-        with pytest.raises(ConfigError):
+        with refused(f"{path}:2: 'C' is not a valid CoreClass"):
             load_machine_file(path)

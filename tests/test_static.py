@@ -1,17 +1,22 @@
 """Checks that read the sources and the README instead of running a command:
-no dead module-level names in ``src/``, and the file formats the README
-documents are the ones the record types state."""
+no dead module-level names in ``src/``, the file formats the README
+documents are the ones the record types state, and the config keys it and
+``docs/example.conf`` document are the ones ``config.CONFIG_KEYS`` lists."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from phasesim.config import CONFIG_KEYS, ExperimentConfig, parse_config_pairs
+from phasesim.detector import DetectorConfig
 from phasesim.experiment import EVENT_COLUMNS, SCATTER_COLUMNS
-from phasesim.workload import TRACE_COLUMNS
+from phasesim.workload import TRACE_COLUMNS, steady
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Every module but __init__.py, which only re-exports.
@@ -65,10 +70,14 @@ class TestNoDeadCode:
         assert unreferenced(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+def readme_section(section: str) -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def documented_header(section: str, after: str) -> tuple[str, ...]:
     """The first backquoted comma list after ``after`` in a README section."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    body = readme_section(section)
     match = re.search(r"`([a-z_]+(?:,[a-z_]+)+)`", body[body.index(after):])
     assert match is not None, (section, after)
     return tuple(match.group(1).split(","))
@@ -83,3 +92,48 @@ class TestReadmeHeaders:
 
     def test_events_header(self):
         assert documented_header("Artifacts", "`events.csv`") == EVENT_COLUMNS
+
+
+def documented_keys() -> list[tuple[str, bool]]:
+    """README's Configuration list: each backquoted key in a bullet's head
+    (its text before the first ": "), in order, with whether the head marks
+    it (detect)."""
+    bullets = re.findall(r"^- (.*(?:\n  .*)*)", readme_section("Configuration"), re.M)
+    keys = []
+    for bullet in bullets:
+        head = " ".join(bullet.split()).split(": ", 1)[0]
+        keys += [(key, "(detect)" in head) for key in re.findall(r"`([^`]+)`", head)]
+    return keys
+
+
+def example_lines() -> list[tuple[str, str]]:
+    """The ``key = value`` lines of docs/example.conf, commented out or not."""
+    text = (ROOT / "docs" / "example.conf").read_text(encoding="utf-8")
+    return re.findall(r"^(?:# )?([a-z_]+(?:\.[a-z_]+)*) = (.+)$", text, re.M)
+
+
+class TestConfigKeys:
+    def test_readme_lists_each_key_in_table_order_with_its_detect_mark(self):
+        assert documented_keys() == [(key, row.detect) for key, row in CONFIG_KEYS.items()]
+
+    def test_example_conf_shows_each_key_once_with_a_value_that_parses(self):
+        keys = [key for key, _ in example_lines()]
+        assert sorted(keys) == sorted(CONFIG_KEYS)
+        for key, value in example_lines():
+            parse_config_pairs({key: value}, base_dir=ROOT / "docs")
+
+    def test_each_row_sets_a_field_of_experiment_config(self):
+        # A key's field is an ExperimentConfig field, or an entry of
+        # preset_args (a steady() parameter) or of detector (a DetectorConfig
+        # field); every field is set by some key, and no two keys set one.
+        targets = [row.field.rpartition(".") for row in CONFIG_KEYS.values()]
+        assert len(set(targets)) == len(targets)
+        assert {owner or name for owner, _, name in targets} == {
+            f.name for f in fields(ExperimentConfig)
+        }
+        entries = {
+            owner: [name for o, _, name in targets if o == owner]
+            for owner in ("preset_args", "detector")
+        }
+        assert entries["preset_args"] == list(inspect.signature(steady).parameters)
+        assert entries["detector"] == [f.name for f in fields(DetectorConfig)]

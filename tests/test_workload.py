@@ -628,6 +628,28 @@ class TestMalformedRows:
             assert exc.value.row_index == number
 
 
+#: One case per class of number spelling that Python's int() and float() read
+#: and JSON has no number for: the CSV loader reads a field with them, so
+#: these rows load as the trace writer's spelling of the same value does.
+CSV_NUMBER_SPELLINGS = {
+    "underscores": {"tau": "1_000_00"},
+    "surrounding_space": {"retired_instructions": " 60000"},
+    "plus_sign": {"start_cycle": "+100000"},
+    "leading_zeros": {"index": "01"},
+    "non_ascii_digits": {"tau": "\uff11\uff10\uff10\uff10\uff10\uff10"},
+    "no_digit_before_the_point": {"util_int": ".6"},
+}
+
+
+@pytest.mark.parametrize("spelling", CSV_NUMBER_SPELLINGS)
+def test_csv_reads_numbers_as_int_and_float_do(tmp_path, spelling):
+    written, spelled = tmp_path / "written.csv", tmp_path / "spelled.csv"
+    two_row_trace(written, 1, {})
+    two_row_trace(spelled, 1, CSV_NUMBER_SPELLINGS[spelling])
+    assert spelled.read_bytes() != written.read_bytes()
+    assert list(load_trace(spelled)) == list(load_trace(written))
+
+
 TRACE_HEADER = (
     b"index,start_cycle,tau,retired_instructions,util_int,util_fp,source_core\n"
 )
