@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, Mode, parse_config_file
 from .experiment import (
+    check_trace_path,
     detect_over_samples,
     format_overhead_report,
     overhead_report,
@@ -90,6 +91,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if trace is None:
         raise ConfigError("detect needs a trace: pass --trace or set workload.trace")
     out_dir = _out_dir(args, config)
+    check_trace_path(trace, out_dir)
     result = detect_over_samples(
         load_trace(trace, fmt=args.format), config.detector, label=trace.name
     )

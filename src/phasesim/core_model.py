@@ -104,6 +104,16 @@ class SegmentCursor:
     advances it.
 
     ``position`` is the next sample's start cycle, ``next_index`` its index.
+    ``_seg`` is the index of the segment that holds ``position`` (the
+    segment count once the workload is done) and ``_seg_end`` the cycle at
+    which that segment ends. ``_memo`` holds the blend of the last interval
+    that ended inside ``_seg`` (base demand, fp share, one minus the fp
+    share, and the jitter's low end and width), and ``_memo_need`` its
+    length. The blend of a span depends only on its segment and its length,
+    so the memo holds for any later interval of that length that also ends
+    inside ``_seg``. An interval that crosses a segment end or ends on one
+    sets ``_memo_need`` to 0, which no interval matches, so a memo never
+    outlives its segment.
     """
 
     def __init__(self, segments: Sequence[WorkloadSegment]) -> None:
@@ -114,7 +124,9 @@ class SegmentCursor:
         self.position = 0
         self.next_index = 0
         self._seg = 0
-        self._offset = 0
+        self._seg_end = self._segments[0].duration
+        self._memo_need = 0
+        self._memo: tuple = ()
 
 
 def check_retire_range(total_cycles: int, issue_width: int) -> None:
@@ -153,6 +165,11 @@ def simulate_interval(
     interval is truncated so the stream tiles the workload exactly.
     ``dead_cycles`` models migration cost: that many cycles retire nothing
     while still counting toward the interval.
+    An interval of the memo's length that ends inside the cursor's segment
+    reuses the memo (see :class:`SegmentCursor`) instead of walking the
+    segments: it is the blend that walk would compute. With no dead cycles
+    the live share is left out of the unit rates, as it is exactly 1.0 and
+    ``x * 1.0`` is ``x`` for every float.
     The sample skips :class:`IntervalSample`'s check: the caller has passed
     the workload through :func:`check_retire_range`, and utilization is clipped.
     """
@@ -167,43 +184,62 @@ def simulate_interval(
         need = tau
 
     index, start = cursor.next_index, cursor.position
-    cursor.next_index, cursor.position = index + 1, start + need
-    segments, seg, offset = cursor._segments, cursor._seg, cursor._offset
+    end = start + need
+    cursor.next_index, cursor.position = index + 1, end
     covered = need
-    # Per-span terms are summed in span order from 0, so a one-span interval
-    # rounds as ``0 + term`` (which turns -0.0 into 0.0).
-    demand_cycles = fp_cycles = noise_cycles = 0
-    while need:
-        segment = segments[seg]
-        chunk = segment.duration - offset
-        if need < chunk:
-            chunk, offset = need, offset + need
-        else:
-            seg, offset = seg + 1, 0
-        need -= chunk
-        demand = chunk * segment.ipc_demand
-        demand_cycles += demand
-        fp_cycles += demand * segment.fp_fraction
-        noise_cycles += chunk * segment.noise_amplitude
-    cursor._seg, cursor._offset = seg, offset
+    if need == cursor._memo_need and end < cursor._seg_end:
+        base_demand, fp_fraction, int_share, low, width = cursor._memo
+    else:
+        segments, seg, seg_end = cursor._segments, cursor._seg, cursor._seg_end
+        offset = segments[seg].duration - (seg_end - start)
+        # Per-span terms are summed in span order from 0, so a one-span
+        # interval rounds as ``0 + term`` (which turns -0.0 into 0.0).
+        demand_cycles = fp_cycles = noise_cycles = 0
+        while need:
+            segment = segments[seg]
+            chunk = segment.duration - offset
+            if need < chunk:
+                chunk, offset = need, offset + need
+            else:
+                seg, offset = seg + 1, 0
+            need -= chunk
+            demand = chunk * segment.ipc_demand
+            demand_cycles += demand
+            fp_cycles += demand * segment.fp_fraction
+            noise_cycles += chunk * segment.noise_amplitude
+        cursor._seg = seg
+        if seg < len(segments):
+            cursor._seg_end = end + segments[seg].duration - offset
 
-    base_demand = demand_cycles / covered
-    fp_fraction = fp_cycles / demand_cycles if demand_cycles > 0 else 0.0
-    noise_amp = noise_cycles / covered
+        base_demand = demand_cycles / covered
+        fp_fraction = fp_cycles / demand_cycles if demand_cycles > 0 else 0.0
+        noise_amp = noise_cycles / covered
+        int_share = 1.0 - fp_fraction
+        low, width = -noise_amp, noise_amp - -noise_amp
+        if end < seg_end:  # within one segment: the blend holds for its length
+            cursor._memo_need = covered
+            cursor._memo = base_demand, fp_fraction, int_share, low, width
+        else:  # it crossed or reached a segment end
+            cursor._memo_need = 0
 
     # uniform's formula and plain comparisons give what uniform, min and max
     # would, ties and NaN included, without a generic call per interval.
     # noise_amplitude < 1 keeps the jittered demand >= 0; clip at the width.
-    jitter = -noise_amp + (noise_amp - -noise_amp) * rng.random()
+    jitter = low + width * rng.random()
     ipc = base_demand * (1.0 + jitter)
     if core.issue_width < ipc:
         ipc = float(core.issue_width)
 
-    live = covered - dead_cycles if covered > dead_cycles else 0
-    retired = round(ipc * live)
-    scale = live / covered
-    int_rate = ipc * (1.0 - fp_fraction) * scale / core.int_fu_count
-    fp_rate = ipc * fp_fraction * scale / core.fp_fu_count
+    if dead_cycles:
+        live = covered - dead_cycles if covered > dead_cycles else 0
+        scale = live / covered
+        retired = round(ipc * live)
+        int_rate = ipc * int_share * scale / core.int_fu_count
+        fp_rate = ipc * fp_fraction * scale / core.fp_fu_count
+    else:  # the scale would be exactly 1.0, and x * 1.0 is x
+        retired = round(ipc * covered)
+        int_rate = ipc * int_share / core.int_fu_count
+        fp_rate = ipc * fp_fraction / core.fp_fu_count
     util_int = int_rate if int_rate < 1.0 else 1.0
     util_fp = fp_rate if fp_rate < 1.0 else 1.0
 

@@ -153,19 +153,27 @@ def run_experiment(
     config.validate()
     out = Path(out_dir) if out_dir is not None else None
     if trace is not None and out is not None:
-        target, out_path = Path(trace).resolve(), out.resolve()
-        if target == out_path:
-            raise ConfigError(
-                f"the trace {str(trace)!r} is the output directory; name a file in it"
-            )
-        if target.parent == out_path and target.name in ARTIFACTS:
-            raise ConfigError(
-                f"the trace {str(trace)!r} is the run's {target.name}; name another file"
-            )
+        check_trace_path(trace, out)
     result = _simulate(config, out, trace)
     if out is not None:
         write_artifacts(result, out)
     return result
+
+
+def check_trace_path(trace: str | Path, out_dir: str | Path) -> None:
+    """Refuse a trace that is the output directory ``out_dir`` or one of the
+    artifacts a run writes there, which would overwrite the trace.
+    ``simulate --emit-trace`` writes the trace and ``detect`` reads it; both
+    check before either file is opened."""
+    target, out_path = Path(trace).resolve(), Path(out_dir).resolve()
+    if target == out_path:
+        raise ConfigError(
+            f"the trace {str(trace)!r} is the output directory; name a file in it"
+        )
+    if target.parent == out_path and target.name in ARTIFACTS:
+        raise ConfigError(
+            f"the trace {str(trace)!r} is the run's {target.name}; name another file"
+        )
 
 
 def _resolve_workload(config: ExperimentConfig) -> WorkloadSpec:
@@ -316,19 +324,28 @@ def _build_summary(table: ScatterTable, emitted: list[PhaseEvent], header: dict)
     # _value_ is the attribute the Enum.value property reads.
     event_counts = dict(Counter(map(operator.attrgetter("kind._value_"), emitted)))
 
-    # Per phase: [intervals, raw sum, per-cycle sum, utilization sum], each
-    # sum accumulated in row order from 0.0.
-    per_phase: dict[int, list] = {}
+    # Per phase: (intervals, raw sum, per-cycle sum, utilization sum), each
+    # sum accumulated in row order from 0.0. Rows come in runs of one phase:
+    # a run adds into locals, which go back to per_phase when the phase
+    # changes, so a revisited phase carries on from its stored sums.
+    per_phase: dict[int, tuple] = {}
+    open_id = None
     for phase_id, raw, tau, util in zip(
         table.phase_id, table.throughput_raw, table.tau, table.utilization
     ):
-        acc = per_phase.get(phase_id)
-        if acc is None:
-            acc = per_phase[phase_id] = [0, 0.0, 0.0, 0.0]
-        acc[0] += 1
-        acc[1] += raw
-        acc[2] += raw / tau
-        acc[3] += util
+        if phase_id != open_id:
+            if open_id is not None:
+                per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
+            open_id = phase_id
+            count, raw_sum, per_cycle_sum, util_sum = per_phase.get(
+                phase_id, (0, 0.0, 0.0, 0.0)
+            )
+        count += 1
+        raw_sum += raw
+        per_cycle_sum += raw / tau
+        util_sum += util
+    if open_id is not None:
+        per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
     phases = [
         {
             "phase_id": pid,

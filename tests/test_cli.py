@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from phasesim import ConfigError, cli, load_summary, overhead_report
 from phasesim.detector import MAX_RETIRED
+from phasesim.experiment import ARTIFACTS
 
 
 def write_config(tmp_path, text, name="run.conf"):
@@ -841,6 +842,24 @@ class TestDetectCommand:
             "and detector.* keys, got 'workload.preset'\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("artifact", ARTIFACTS)
+    def test_trace_named_after_an_artifact_exits_one(
+        self, tmp_path, capsys, monkeypatch, artifact
+    ):
+        # write_artifacts would write the artifact over the trace it read.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run").mkdir()
+        trace = simulate_trace(tmp_path, FIXED_STEADY, f"run/{artifact}")
+        recorded = trace.read_bytes()
+        capsys.readouterr()
+        assert cli.main(["detect", "--trace", f"run/{artifact}", "--out", "run"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: the trace 'run/{artifact}' is the run's {artifact}; "
+            "name another file\n"
+        )
+        assert trace.read_bytes() == recorded
+        assert [path.name for path in (tmp_path / "run").iterdir()] == [artifact]
 
     def test_empty_trace_writes_header_only_artifacts(self, tmp_path):
         trace = tmp_path / "empty.csv"

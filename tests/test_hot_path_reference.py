@@ -4,13 +4,16 @@
 for speed. Each is checked against a model in ``tests/reference_model.py``
 written from the README's description: the detector against
 ``ReferenceDetector``, the core model against ``blended_interval``, which
-walks the segment list itself. Results must be equal, not close: the
-artifacts are byte-identical only if every float rounds the same way.
+walks the segment list itself. ``_build_summary`` is checked against
+``summary_phases``, which sums each phase's rows on its own in row order.
+Results must be equal, not close: the artifacts are byte-identical only if
+every float rounds the same way.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +30,7 @@ from phasesim import (
     b_core,
     simulate_interval,
 )
+from phasesim.experiment import ScatterTable, _build_summary
 from reference_model import ReferenceDetector, blended_interval
 
 
@@ -123,6 +127,14 @@ segments = st.builds(
 )
 
 
+# Segments for the memo's edge cases: two of one duration and different
+# demands, so a blend kept past a segment end shows in the next segment, and
+# a long one for runs of hits.
+FIRST = WorkloadSegment(300, 1.5, 0.25, 0.1)
+SECOND = WorkloadSegment(300, 3.0, 0.5, 0.2)
+LONG = WorkloadSegment(2000, 2.7, 0.5, 0.1)
+
+
 class TestSimulateIntervalMatchesSpanFormulas:
     @given(
         segs=st.lists(segments, min_size=1, max_size=5),
@@ -134,21 +146,32 @@ class TestSimulateIntervalMatchesSpanFormulas:
             max_size=4,
         ),
         seed=st.integers(0, 2**32 - 1),
-        strong=st.booleans(),
+        # The core of each step, A when True: a migration switches it mid-run.
+        strong=st.lists(st.booleans(), min_size=1, max_size=4),
     )
     # Noise-free demand exactly at the A core's width and int units, at its
     # two fp units and at the B core's one fp unit; then a fully dead interval.
-    @example([WorkloadSegment(300, 4.0)], [100], [0, None], 0, True)
-    @example([WorkloadSegment(300, 2.0, 1.0)], [100], [0, None], 0, True)
-    @example([WorkloadSegment(300, 1.0, 1.0)], [100], [0, None], 0, False)
+    @example([WorkloadSegment(300, 4.0)], [100], [0, None], 0, [True])
+    @example([WorkloadSegment(300, 2.0, 1.0)], [100], [0, None], 0, [True])
+    @example([WorkloadSegment(300, 1.0, 1.0)], [100], [0, None], 0, [False])
+    # The memo (see SegmentCursor): a run of equal taus in one long segment;
+    # the same tau crossing into a segment of the same duration; an interval
+    # ending exactly at a segment end, then the same tau; dead cycles in the
+    # middle of a run of hits, then a shorter tau in the same segment, whose
+    # blend rounds apart from the memo's (3 * 2.7 / 3 is not 2.7).
+    @example([LONG], [100], [0], 1, [True, False])
+    @example([FIRST, SECOND], [70], [0], 2, [True])
+    @example([FIRST, SECOND], [100], [0], 3, [False])
+    @example([LONG], [100] * 5 + [3], [0, 0, 30, 0], 4, [True])
     @settings(max_examples=300, deadline=None)
     def test_every_interval_equals_the_blend(self, segs, taus, dead, seed, strong):
-        core = a_core("A0") if strong else b_core("B0")
+        cores = [a_core("A0") if is_strong else b_core("B0") for is_strong in strong]
         cursor = SegmentCursor(segs)
         rng, twin_rng = random.Random(seed), random.Random(seed)
         index = start = 0
         for step in range(10_000):
             tau, dead_cycles = taus[step % len(taus)], dead[step % len(dead)]
+            core = cores[step % len(cores)]
             if dead_cycles is None:
                 dead_cycles = min(tau, cursor.total_cycles - start)
             sample = simulate_interval(core, cursor, tau, rng, dead_cycles=dead_cycles)
@@ -163,3 +186,71 @@ class TestSimulateIntervalMatchesSpanFormulas:
             assert (cursor.position, cursor.next_index) == (start, index)
         assert start == cursor.total_cycles == sum(s.duration for s in segs)
         assert rng.random() == twin_rng.random()
+
+
+def summary_phases(table: ScatterTable) -> list[dict]:
+    """The summary's per-phase block, one phase at a time: each phase's rows
+    picked out in row order and summed from 0.0."""
+    rows = list(zip(table.phase_id, table.throughput_raw, table.tau, table.utilization))
+    phases = []
+    for pid in sorted(set(table.phase_id)):
+        count, raw_sum, per_cycle_sum, util_sum = 0, 0.0, 0.0, 0.0
+        for phase_id, raw, tau, util in rows:
+            if phase_id == pid:
+                count += 1
+                raw_sum += raw
+                per_cycle_sum += raw / tau
+                util_sum += util
+        phases.append(
+            {
+                "phase_id": pid,
+                "intervals": count,
+                "mean_throughput_raw": raw_sum / count,
+                "mean_throughput_per_cycle": per_cycle_sum / count,
+                "mean_utilization": util_sum / count,
+            }
+        )
+    return phases
+
+
+@st.composite
+def scatter_tables(draw):
+    """Tables whose rows come in runs of one phase, with phases that recur
+    (for example 0, 1, 0, 2, 1)."""
+    phase_ids = []
+    for _ in range(draw(st.integers(0, 12))):
+        phase_ids += [draw(st.integers(0, 3))] * draw(st.integers(1, 6))
+    rows = len(phase_ids)
+    taus = draw(st.lists(st.integers(1, 10**6), min_size=rows, max_size=rows))
+    raws = draw(st.lists(st.integers(0, 2**40), min_size=rows, max_size=rows))
+    utils = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    starts = [sum(taus[:i]) for i in range(rows)]
+    return ScatterTable(
+        array("q", starts), array("q", taus), array("q", raws),
+        array("d", utils), array("q", phase_ids),
+    )
+
+
+class TestBuildSummaryMatchesRowOrderSums:
+    @given(scatter_tables())
+    @example(
+        ScatterTable(
+            array("q", range(0, 500, 100)), array("q", [100] * 5),
+            array("q", [10, 30, 7, 50, 90]), array("d", [0.1, 0.7, 0.2, 0.3, 0.9]),
+            array("q", [0, 1, 0, 2, 1]),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_per_phase_sums_follow_row_order(self, table):
+        summary = _build_summary(table, [], {"label": "t"})
+        # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not.
+        assert repr(summary["phases"]) == repr(summary_phases(table))
+        assert summary["phase_count"] == len(set(table.phase_id))
+        assert summary["sample_count"] == len(table.tau)
+        assert summary["cycles_covered"] == sum(table.tau)
