@@ -10,9 +10,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, Mode, parse_config_file
+from .config import ConfigError, ExperimentConfig, Mode, config_inputs, parse_config_file
 from .experiment import (
-    check_trace_path,
+    check_paths,
     detect_over_samples,
     format_overhead_report,
     overhead_report,
@@ -78,7 +78,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     elif args.variable_tau:
         config.mode = Mode.VARIABLE
     out_dir = _out_dir(args, config)
-    result = run_experiment(config, out_dir, trace=args.emit_trace or None)
+    result = run_experiment(
+        config, out_dir, trace=args.emit_trace or None, inputs=config_inputs(args.config)
+    )
     _print_summary(result.summary, out_dir)
     return 0
 
@@ -91,7 +93,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if trace is None:
         raise ConfigError("detect needs a trace: pass --trace or set workload.trace")
     out_dir = _out_dir(args, config)
-    check_trace_path(trace, out_dir)
+    check_paths(out_dir, {"trace": trace, "config file": args.config})
     result = detect_over_samples(
         load_trace(trace, fmt=args.format), config.detector, label=trace.name
     )

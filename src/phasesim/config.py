@@ -180,6 +180,30 @@ def parse_config_file(path: str | Path, *, detect: bool = False) -> ExperimentCo
     """Parse a config file; ``detect=True`` refuses every key ``detect`` does
     not read, before any value is parsed or any file it names is opened."""
     path = Path(path)
+    return parse_config_pairs(_read_pairs(path, detect), base_dir=path.parent)
+
+
+#: The keys that name a file a ``simulate`` run reads, with its role.
+_INPUT_ROLES = {"workload.spec": "workload spec", "machine": "machine file"}
+
+
+def config_inputs(path: str | Path) -> dict[str, Path]:
+    """The config file ``path`` and the files it names for a ``simulate`` run
+    to read, by role: the files no output of the run may be."""
+    path = Path(path)
+    pairs = _read_pairs(path, detect=False)
+    return {
+        "config file": path,
+        **{
+            role: _parse_path(pairs[key], key, path.parent)
+            for key, role in _INPUT_ROLES.items()
+            if key in pairs
+        },
+    }
+
+
+def _read_pairs(path: Path, detect: bool) -> dict[str, str]:
+    """A config file's ``key = value`` pairs, in file order."""
     pairs: dict[str, str] = {}
     try:
         text = path.read_text(encoding="utf-8")
@@ -204,7 +228,7 @@ def parse_config_file(path: str | Path, *, detect: bool = False) -> ExperimentCo
                 f"and detector.* keys, got {key!r}"
             )
         pairs[key] = value
-    return parse_config_pairs(pairs, base_dir=path.parent)
+    return pairs
 
 
 def parse_config_pairs(pairs: dict[str, str], base_dir: str | Path = ".") -> ExperimentConfig:

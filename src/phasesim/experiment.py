@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import random
 from array import array
 from collections import Counter
@@ -46,6 +47,40 @@ from .workload import (
 )
 
 SUMMARY_SCHEMA_VERSION = 1
+
+
+class SummaryField(NamedTuple):
+    """A summary.json key's row in :data:`SUMMARY_FIELDS`."""
+
+    type: str  # its value's type as json.load gives it, an annotation typed_value reads
+    compared: bool = False  # whether compare-overhead reads it, so load_summary checks it
+    simulate_only: bool = False  # whether only simulate writes it, not detect
+
+
+#: Every top-level key of summary.json, in the order README lists them.
+SUMMARY_FIELDS: dict[str, SummaryField] = {
+    "schema_version": SummaryField("int"),
+    "cycles_covered": SummaryField("int", compared=True),
+    "sample_count": SummaryField("int", compared=True),
+    "label": SummaryField("str", compared=True),
+    "mode": SummaryField("str", compared=True),
+    "seed": SummaryField("int | None"),
+    "start_core": SummaryField("str", simulate_only=True),
+    "scheduler_enabled": SummaryField("bool", simulate_only=True),
+    "phase_count": SummaryField("int"),
+    "migration_count": SummaryField("int"),
+    "event_counts": SummaryField("dict"),
+    "phases": SummaryField("list"),
+}
+
+#: The keys of each entry of the summary's ``phases``, with their types, in README order.
+PHASE_FIELDS: dict[str, str] = {
+    "phase_id": "int",
+    "intervals": "int",
+    "mean_throughput_raw": "float",
+    "mean_throughput_per_cycle": "float",
+    "mean_utilization": "float",
+}
 
 #: The files a run writes in its output directory.
 ARTIFACTS = ("scatter.csv", "events.csv", "summary.json")
@@ -140,40 +175,72 @@ def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
     trace: str | Path | None = None,
+    inputs: dict[str, str | Path] | None = None,
 ) -> RunResult:
     """Simulate one preset or workload-spec source and, given ``out_dir``,
     write its artifacts there. With ``trace``, each interval is also written
     to that file as it is simulated, in the format its suffix picks (see
-    :func:`save_trace`); it may sit in ``out_dir`` but may be neither
-    ``out_dir`` nor one of the artifacts written there.
+    :func:`save_trace`). ``inputs`` names, by role, other files the caller
+    read for the run (``simulate`` passes its config and machine files):
+    :func:`check_paths` refuses an output that is one of them, the workload
+    spec or another output.
 
     :meth:`ExperimentConfig.validate` refuses a trace source:
     ``detect_over_samples`` (``phasesim detect``) is the one replay path.
     """
     config.validate()
     out = Path(out_dir) if out_dir is not None else None
-    if trace is not None and out is not None:
-        check_trace_path(trace, out)
+    if out is not None or trace is not None:
+        check_paths(out, {**(inputs or {}), "workload spec": config.workload_spec_path}, trace)
     result = _simulate(config, out, trace)
     if out is not None:
         write_artifacts(result, out)
     return result
 
 
-def check_trace_path(trace: str | Path, out_dir: str | Path) -> None:
-    """Refuse a trace that is the output directory ``out_dir`` or one of the
-    artifacts a run writes there, which would overwrite the trace.
-    ``simulate --emit-trace`` writes the trace and ``detect`` reads it; both
-    check before either file is opened."""
-    target, out_path = Path(trace).resolve(), Path(out_dir).resolve()
-    if target == out_path:
-        raise ConfigError(
-            f"the trace {str(trace)!r} is the output directory; name a file in it"
-        )
-    if target.parent == out_path and target.name in ARTIFACTS:
-        raise ConfigError(
-            f"the trace {str(trace)!r} is the run's {target.name}; name another file"
-        )
+def check_paths(
+    out_dir: str | Path | None,
+    inputs: dict[str, str | Path | None],
+    trace: str | Path | None = None,
+) -> None:
+    """The one rule for the files a run names: no output (``trace``, which
+    ``simulate`` writes, or one of the ``ARTIFACTS`` in ``out_dir``) may be
+    one of ``inputs`` (role: path, ``None`` for none; ``detect`` reads its
+    trace as ``"trace"``) or another output, and the trace, read or written,
+    may not be ``out_dir``. A file that exists is compared by what it is, the
+    test of :func:`os.path.samefile`, so a hard link or a symlink to it is
+    the same file; a path that does not exist yet, by where it resolves.
+    Both commands check before any output is opened."""
+    outputs = {} if trace is None else {"trace": trace}
+    # The trace comes first, so a message names it first; detect's inputs start with it.
+    files = {**outputs, **{role: path for role, path in inputs.items() if path is not None}}
+    if out_dir is not None:
+        out = Path(out_dir)
+        trace_path = files.get("trace")
+        if trace_path is not None and _file_key(trace_path) == _file_key(out):
+            raise ConfigError(
+                f"the trace {str(trace_path)!r} is the output directory; name a file in it"
+            )
+        artifacts = {f"run's {name}": out / name for name in ARTIFACTS}
+        outputs.update(artifacts)
+        files.update(artifacts)
+    seen: dict[object, str] = {}
+    for role, path in files.items():
+        first = seen.setdefault(_file_key(path), role)
+        if first != role and (role in outputs or first in outputs):
+            raise ConfigError(
+                f"the {first} {str(files[first])!r} is the {role}; name another file"
+            )
+
+
+def _file_key(path: str | Path) -> object:
+    """What a path names: an existing file's device and inode, else the
+    path resolved (through a dangling symlink too)."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return Path(path).resolve()
+    return stat.st_dev, stat.st_ino
 
 
 def _resolve_workload(config: ExperimentConfig) -> WorkloadSpec:
@@ -320,7 +387,8 @@ def _run_intervals(
 
 
 def _build_summary(table: ScatterTable, emitted: list[PhaseEvent], header: dict) -> dict:
-    """``header`` (label, mode, seed, run settings), then the run's counts."""
+    """The run's counts under ``header`` (label, mode, seed and, for
+    ``simulate``, its settings), keyed and ordered as ``SUMMARY_FIELDS``."""
     # _value_ is the attribute the Enum.value property reads.
     event_counts = dict(Counter(map(operator.attrgetter("kind._value_"), emitted)))
 
@@ -346,18 +414,13 @@ def _build_summary(table: ScatterTable, emitted: list[PhaseEvent], header: dict)
         util_sum += util
     if open_id is not None:
         per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
+    # Each phase's values in PHASE_FIELDS order: its id, its interval count, its means.
     phases = [
-        {
-            "phase_id": pid,
-            "intervals": count,
-            "mean_throughput_raw": raw / count,
-            "mean_throughput_per_cycle": per_cycle / count,
-            "mean_utilization": util / count,
-        }
+        dict(zip(PHASE_FIELDS, (pid, count, raw / count, per_cycle / count, util / count)))
         for pid, (count, raw, per_cycle, util) in sorted(per_phase.items())
     ]
 
-    return {
+    values = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         **header,
         "sample_count": len(table.tau),
@@ -369,6 +432,8 @@ def _build_summary(table: ScatterTable, emitted: list[PhaseEvent], header: dict)
         "event_counts": event_counts,
         "phases": phases,
     }
+    # A detect header holds none of the simulate-only fields.
+    return {name: values[name] for name in SUMMARY_FIELDS if name in values}
 
 
 # Every field is an int, a float or an annotation token, none of which needs
@@ -427,12 +492,6 @@ def write_artifacts(result: RunResult, out_dir: str | Path) -> None:
         handle.write("\n")
 
 
-#: The summary keys that overhead_report reads, with their annotations.
-_REPORT_KEYS = {
-    "cycles_covered": "int", "sample_count": "int", "label": "str", "mode": "str"
-}
-
-
 def load_summary(run_dir: str | Path) -> dict:
     path = Path(run_dir) / "summary.json"
     with open(path, "r", encoding="utf-8") as handle:
@@ -443,8 +502,9 @@ def load_summary(run_dir: str | Path) -> dict:
     # A summary that is not a JSON object lacks every key.
     record = summary if isinstance(summary, dict) else {}
     try:
-        for key, annotation in _REPORT_KEYS.items():
-            json_field(record, key, annotation)
+        for name, row in SUMMARY_FIELDS.items():
+            if row.compared:
+                json_field(record, name, row.type)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return summary
@@ -475,7 +535,7 @@ def overhead_report(fixed_dir: str | Path, variable_dir: str | Path) -> dict:
     counts = fixed["sample_count"], variable["sample_count"]
     if min(counts) < 1:
         raise ConfigError(f"sample counts must be >= 1: {counts[0]} and {counts[1]}")
-    keys = ("label", "mode", "sample_count")
+    keys = [name for name, row in SUMMARY_FIELDS.items() if row.compared]
     return {
         "cycles_covered": fixed["cycles_covered"],
         "fixed": {key: fixed[key] for key in keys},

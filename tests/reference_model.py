@@ -17,6 +17,9 @@ order that the artifacts are pinned to: a deviation is the difference times
 100 over the average, and a running average folds a new value into the old
 mean as ``(mean * n + value) / (n + 1)``.
 
+``expected_taus`` is the interval ladder the same way: the closed form of
+README's "Interval ladder" for a run in which nothing opens a phase.
+
 ``blended_interval`` is the core model the same way: an interval covers the
 spans of every segment it touches, found by walking the segment list from
 cycle 0, and blends their demand pro rata by cycles. ``simulate_interval``
@@ -26,16 +29,19 @@ must agree with it exactly.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain, repeat
 from typing import Sequence
 
 from phasesim import (
     CoreSpec,
     DetectorConfig,
+    ExperimentConfig,
     IntervalSample,
     PhaseEvent,
     PhaseEventKind,
     PhaseState,
     WorkloadSegment,
+    WorkloadSpec,
 )
 
 
@@ -249,3 +255,22 @@ def blended_interval(
     return IntervalSample(
         index, start, covered, int(round(ipc * live)), util_int, util_fp, core.name
     )
+
+
+def expected_taus(spec: WorkloadSpec, config: ExperimentConfig) -> list[int]:
+    """The ``tau`` column of a ``variable_tau`` run of ``spec`` in which no
+    phase opens after the first and every verdict is steady:
+    ``steady_upper_bound + 1`` intervals at ``tau_min``, ``steady_upper_bound``
+    at each rung above it below ``tau_max``, then ``tau_max`` until the
+    workload ends, the last interval cut short."""
+    detector = config.detector
+    rungs, tau, count = [], detector.tau_min, detector.steady_upper_bound + 1
+    while tau < detector.tau_max:
+        rungs += [tau] * count
+        tau, count = tau * 2, detector.steady_upper_bound
+    ladder = chain(rungs, repeat(detector.tau_max))
+    taus, left = [], spec.total_cycles
+    while left:
+        taus.append(min(next(ladder), left))
+        left -= taus[-1]
+    return taus

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -912,6 +913,100 @@ class TestDetectCommand:
         summary = load_summary(out)
         # Steady demand 1.6 sits at 40% utilization, under the raised bound.
         assert summary["event_counts"].get("under_util", 0) > 0
+
+
+class TestNoOutputIsAnInput:
+    """One rule for every file a run names: no output (the trace ``simulate``
+    writes, or an artifact) may be a file the run reads (its config, workload
+    spec, machine file, or ``detect``'s trace) or another output. Each case
+    exits 1 naming both files' roles, before any output opens, and leaves the
+    input as it was."""
+
+    SPEC_CONFIG = "workload.spec = spec.json\nmode = fixed_tau\nfixed_tau = 100000\n"
+
+    def refused(self, capsys, argv, message, kept: Path) -> None:
+        before = kept.read_bytes()
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}; name another file\n"
+        assert kept.read_bytes() == before
+
+    def test_trace_named_after_the_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, FIXED_STEADY, name="s.conf")
+        argv = ["simulate", "--config", "s.conf", "--out", "run", "--emit-trace", "s.conf"]
+        self.refused(capsys, argv, "the trace 's.conf' is the config file", tmp_path / "s.conf")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.conf"]
+
+    def test_trace_named_after_the_workload_spec(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen-workload", "--preset", "steady", "--cycles", "1000000",
+                         "--out", "spec.json"]) == 0
+        write_config(tmp_path, self.SPEC_CONFIG, name="s.conf")
+        argv = ["simulate", "--config", "s.conf", "--out", "run", "--emit-trace", "spec.json"]
+        self.refused(
+            capsys, argv, "the trace 'spec.json' is the workload spec", tmp_path / "spec.json"
+        )
+        assert cli.main(["simulate", "--config", "s.conf", "--out", "run"]) == 0
+
+    def test_trace_named_after_the_machine_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.csv").write_bytes(MACHINE_HEADER + b"A0,A,4,64,32,,\nB0,B,2,32,16,,\n")
+        write_config(tmp_path, FIXED_STEADY + "machine = m.csv\n", name="s.conf")
+        argv = ["simulate", "--config", "s.conf", "--out", "run", "--emit-trace", "m.csv"]
+        self.refused(capsys, argv, "the trace 'm.csv' is the machine file", tmp_path / "m.csv")
+        assert cli.main(["simulate", "--config", "s.conf", "--out", "run"]) == 0
+
+    def test_artifact_hard_linked_to_the_trace(self, tmp_path, capsys, monkeypatch):
+        # A hard link resolves to its own name; only the file's identity tells.
+        monkeypatch.chdir(tmp_path)
+        trace = simulate_trace(tmp_path, FIXED_STEADY, "t.csv")
+        (tmp_path / "hl").mkdir()
+        os.link(trace, tmp_path / "hl" / "scatter.csv")
+        argv = ["detect", "--trace", "t.csv", "--out", "hl"]
+        self.refused(capsys, argv, "the trace 't.csv' is the run's scatter.csv", trace)
+        assert cli.main(["detect", "--trace", "t.csv", "--out", "replay"]) == 0
+
+    def test_artifact_symlinked_to_the_trace(self, tmp_path, capsys, monkeypatch):
+        # open(path, "w") writes through a symlink.
+        monkeypatch.chdir(tmp_path)
+        trace = simulate_trace(tmp_path, FIXED_STEADY, "t2.csv")
+        (tmp_path / "sl").mkdir()
+        (tmp_path / "sl" / "events.csv").symlink_to(Path("..") / "t2.csv")
+        argv = ["detect", "--trace", "t2.csv", "--out", "sl"]
+        self.refused(capsys, argv, "the trace 't2.csv' is the run's events.csv", trace)
+
+    def test_artifact_named_after_the_workload_spec(self, tmp_path, capsys, monkeypatch):
+        # No trace: the summary would be written over the spec it ran.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run").mkdir()
+        assert cli.main(["gen-workload", "--preset", "steady", "--cycles", "1000000",
+                         "--out", "run/summary.json"]) == 0
+        write_config(
+            tmp_path, self.SPEC_CONFIG.replace("spec.json", "run/summary.json"), name="s.conf"
+        )
+        argv = ["simulate", "--config", "s.conf", "--out", "run"]
+        message = "the workload spec 'run/summary.json' is the run's summary.json"
+        self.refused(capsys, argv, message, tmp_path / "run" / "summary.json")
+
+    def test_artifact_symlinked_to_another_artifact(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, FIXED_STEADY, name="s.conf")
+        assert cli.main(["simulate", "--config", "s.conf", "--out", "run"]) == 0
+        (tmp_path / "run" / "events.csv").unlink()
+        (tmp_path / "run" / "events.csv").symlink_to("scatter.csv")
+        argv = ["simulate", "--config", "s.conf", "--out", "run"]
+        message = "the run's scatter.csv 'run/scatter.csv' is the run's events.csv"
+        self.refused(capsys, argv, message, tmp_path / "run" / "scatter.csv")
+
+    def test_config_file_is_an_input_of_detect(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        trace = simulate_trace(tmp_path, FIXED_STEADY, "t.csv")
+        (tmp_path / "run").mkdir()
+        write_config(tmp_path / "run", "detector.delta_th = 50\n", name="events.csv")
+        argv = ["detect", "--trace", str(trace), "--config", "run/events.csv", "--out", "run"]
+        message = "the config file 'run/events.csv' is the run's events.csv"
+        self.refused(capsys, argv, message, tmp_path / "run" / "events.csv")
 
 
 class TestCompareCommand:

@@ -299,3 +299,30 @@ def test_phase_count_is_every_phase_in_the_rows(name, tmp_path, monkeypatch):
     assert len(detectors) == (1 if name in SIMULATE_CASES else 2)
     detector = detectors[-1]
     assert summary["phase_count"] == len(phase_ids) == len(detector.phases)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CASES) + sorted(DETECT_CASES))
+def test_summary_keys_are_the_table_fields(name, tmp_path):
+    # simulate writes every field of the table, detect all but the
+    # simulate-only ones; every phase holds exactly the phase fields.
+    run = run_simulate_case if name in SIMULATE_CASES else run_detect_case
+    run(name, tmp_path)
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    expected = [
+        key
+        for key, row in experiment.SUMMARY_FIELDS.items()
+        if name in SIMULATE_CASES or not row.simulate_only
+    ]
+    assert sorted(summary) == sorted(expected)
+    types = {key: row.type for key, row in experiment.SUMMARY_FIELDS.items()}
+    assert summary["phases"]
+    for phase in summary["phases"]:
+        assert sorted(phase) == sorted(experiment.PHASE_FIELDS)
+        assert {key: type_name(value) for key, value in phase.items()} == experiment.PHASE_FIELDS
+    for key, value in summary.items():
+        assert type_name(value) in types[key].split(" | "), key
+
+
+def type_name(value) -> str:
+    """A JSON value's type as the summary tables name it."""
+    return "None" if value is None else type(value).__name__

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from phasesim import (
     DetectorConfig,
+    ExperimentConfig,
     IntervalController,
+    Mode,
     PhaseEventKind,
+    a_core,
+    b_core,
+    run_experiment,
+    steady,
 )
+from reference_model import expected_taus
 
 
 def steady_verdict(average, previous, band=1.0):
@@ -146,3 +153,47 @@ class TestObserveAverage:
         ctl.reset_baseline(0.0)
         assert ctl.observe_average(0.5) is PhaseEventKind.TAU_HALVED
         assert ctl.tau == 100_000
+
+
+@st.composite
+def in_band_steady_runs(draw):
+    """A variable-tau run of a noiseless one-segment workload whose
+    utilization sits inside the band on its start core, so nothing opens a
+    phase and every verdict is steady. A tau_min of 1 000 cycles or more
+    keeps a count's rounding far below steady_band."""
+    core = draw(st.sampled_from([a_core("A0"), b_core("B0")]))
+    tau_min = draw(st.integers(1_000, 200_000))
+    detector = DetectorConfig(
+        tau_min=tau_min,
+        tau_max=tau_min * 2 ** draw(st.integers(0, 5)),
+        steady_upper_bound=draw(st.integers(1, 12)),
+    )
+    utilization = draw(st.floats(detector.delta_under + 0.05, detector.delta_over - 0.05))
+    spec = steady(
+        total_cycles=draw(st.integers(tau_min, tau_min * 400)),
+        demand=utilization * core.int_fu_count,
+    )
+    config = ExperimentConfig(
+        detector=detector,
+        machine_cores=[core],
+        workload_preset="steady",
+        preset_args={"total_cycles": spec.total_cycles, "demand": spec.segments[0].ipc_demand},
+        mode=Mode.VARIABLE,
+    )
+    return spec, config
+
+
+class TestLadderOracle:
+    @given(run=in_band_steady_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_tau_column_is_the_closed_form_ladder(self, run):
+        spec, config = run
+        result = run_experiment(config)
+        taus = list(result.table.tau)
+        # Every verdict but the cut-short final interval's was steady.
+        assert all(
+            event.kind is PhaseEventKind.TAU_DOUBLED
+            for event in result.events
+            if event.interval_index < len(taus) - 1
+        )
+        assert taus == expected_taus(spec, config)

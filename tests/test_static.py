@@ -1,7 +1,9 @@
 """Checks that read the sources and the README instead of running a command:
 no dead module-level names in ``src/``, the file formats the README
-documents are the ones the record types state, and the config keys it and
-``docs/example.conf`` document are the ones ``config.CONFIG_KEYS`` lists."""
+documents are the ones the record types state, the config keys it and
+``docs/example.conf`` document are the ones ``config.CONFIG_KEYS`` lists, and
+the summary fields it documents are those of ``experiment.SUMMARY_FIELDS``
+and ``experiment.PHASE_FIELDS``."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import pytest
 
 from phasesim.config import CONFIG_KEYS, ExperimentConfig, parse_config_pairs
 from phasesim.detector import DetectorConfig
-from phasesim.experiment import EVENT_COLUMNS, SCATTER_COLUMNS
+from phasesim.experiment import EVENT_COLUMNS, PHASE_FIELDS, SCATTER_COLUMNS, SUMMARY_FIELDS
 from phasesim.workload import TRACE_COLUMNS, steady
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,3 +139,24 @@ class TestConfigKeys:
         }
         assert entries["preset_args"] == list(inspect.signature(steady).parameters)
         assert entries["detector"] == [f.name for f in fields(DetectorConfig)]
+
+
+def documented_summary_fields(indent: int) -> list[tuple[str, ...]]:
+    """README's list of summary.json keys nested ``indent`` spaces deep
+    under the Artifacts bullet: each key with its parenthesized type and
+    marks, in order."""
+    body = readme_section("Artifacts")
+    bullet = body[body.index("- `summary.json`"):].split("\n- ", 1)[0]
+    pattern = rf"^ {{{indent}}}- `([a-z_]+)` \(([^)]*)\):"
+    return [(key, *facts.split(", ")) for key, facts in re.findall(pattern, bullet, re.M)]
+
+
+class TestSummaryFields:
+    def test_readme_lists_each_field_in_table_order_with_its_type_and_marks(self):
+        assert documented_summary_fields(2) == [
+            (key, row.type, *["compare"] * row.compared, *["simulate"] * row.simulate_only)
+            for key, row in SUMMARY_FIELDS.items()
+        ]
+
+    def test_readme_lists_each_phase_field_in_table_order_with_its_type(self):
+        assert documented_summary_fields(4) == list(PHASE_FIELDS.items())
