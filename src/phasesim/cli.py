@@ -10,7 +10,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, Mode, config_inputs, parse_config_file
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    Mode,
+    config_inputs,
+    parse_config_file,
+    path_text,
+)
 from .experiment import (
     check_paths,
     detect_over_samples,
@@ -33,35 +40,49 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _path(name: str):
+    """The argparse type of path argument ``name``: config's path rule, so a
+    bad path exits 1 naming the argument."""
+    return lambda value: path_text(value, name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="phasesim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", help="run a workload through the machine")
-    simulate.add_argument("--config", required=True, help="experiment config file")
+    simulate.add_argument(
+        "--config", required=True, type=_path("--config"), help="experiment config file"
+    )
     simulate.add_argument("--seed", type=int, default=None)
     tau_group = simulate.add_mutually_exclusive_group()
     tau_group.add_argument("--fixed-tau", type=int, default=None, metavar="N")
     tau_group.add_argument("--variable-tau", action="store_true")
-    simulate.add_argument("--out", default=None, metavar="DIR")
-    simulate.add_argument("--emit-trace", default=None, metavar="PATH",
-                          help="also write each interval to a trace (csv or jsonl)")
+    simulate.add_argument("--out", default=None, type=_path("--out"), metavar="DIR")
+    simulate.add_argument(
+        "--emit-trace", default=None, type=_path("--emit-trace"), metavar="PATH",
+        help="also write each interval to a trace (csv or jsonl)",
+    )
 
     detect = sub.add_parser("detect", help="run the detector over a recorded trace")
-    detect.add_argument("--trace", default=None, help="trace file (csv or jsonl)")
-    detect.add_argument("--config", default=None, help="detector overrides")
+    detect.add_argument(
+        "--trace", default=None, type=_path("--trace"), help="trace file (csv or jsonl)"
+    )
+    detect.add_argument(
+        "--config", default=None, type=_path("--config"), help="detector overrides"
+    )
     detect.add_argument("--format", choices=("csv", "jsonl"), default=None)
-    detect.add_argument("--out", default=None, metavar="DIR")
+    detect.add_argument("--out", default=None, type=_path("--out"), metavar="DIR")
 
     compare = sub.add_parser(
         "compare-overhead", help="profiling-cost ratio of two finished runs"
     )
-    compare.add_argument("fixed_dir")
-    compare.add_argument("variable_dir")
+    compare.add_argument("fixed_dir", type=_path("fixed_dir"))
+    compare.add_argument("variable_dir", type=_path("variable_dir"))
 
     gen = sub.add_parser("gen-workload", help="write a preset workload spec")
     gen.add_argument("--preset", required=True)
-    gen.add_argument("--out", required=True, metavar="PATH")
+    gen.add_argument("--out", required=True, type=_path("--out"), metavar="PATH")
     gen.add_argument("--cycles", type=int, default=None, help="steady preset only")
     gen.add_argument("--demand", type=float, default=None, help="steady preset only")
 

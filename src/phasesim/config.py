@@ -127,14 +127,20 @@ def _parse_mode(value: str, key: str, base_dir: Path) -> Mode:
         raise ConfigError(f"mode must be fixed_tau or variable_tau, got {value!r}") from None
 
 
+def path_text(value: str, name: str) -> str:
+    """``value``, refused if the OS could not open it as a path: the one rule
+    for a path given by a config key or a command-line argument ``name``."""
+    # The OS cannot open a path with a NUL byte; Python raises ValueError.
+    if "\0" in value:
+        raise ConfigError(f"{name}: path contains a NUL byte: {value!r}")
+    return value
+
+
 def _parse_path(value: str, key: str, base_dir: Path) -> Path:
     # An empty value would name base_dir itself.
     if not value:
         raise ConfigError(f"{key}: expected a path, got an empty value")
-    # The OS cannot open a path with a NUL byte; Python raises ValueError.
-    if "\0" in value:
-        raise ConfigError(f"{key}: path contains a NUL byte: {value!r}")
-    return base_dir / value
+    return base_dir / path_text(value, key)
 
 
 def _parse_machine(value: str, key: str, base_dir: Path) -> list[CoreSpec]:

@@ -207,10 +207,11 @@ def check_paths(
     ``simulate`` writes, or one of the ``ARTIFACTS`` in ``out_dir``) may be
     one of ``inputs`` (role: path, ``None`` for none; ``detect`` reads its
     trace as ``"trace"``) or another output, and the trace, read or written,
-    may not be ``out_dir``. A file that exists is compared by what it is, the
-    test of :func:`os.path.samefile`, so a hard link or a symlink to it is
-    the same file; a path that does not exist yet, by where it resolves.
-    Both commands check before any output is opened."""
+    may not be ``out_dir``; nor may an output be a directory that exists. A
+    file that exists is compared by what it is, the test of
+    :func:`os.path.samefile`, so a hard link or a symlink to it is the same
+    file; a path that does not exist yet, by where it resolves. Both
+    commands check before any output is opened."""
     outputs = {} if trace is None else {"trace": trace}
     # The trace comes first, so a message names it first; detect's inputs start with it.
     files = {**outputs, **{role: path for role, path in inputs.items() if path is not None}}
@@ -226,6 +227,8 @@ def check_paths(
         files.update(artifacts)
     seen: dict[object, str] = {}
     for role, path in files.items():
+        if role in outputs and os.path.isdir(path):
+            raise ConfigError(f"the {role} {str(path)!r} is an existing directory")
         first = seen.setdefault(_file_key(path), role)
         if first != role and (role in outputs or first in outputs):
             raise ConfigError(

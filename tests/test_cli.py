@@ -3,12 +3,15 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasesim
 from phasesim import ConfigError, cli, load_summary, overhead_report
 from phasesim.detector import MAX_RETIRED
 from phasesim.experiment import ARTIFACTS
@@ -279,8 +282,13 @@ class TestSimulateCommand:
                 '"ipc_demand": 1.0}]}',
                 "duration must be an int",
             ),
+            (
+                '{"schema_version": 1, "name": "s", "segments": '
+                '[{"duration": 1.5, "ipc_demand": 1.0}]}',
+                "s.json: segment 0: duration must be an int, got 1.5",
+            ),
         ],
-        ids=["bool_schema_version", "float_duration"],
+        ids=["bool_schema_version", "float_duration", "fractional_duration"],
     )
     def test_spec_value_of_the_wrong_json_type_exits_one(
         self, tmp_path, capsys, spec_text, named
@@ -394,7 +402,7 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == code
         if code:
             err = capsys.readouterr().err
-            assert "config error: the workload demands more instructions" in err
+            assert "config error: the workload demands more instructions in total" in err
             assert not out.exists()
         else:
             rows = list(csv.DictReader((out / "scatter.csv").read_text().splitlines()))
@@ -412,29 +420,24 @@ class TestSimulateCommand:
 
 
 class TestGenWorkloadCommand:
-    def test_spec_then_simulate(self, tmp_path):
-        spec_path = tmp_path / "steady.json"
-        code = cli.main(
-            [
-                "gen-workload",
-                "--preset",
-                "steady",
-                "--cycles",
-                "1000000",
-                "--out",
-                str(spec_path),
-            ]
-        )
-        assert code == 0
+    @pytest.mark.parametrize(
+        "preset_args, samples",
+        [(["steady", "--cycles", "1000000"], 10), (["fmm_like"], 1000)],
+        ids=["steady", "fmm_like"],
+    )
+    def test_spec_then_simulate(self, tmp_path, preset_args, samples):
+        spec_path = tmp_path / "spec.json"
+        assert cli.main(["gen-workload", "--preset", *preset_args, "--out", str(spec_path)]) == 0
         config = write_config(
             tmp_path,
             f"workload.spec = {spec_path.name}\nmode = fixed_tau\nfixed_tau = 100000\n",
         )
-        out = tmp_path / "run"
-        assert (
-            cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        )
-        assert load_summary(out)["sample_count"] == 10
+        out, trace, replayed = tmp_path / "run", tmp_path / "t.jsonl", tmp_path / "replayed"
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        assert cli.main([*argv, "--emit-trace", str(trace)]) == 0
+        assert load_summary(out)["sample_count"] == samples
+        assert cli.main(["detect", "--trace", str(trace), "--out", str(replayed)]) == 0
+        assert load_summary(replayed)["sample_count"] == samples
 
     def test_unknown_preset_exits_one(self, tmp_path):
         code = cli.main(
@@ -645,14 +648,66 @@ class TestDetectCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "name, content",
+        "name, content, named",
         [
-            ("bad.csv", b"index,tau\n0,100\n"),
-            ("bad.csv", TRACE_HEADER + b"0,0,100000,100000,0.5,0.0,A\xff\n"),
-            ("bad.jsonl", b'{"schema_version": 1, "source_core": "A\xff"}\n'),
-            ("bad.csv", TRACE_HEADER + b"0,0,100000,100000,0.5,0.0," + b"A" * 140_000),
-            ("bad.jsonl", b"[" * 100_000 + b"\n"),
-            ("bad.jsonl", b'{"schema_version": 1, "tau": ' + b"1" * 5000 + b"}\n"),
+            ("bad.csv", b"index,tau\n0,100\n", "line 1: bad header ['index', 'tau']"),
+            (
+                "bad.csv",
+                TRACE_HEADER + b"0,0,100000,100000,0.5,0.0,A\xff\n",
+                "bad.csv is not valid UTF-8",
+            ),
+            (
+                "bad.jsonl",
+                b'{"schema_version": 1, "source_core": "A\xff"}\n',
+                "bad.jsonl is not valid UTF-8",
+            ),
+            (
+                "bad.csv",
+                TRACE_HEADER + b"0,0,100000,100000,0.5,0.0," + b"A" * 140_000,
+                "line 2: field larger than field limit",
+            ),
+            ("bad.jsonl", b"[" * 100_000 + b"\n", "line 1: "),
+            ("bad.jsonl", b'{"schema_version": 1, "tau": ' + b"1" * 5000 + b"}\n", "line 1: "),
+            (
+                "gap.csv",
+                TRACE_HEADER + b"0,0,100,50,0.5,0.0,A0\n1,150,100,50,0.5,0.0,A0\n",
+                "row 1: start_cycle 150 leaves a gap (expected 100)",
+            ),
+            (
+                "util.jsonl",
+                b'{"schema_version": 1, "index": 0, "start_cycle": 0, "tau": 100, '
+                b'"retired_instructions": 50, "util_int": 1.5, "util_fp": 0.0, '
+                b'"source_core": "A0"}\n',
+                "row 0: util_int must lie in [0, 1], got 1.5",
+            ),
+            (
+                "bool.jsonl",
+                b'{"schema_version": 1, "index": 0, "start_cycle": 0, "tau": 100, '
+                b'"retired_instructions": 50, "util_int": true, "util_fp": 0.0, '
+                b'"source_core": "A0"}\n',
+                "row 0: util_int must be a number, got True",
+            ),
+            (
+                "start.csv",
+                TRACE_HEADER + b"0,9223372036854775808,100,50,0.5,0.0,A0\n",
+                "row 0: start_cycle must be >= 0 and fit a 64-bit counter, "
+                "got 9223372036854775808",
+            ),
+            (
+                "skip.csv",
+                TRACE_HEADER + b"0,0,100,50,0.5,0.0,A0\n2,100,100,50,0.5,0.0,A0\n",
+                "row 1: index 2 does not follow 0",
+            ),
+            (
+                "first.csv",
+                TRACE_HEADER + b"1,0,100,50,0.5,0.0,A0\n",
+                "row 0: the first index is 1, expected 0",
+            ),
+            (
+                "short.csv",
+                TRACE_HEADER + b"0,0,100,50,0.5,0.0\n",
+                "line 2: expected 7 fields, got 6",
+            ),
         ],
         ids=[
             "bad_header",
@@ -661,16 +716,25 @@ class TestDetectCommand:
             "csv_field_over_limit",
             "jsonl_deep_nesting",
             "jsonl_long_integer",
+            "gap",
+            "util_out_of_range",
+            "util_bool",
+            "start_past_64_bits",
+            "skipped_index",
+            "first_index_not_0",
+            "short_row",
         ],
     )
-    def test_malformed_trace_exits_two(self, tmp_path, capsys, name, content):
+    def test_malformed_trace_exits_two(self, tmp_path, capsys, name, content, named):
         trace = tmp_path / name
         trace.write_bytes(content)
-        code = cli.main(
-            ["detect", "--trace", str(trace), "--out", str(tmp_path / "out")]
-        )
+        out = tmp_path / "out"
+        code = cli.main(["detect", "--trace", str(trace), "--out", str(out)])
         assert code == 2
-        assert "internal error" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ")
+        assert named in err
+        assert not out.exists()
 
     @given(
         fmt=st.sampled_from(["csv", "jsonl"]),
@@ -920,7 +984,7 @@ class TestNoOutputIsAnInput:
     writes, or an artifact) may be a file the run reads (its config, workload
     spec, machine file, or ``detect``'s trace) or another output. Each case
     exits 1 naming both files' roles, before any output opens, and leaves the
-    input as it was."""
+    input as it was. Nor may an output be a directory that exists."""
 
     SPEC_CONFIG = "workload.spec = spec.json\nmode = fixed_tau\nfixed_tau = 100000\n"
 
@@ -1009,6 +1073,38 @@ class TestNoOutputIsAnInput:
         self.refused(capsys, argv, message, tmp_path / "run" / "events.csv")
 
 
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    @pytest.mark.parametrize("artifact", ARTIFACTS)
+    def test_artifact_that_is_a_directory_exits_one(
+        self, tmp_path, capsys, monkeypatch, command, artifact
+    ):
+        # Each artifact open would fail, after the ones before it were written.
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, FIXED_STEADY, name="s.conf")
+        source = ["--config", "s.conf"]
+        if command == "detect":
+            source = ["--trace", str(simulate_trace(tmp_path, FIXED_STEADY, "t.csv"))]
+        (tmp_path / "run" / artifact).mkdir(parents=True)
+        capsys.readouterr()
+        assert cli.main([command, *source, "--out", "run"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: the run's {artifact} 'run/{artifact}' is an existing directory\n"
+        )
+        assert [path.name for path in (tmp_path / "run").iterdir()] == [artifact]
+        assert not any((tmp_path / "run" / artifact).iterdir())
+
+    def test_trace_that_is_a_directory_exits_one(self, tmp_path, capsys, monkeypatch):
+        # Opening it would fail after the output directory was made.
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, FIXED_STEADY, name="s.conf")
+        (tmp_path / "d").mkdir()
+        argv = ["simulate", "--config", "s.conf", "--out", "run", "--emit-trace", "d"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "config error: the trace 'd' is an existing directory\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["d", "s.conf"]
+        assert not any((tmp_path / "d").iterdir())
+
+
 class TestCompareCommand:
     def test_reports_the_ratio(self, tmp_path, capsys):
         config = write_config(tmp_path, FIXED_STEADY)
@@ -1047,7 +1143,7 @@ class TestCompareCommand:
             (
                 b'{"cycles_covered": 2000000, "sample_count": "20", '
                 b'"label": "steady", "mode": "fixed_tau"}',
-                "sample_count",
+                "bad/summary.json: sample_count must be an int, got '20'",
             ),
         ],
         ids=["invalid_utf8", "deep_nesting", "empty_object", "not_an_object", "string_count"],
@@ -1248,6 +1344,67 @@ class TestParserShape:
 
     def test_gen_workload_requires_out(self):
         assert cli.main(["gen-workload", "--preset", "steady"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, name, value",
+        [
+            (["detect", "--trace", "a\0b", "--out", "run"], "--trace", "a\0b"),
+            (["detect", "--trace", "t.csv", "--out", "r\0x"], "--out", "r\0x"),
+            (["detect", "--config", "c\0.conf", "--out", "run"], "--config", "c\0.conf"),
+            (
+                ["simulate", "--config", "s.conf", "--out", "run", "--emit-trace", "a\0b"],
+                "--emit-trace",
+                "a\0b",
+            ),
+            (["simulate", "--config", "s.conf", "--out", "r\0n"], "--out", "r\0n"),
+            (["simulate", "--config", "s\0.conf", "--out", "run"], "--config", "s\0.conf"),
+            (["compare-overhead", "a\0", "b"], "fixed_dir", "a\0"),
+            (["gen-workload", "--preset", "steady", "--out", "a\0b"], "--out", "a\0b"),
+        ],
+        ids=[
+            "detect_trace",
+            "detect_out",
+            "detect_config",
+            "simulate_emit_trace",
+            "simulate_out",
+            "simulate_config",
+            "compare_fixed_dir",
+            "gen_workload_out",
+        ],
+    )
+    def test_nul_byte_in_a_path_exits_one_naming_the_argument(
+        self, tmp_path, capsys, monkeypatch, argv, name, value
+    ):
+        # The OS cannot open such a path: the config keys' rule refuses it.
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, FIXED_STEADY, name="s.conf")
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {name}: path contains a NUL byte: {value!r}\n"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["s.conf"]
+
+
+def test_exit_codes_through_a_process(tmp_path):
+    # Every other test calls main() in process: this one runs the module as a
+    # program, on the phasesim these tests import.
+    env = {**os.environ, "PYTHONPATH": str(Path(phasesim.__file__).parent.parent)}
+
+    def detect(name, second_start):
+        trace = tmp_path / f"{name}.csv"
+        rows = f"0,0,100,50,0.5,0.0,A0\n1,{second_start},100,50,0.5,0.0,A0\n"
+        trace.write_bytes(TRACE_HEADER + rows.encode())
+        argv = ["detect", "--trace", str(trace), "--out", str(tmp_path / name)]
+        return subprocess.run(
+            [sys.executable, "-m", "phasesim.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    good, gap = detect("good", 100), detect("gap", 150)
+    assert (good.returncode, good.stderr) == (0, "")
+    assert good.stdout.startswith("samples=2 ")
+    assert (gap.returncode, gap.stdout) == (2, "")
+    assert gap.stderr == "i/o error: row 1: start_cycle 150 leaves a gap (expected 100)\n"
 
 
 class TestRarelyTakenPaths:
