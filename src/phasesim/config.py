@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .core_model import CoreClass, CoreSpec, a_core, b_core
-from .detector import DetectorConfig
+from .detector import DetectorConfig, typed_value
 
 
 class ConfigError(Exception):
@@ -49,7 +49,16 @@ class ExperimentConfig:
     migration_penalty: int = 10_000
 
     def validate(self) -> None:
-        """Check a ``simulate`` run: one preset or spec source, no trace."""
+        """Check a ``simulate`` run: the types of the values a library caller
+        may set, one preset or spec source, no trace, then the ranges."""
+        try:
+            if self.fixed_tau is not None:
+                typed_value("fixed_tau", self.fixed_tau, "int")
+            typed_value("seed", self.seed, "int")
+            typed_value("scheduler_enabled", self.scheduler_enabled, "bool")
+            typed_value("migration_penalty", self.migration_penalty, "int")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.workload_trace_path is not None:
             raise ConfigError("workload.trace is replayed by `phasesim detect`, not simulated")
         if (self.workload_preset is None) == (self.workload_spec_path is None):

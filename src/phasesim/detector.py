@@ -51,6 +51,7 @@ _VALUE_TYPES = {
     "int": ((int,), "an int"),
     "float": ((float, int), "a number"),
     "str": ((str,), "a string"),
+    "bool": ((bool,), "a bool"),
 }
 
 
@@ -74,31 +75,6 @@ def typed_value(name: str, value, annotation: str):
     return value
 
 
-def sample_in_range(
-    index: int, start_cycle: int, tau: int, retired_instructions: int,
-    util_int: float, util_fp: float, source_core: str,
-) -> bool:
-    """Whether the values make an :class:`IntervalSample` as they stand, one
-    chained test: the sample's exact types (int counts, float utilizations,
-    a str core), an index >= 0, counts that fit a 64-bit counter (``tau`` at
-    least 1 cycle) and utilizations in [0, 1] (NaN is not)."""
-    return (
-        type(index) is int
-        and type(start_cycle) is int
-        and type(tau) is int
-        and type(retired_instructions) is int
-        and type(util_int) is float
-        and type(util_fp) is float
-        and type(source_core) is str
-        and 0 <= index
-        and 0 <= start_cycle <= MAX_RETIRED
-        and 1 <= tau <= MAX_RETIRED
-        and 0 <= retired_instructions <= MAX_RETIRED
-        and 0.0 <= util_int <= 1.0
-        and 0.0 <= util_fp <= 1.0
-    )
-
-
 class UtilizationClass(Enum):
     UNDER = "under"
     NORMAL = "normal"
@@ -106,7 +82,7 @@ class UtilizationClass(Enum):
 
 
 # Not frozen: built once per interval; frozen costs an object.__setattr__ per field.
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class IntervalSample:
     """Measurements for one profiling interval.
 
@@ -114,11 +90,13 @@ class IntervalSample:
     floating-point units over the interval. ``tau`` is the interval length in
     cycles; consecutive samples are expected to tile the cycle axis without
     gaps (``start_cycle + tau`` of one sample is the next one's start).
-    Building one checks it under :func:`sample_in_range`; values that fail
+    Building one checks it: exact types (int counts, float utilizations, a
+    str core), an index >= 0, counts that fit a 64-bit counter (``tau`` at
+    least 1 cycle) and utilizations in [0, 1] (NaN is not). Values that fail
     are converted under :func:`typed_value`, so an int utilization is held as
-    a float, or refused naming the first bad field. The core model's samples
-    skip the check, and the trace loaders build a sample unchecked once its
-    values pass :func:`sample_in_range`.
+    a float, or refused naming the first bad field. Both trace loaders build
+    through this check; only the core model's samples, valid by
+    construction, skip it.
     """
 
     index: int
@@ -129,10 +107,28 @@ class IntervalSample:
     util_fp: float
     source_core: str = ""
 
-    def __post_init__(self) -> None:
-        if sample_in_range(
-            self.index, self.start_cycle, self.tau, self.retired_instructions,
-            self.util_int, self.util_fp, self.source_core,
+    # Written by hand so the check tests locals, the cheapest place for it.
+    def __init__(
+        self, index: int, start_cycle: int, tau: int, retired_instructions: int,
+        util_int: float, util_fp: float, source_core: str = "",
+    ) -> None:
+        self.index, self.start_cycle, self.tau = index, start_cycle, tau
+        self.retired_instructions, self.util_int = retired_instructions, util_int
+        self.util_fp, self.source_core = util_fp, source_core
+        if (
+            type(index) is int
+            and type(start_cycle) is int
+            and type(tau) is int
+            and type(retired_instructions) is int
+            and type(util_int) is float
+            and type(util_fp) is float
+            and type(source_core) is str
+            and 0 <= index
+            and 0 <= start_cycle <= MAX_RETIRED
+            and 1 <= tau <= MAX_RETIRED
+            and 0 <= retired_instructions <= MAX_RETIRED
+            and 0.0 <= util_int <= 1.0
+            and 0.0 <= util_fp <= 1.0
         ):
             return
         # Convert each value, or name the first of the wrong type; then name

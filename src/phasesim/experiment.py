@@ -252,9 +252,12 @@ def _resolve_workload(config: ExperimentConfig) -> WorkloadSpec:
             return preset(config.workload_preset, **config.preset_args)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-    assert config.workload_spec_path is not None
+    path = config.workload_spec_path
+    assert path is not None
     try:
-        return load_workload_spec(config.workload_spec_path)
+        return load_workload_spec(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read workload spec {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core_model import WorkloadSegment
-from .detector import IntervalSample, sample_in_range, typed_value
+from .detector import IntervalSample, typed_value
 
 SPEC_SCHEMA_VERSION = 1
 TRACE_SCHEMA_VERSION = 1
@@ -245,15 +245,13 @@ def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[IntervalSam
     return (_csv_samples if detect_format(path, fmt) == "csv" else _jsonl_samples)(path)
 
 
-# Both loaders decode a row into locals, test them with sample_in_range and
-# build the sample unchecked, as the core model does; a row that fails the
-# test (a JSONL int utilization, say, or a value out of range) is built by
-# IntervalSample, which converts its values or names the bad one.
+# Both loaders decode a row into locals and build the sample from them, so
+# IntervalSample's check converts its values (a JSONL int utilization, say)
+# or names the bad one; the loaders then check the stream rule.
 
 
 def _csv_samples(path: Path) -> Iterator[IntervalSample]:
     """The samples of a CSV trace, whose rows hold ``TRACE_COLUMNS`` in order."""
-    new = object.__new__
     end = 0  # where the previous sample ended
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -279,15 +277,12 @@ def _csv_samples(path: Path) -> Iterator[IntervalSample]:
                         util_int, util_fp = float(util_int), float(util_fp)
                     except ValueError as exc:
                         raise TraceParseError(str(exc), row_index + 2) from exc
-                    if sample_in_range(index, start, tau, retired, util_int, util_fp, core):
-                        sample = new(IntervalSample)
-                        sample.index, sample.start_cycle, sample.tau = index, start, tau
-                        sample.retired_instructions, sample.util_int = retired, util_int
-                        sample.util_fp, sample.source_core = util_fp, core
-                    else:
-                        sample = _checked_sample(
-                            row_index, index, start, tau, retired, util_int, util_fp, core
+                    try:
+                        sample = IntervalSample(
+                            index, start, tau, retired, util_int, util_fp, core
                         )
+                    except ValueError as exc:
+                        raise TraceValidationError(str(exc), row_index) from exc
                     if index != row_index or (start != end and row_index):
                         raise _sequence_error(row_index, index, start, end)
                     end = start + tau
@@ -300,7 +295,6 @@ def _csv_samples(path: Path) -> Iterator[IntervalSample]:
 
 def _jsonl_samples(path: Path) -> Iterator[IntervalSample]:
     """The samples of a JSONL trace, one record a line; blank lines are skipped."""
-    new = object.__new__
     row_index = 0
     end = 0  # where the previous sample ended
     try:
@@ -338,15 +332,10 @@ def _jsonl_samples(path: Path) -> Iterator[IntervalSample]:
                 except KeyError:
                     missing = [c for c in TRACE_COLUMNS if c not in record]
                     raise TraceParseError(f"missing fields {missing}", line_number) from None
-                if sample_in_range(index, start, tau, retired, util_int, util_fp, core):
-                    sample = new(IntervalSample)
-                    sample.index, sample.start_cycle, sample.tau = index, start, tau
-                    sample.retired_instructions, sample.util_int = retired, util_int
-                    sample.util_fp, sample.source_core = util_fp, core
-                else:
-                    sample = _checked_sample(
-                        row_index, index, start, tau, retired, util_int, util_fp, core
-                    )
+                try:
+                    sample = IntervalSample(index, start, tau, retired, util_int, util_fp, core)
+                except ValueError as exc:
+                    raise TraceValidationError(str(exc), row_index) from exc
                 if index != row_index or (start != end and row_index):
                     raise _sequence_error(row_index, index, start, end)
                 end = start + tau
@@ -354,14 +343,6 @@ def _jsonl_samples(path: Path) -> Iterator[IntervalSample]:
                 yield sample
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
-
-
-def _checked_sample(row_index: int, *values) -> IntervalSample:
-    """The sample of row ``row_index``, built by IntervalSample."""
-    try:
-        return IntervalSample(*values)
-    except ValueError as exc:
-        raise TraceValidationError(str(exc), row_index) from exc
 
 
 def _sequence_error(row_index: int, index: int, start: int, end: int) -> TraceValidationError:

@@ -218,6 +218,26 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "make, reason",
+        [(lambda path: None, "No such file or directory"), (Path.mkdir, "Is a directory")],
+        ids=["spec_missing", "spec_is_a_directory"],
+    )
+    def test_unreadable_workload_spec_exits_one_naming_it(
+        self, tmp_path, capsys, make, reason
+    ):
+        # As a machine file or config that cannot be read: a config error
+        # naming the file, not an i/o error.
+        spec = tmp_path / "s.json"
+        make(spec)
+        config = write_config(tmp_path, "workload.spec = s.json\nfixed_tau = 100000\n")
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read workload spec {spec}: [Errno ")
+        assert reason in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "extra, named",
         [
             ("machine = m.csv\n", "duplicate core name 'A0'"),

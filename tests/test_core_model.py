@@ -242,7 +242,6 @@ class TestUncheckedSamples:
     def test_every_sample_passes_the_sample_rule(self, samples):
         for sample in samples:
             assert type(sample) is IntervalSample
-            sample.__post_init__()
             checked = IntervalSample(*(getattr(sample, f.name) for f in fields(sample)))
             assert sample == checked and checked == sample
             assert repr(sample) == repr(checked)
@@ -258,6 +257,8 @@ class TestRefusals:
         [
             (lambda: CoreSpec("", CoreClass.A, 4), "core name must be non-empty"),
             (lambda: SegmentCursor([]), "workload needs at least one segment"),
+            (lambda: WorkloadSegment(1000.0, 1.0), r"^duration must be an int, got 1000\.0$"),
+            (lambda: WorkloadSegment(True, 1.0), "^duration must be an int, got True$"),
             (
                 lambda: simulate_interval(
                     a_core("A0"), one_segment_cursor(), 0, random.Random(0)
@@ -271,7 +272,10 @@ class TestRefusals:
                 "dead_cycles must be >= 0, got -1",
             ),
         ],
-        ids=["empty_core_name", "no_segments", "zero_tau", "negative_dead_cycles"],
+        ids=[
+            "empty_core_name", "no_segments", "float_duration", "bool_duration", "zero_tau",
+            "negative_dead_cycles",
+        ],
     )
     def test_refusal_names_its_cause(self, call, message):
         with pytest.raises(ValueError, match=message):

@@ -467,6 +467,21 @@ class TestSampleRule:
         ):
             IntervalSample(**self.fields(**{field: value}))
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("index", "sample index must be >= 0, got -1"),
+            ("start_cycle", "start_cycle must be >= 0 and fit a 64-bit counter, got -1"),
+            (
+                "retired_instructions",
+                "retired_instructions must be >= 0 and fit a 64-bit counter, got -1",
+            ),
+        ],
+    )
+    def test_counts_below_zero_are_refused(self, field, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IntervalSample(**self.fields(**{field: -1}))
+
     @pytest.mark.parametrize("field", COUNTS)
     def test_the_first_bad_field_is_named(self, field):
         later = self.COUNTS[self.COUNTS.index(field):]

@@ -147,6 +147,33 @@ class TestSimulateFixed:
         assert not out.exists()
 
 
+class TestWrongTypesRefusedBeforeSetUp:
+    """A library caller's value of the wrong type is a config error naming
+    the field, raised before the output directory is made."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"seed": 1.5}, "seed must be an int, got 1.5"),
+            ({"seed": True}, "seed must be an int, got True"),
+            ({"fixed_tau": 100_000.5}, "fixed_tau must be an int, got 100000.5"),
+            ({"migration_penalty": 10.0}, "migration_penalty must be an int, got 10.0"),
+            ({"scheduler_enabled": 1}, "scheduler_enabled must be a bool, got 1"),
+            (
+                {"preset_args": {"total_cycles": 1_000_000.5}},
+                "duration must be an int, got 1000000.5",
+            ),
+        ],
+        ids=["float_seed", "bool_seed", "float_fixed_tau", "float_penalty",
+             "int_scheduler_enabled", "float_segment_duration"],
+    )
+    def test_refused_naming_the_field(self, tmp_path, changes, message):
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_experiment(steady_config(**changes), out_dir=out)
+        assert not out.exists()
+
+
 class TestSimulateVariable:
     def test_steady_ladder_counts(self):
         fixed = run_experiment(steady_config())

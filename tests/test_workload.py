@@ -575,6 +575,29 @@ MALFORMED_ROWS = {
         {"util_fp": 1.5},
         both_formats(TraceValidationError, "row 1: util_fp must lie in [0, 1], got 1.5", 1),
     ),
+    "negative_index": (
+        0,
+        {"index": -1},
+        both_formats(TraceValidationError, "row 0: sample index must be >= 0, got -1", 0),
+    ),
+    "negative_start_cycle": (
+        0,
+        {"start_cycle": -1},
+        both_formats(
+            TraceValidationError,
+            "row 0: start_cycle must be >= 0 and fit a 64-bit counter, got -1",
+            0,
+        ),
+    ),
+    "negative_retired_instructions": (
+        1,
+        {"retired_instructions": -1},
+        both_formats(
+            TraceValidationError,
+            "row 1: retired_instructions must be >= 0 and fit a 64-bit counter, got -1",
+            1,
+        ),
+    ),
     "first_index_not_0": (
         0,
         {"index": 1},
