@@ -8,13 +8,14 @@ to the config file's directory.
 from __future__ import annotations
 
 import csv
+import reprlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .core_model import CoreClass, CoreSpec, a_core, b_core
-from .detector import DetectorConfig, typed_value
+from .detector import DetectorConfig, check_fields
 
 
 class ConfigError(Exception):
@@ -52,13 +53,14 @@ class ExperimentConfig:
         """Check a ``simulate`` run: the types of the values a library caller
         may set, one preset or spec source, no trace, then the ranges."""
         try:
-            if self.fixed_tau is not None:
-                typed_value("fixed_tau", self.fixed_tau, "int")
-            typed_value("seed", self.seed, "int")
-            typed_value("scheduler_enabled", self.scheduler_enabled, "bool")
-            typed_value("migration_penalty", self.migration_penalty, "int")
+            check_fields(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        cores = self.machine_cores
+        if type(cores) is not list or any(type(core) is not CoreSpec for core in cores):
+            raise ConfigError(
+                f"machine_cores must be a list of CoreSpec, got {reprlib.repr(cores)}"
+            )
         if self.workload_trace_path is not None:
             raise ConfigError("workload.trace is replayed by `phasesim detect`, not simulated")
         if (self.workload_preset is None) == (self.workload_spec_path is None):
@@ -83,7 +85,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"scheduler.migration_penalty must be >= 0, got {self.migration_penalty}"
             )
-        names = [core.name for core in self.machine_cores]
+        names = [core.name for core in cores]
         if not names:
             raise ConfigError("the machine lists no cores")
         for index, name in enumerate(names):
@@ -165,7 +167,7 @@ class ConfigKey(NamedTuple):
 
 
 _DETECTOR = "detector."
-_BY_TYPE = {bool: _parse_bool, int: _parse_int, float: _parse_float}
+_BY_TYPE = {"bool": _parse_bool, "int": _parse_int, "float": _parse_float}
 
 #: Every config key, in the order README lists them.
 CONFIG_KEYS: dict[str, ConfigKey] = {
@@ -180,8 +182,8 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "out": ConfigKey("out_dir", _parse_path, detect=True),
     "scheduler.enabled": ConfigKey("scheduler_enabled", _parse_bool),
     "scheduler.migration_penalty": ConfigKey("migration_penalty", _parse_int),
-    **{  # each detector option parsed by the type of its default
-        _DETECTOR + f.name: ConfigKey(_DETECTOR + f.name, _BY_TYPE[type(f.default)], True)
+    **{  # each detector option parsed by its annotation
+        _DETECTOR + f.name: ConfigKey(_DETECTOR + f.name, _BY_TYPE[f.type], True)
         for f in fields(DetectorConfig)
     },
     "workload.cycles": ConfigKey("preset_args.total_cycles", _parse_int),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .detector import MAX_RETIRED, IntervalSample, typed_value
+from .detector import MAX_RETIRED, IntervalSample, check_fields
 
 
 class CoreClass(Enum):
@@ -41,6 +41,7 @@ class CoreSpec:
     fp_fu_count: int | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.name:
             raise ValueError("core name must be non-empty")
         if self.int_fu_count is None:
@@ -83,7 +84,7 @@ class WorkloadSegment:
     noise_amplitude: float = 0.0
 
     def __post_init__(self) -> None:
-        typed_value("duration", self.duration, "int")
+        check_fields(self)
         for name in ("ipc_demand", "fp_fraction", "noise_amplitude"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -171,12 +172,13 @@ def simulate_interval(
     segments: it is the blend that walk would compute. With no dead cycles
     the live share is left out of the unit rates, as it is exactly 1.0 and
     ``x * 1.0`` is ``x`` for every float.
-    The sample skips :class:`IntervalSample`'s check: the caller has passed
-    the workload through :func:`check_retire_range`, and utilization is clipped.
+    The sample skips :class:`IntervalSample`'s check: ``tau`` and
+    ``dead_cycles`` must be ints, the caller has passed the workload through
+    :func:`check_retire_range`, and utilization is clipped.
     """
-    if tau < 1:
+    if type(tau) is not int or tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    if dead_cycles < 0:
+    if type(dead_cycles) is not int or dead_cycles < 0:
         raise ValueError(f"dead_cycles must be >= 0, got {dead_cycles}")
     need = cursor.total_cycles - cursor.position
     if need <= 0:

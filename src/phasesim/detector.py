@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, fields
-from enum import Enum
+import sys
+from dataclasses import dataclass, is_dataclass
+from enum import Enum, EnumMeta
 from typing import Reversible
 
 
@@ -75,6 +76,31 @@ def typed_value(name: str, value, annotation: str):
     return value
 
 
+def check_fields(record) -> None:
+    """Hold each field of the dataclass ``record`` to its annotation, in
+    declaration order, naming the first that fails in a ``ValueError``.
+
+    A field annotated ``int``, ``float``, ``str`` or ``bool`` keeps the value
+    :func:`typed_value` returns for it; one annotated with the name of an
+    enum or a record class in the record's module must hold exactly that
+    class. An
+    annotation ``X | None`` also takes None. Other annotations (``Path``,
+    ``dict[...]``, ``list[...]``) are left to the record.
+    """
+    for name, f in record.__dataclass_fields__.items():
+        value = getattr(record, name)
+        annotation = f.type.removesuffix(" | None")
+        if value is None and annotation != f.type:
+            continue
+        types = _VALUE_TYPES.get(annotation)
+        if types is None:
+            kind = vars(sys.modules[type(record).__module__]).get(annotation)
+            if (isinstance(kind, EnumMeta) or is_dataclass(kind)) and type(value) is not kind:
+                raise ValueError(f"{name} must be a {annotation}, got {reprlib.repr(value)}")
+        elif type(value) is not types[0][0]:  # not the annotation's own type
+            object.__setattr__(record, name, typed_value(name, value, annotation))
+
+
 class UtilizationClass(Enum):
     UNDER = "under"
     NORMAL = "normal"
@@ -93,7 +119,7 @@ class IntervalSample:
     Building one checks it: exact types (int counts, float utilizations, a
     str core), an index >= 0, counts that fit a 64-bit counter (``tau`` at
     least 1 cycle) and utilizations in [0, 1] (NaN is not). Values that fail
-    are converted under :func:`typed_value`, so an int utilization is held as
+    are converted under :func:`check_fields`, so an int utilization is held as
     a float, or refused naming the first bad field. Both trace loaders build
     through this check; only the core model's samples, valid by
     construction, skip it.
@@ -133,8 +159,7 @@ class IntervalSample:
             return
         # Convert each value, or name the first of the wrong type; then name
         # the first out of range, if any is.
-        for f in fields(self):
-            setattr(self, f.name, typed_value(f.name, getattr(self, f.name), f.type))
+        check_fields(self)
         if self.index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.index}")
         if not 0 <= self.start_cycle <= MAX_RETIRED:
@@ -179,6 +204,7 @@ class DetectorConfig:
     recurrence_matching: bool = True
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("delta_th", "delta_over", "delta_under", "steady_band"):
             value = getattr(self, name)
             if not math.isfinite(value):

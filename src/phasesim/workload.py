@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core_model import WorkloadSegment
-from .detector import IntervalSample, typed_value
+from .detector import IntervalSample, check_fields, typed_value
 
 SPEC_SCHEMA_VERSION = 1
 TRACE_SCHEMA_VERSION = 1
@@ -23,10 +23,9 @@ _trace_row = operator.itemgetter(*TRACE_COLUMNS)
 _JSONL_KEYS = ("schema_version", *TRACE_COLUMNS)
 
 #: A spec segment is a WorkloadSegment: its keys, in order, with their
-#: annotations and defaults (None: required).
+#: defaults (None: required).
 _SEGMENT_FIELDS = tuple(
-    (f.name, f.type, None if f.default is MISSING else f.default)
-    for f in fields(WorkloadSegment)
+    (f.name, None if f.default is MISSING else f.default) for f in fields(WorkloadSegment)
 )
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -58,6 +57,7 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.name:
             raise ValueError("workload name must be non-empty")
         if not self.segments:
@@ -104,8 +104,8 @@ def fft_like() -> WorkloadSpec:
 
 def fmm_like(repeats: int = 10) -> WorkloadSpec:
     """A two-phase pattern recurring every ten million cycles."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if type(repeats) is not int or repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats!r}")
     pair = (
         WorkloadSegment(5_000_000, 2.2, 0.5),
         WorkloadSegment(5_000_000, 1.0, 0.0),
@@ -158,18 +158,19 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
         try:
             if not isinstance(raw, dict):
                 raise ValueError("a segment must be a JSON object")
-            segments.append(
-                WorkloadSegment(
-                    *(json_field(raw, *field) for field in _SEGMENT_FIELDS)
-                )
-            )
+            segments.append(WorkloadSegment(*(
+                raw[name] if default is None else raw.get(name, default)
+                for name, default in _SEGMENT_FIELDS
+            )))
+        except KeyError as exc:
+            raise ValueError(f"{path}: segment {i}: missing required field {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{path}: segment {i}: {exc}") from exc
     try:
         return WorkloadSpec(
-            name=json_field(payload, "name", "str", Path(path).stem),
+            name=payload.get("name", Path(path).stem),
             segments=tuple(segments),
-            seed=json_field(payload, "seed", "int", 0),
+            seed=payload.get("seed", 0),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -271,10 +271,28 @@ class TestRefusals:
                 ),
                 "dead_cycles must be >= 0, got -1",
             ),
+            (
+                lambda: simulate_interval(
+                    a_core("A0"), one_segment_cursor(), 100.0, random.Random(0)
+                ),
+                r"^tau must be >= 1, got 100\.0$",
+            ),
+            (
+                lambda: simulate_interval(
+                    a_core("A0"), one_segment_cursor(), True, random.Random(0)
+                ),
+                "^tau must be >= 1, got True$",
+            ),
+            (
+                lambda: simulate_interval(
+                    a_core("A0"), one_segment_cursor(), 100, random.Random(0), 1.0
+                ),
+                r"^dead_cycles must be >= 0, got 1\.0$",
+            ),
         ],
         ids=[
             "empty_core_name", "no_segments", "float_duration", "bool_duration", "zero_tau",
-            "negative_dead_cycles",
+            "negative_dead_cycles", "float_tau", "bool_tau", "float_dead_cycles",
         ],
     )
     def test_refusal_names_its_cause(self, call, message):

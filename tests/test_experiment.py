@@ -17,6 +17,8 @@ from conftest import build_stream, workload_specs
 from phasesim import (
     PHASE_CHANGE_KINDS,
     ConfigError,
+    CoreClass,
+    CoreSpec,
     DetectorConfig,
     ExperimentConfig,
     IntervalSample,
@@ -25,6 +27,8 @@ from phasesim import (
     PhaseEventKind,
     RunResult,
     ScatterRow,
+    WorkloadSegment,
+    WorkloadSpec,
     cli,
     detect_over_samples,
     emit_events_csv,
@@ -172,6 +176,79 @@ class TestWrongTypesRefusedBeforeSetUp:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_experiment(steady_config(**changes), out_dir=out)
         assert not out.exists()
+
+
+#: What each record needs besides the field under test.
+_RECORD_BASE = {
+    DetectorConfig: {},
+    CoreSpec: {"name": "A0", "core_class": CoreClass.A, "issue_width": 4},
+    WorkloadSegment: {"duration": 1000, "ipc_demand": 1.0},
+    WorkloadSpec: {"name": "w", "segments": (WorkloadSegment(1000, 1.0),)},
+}
+
+
+class TestFieldRule:
+    """Each config record holds its fields to their annotations: a value of
+    another type is refused naming the field, by the record itself or, for
+    an ExperimentConfig, by run_experiment before any output is made."""
+
+    @pytest.mark.parametrize(
+        "record, field, value, message",
+        [
+            (DetectorConfig, "util_window", 2.5, "util_window must be an int, got 2.5"),
+            (DetectorConfig, "tau_min", 100_000.0, "tau_min must be an int, got 100000.0"),
+            (DetectorConfig, "tau_max", 6_400_000.0, "tau_max must be an int, got 6400000.0"),
+            (
+                DetectorConfig, "recurrence_matching", "no",
+                "recurrence_matching must be a bool, got 'no'",
+            ),
+            (DetectorConfig, "delta_th", "5", "delta_th must be a number, got '5'"),
+            (CoreSpec, "issue_width", 4.5, "issue_width must be an int, got 4.5"),
+            (CoreSpec, "name", 7, "name must be a string, got 7"),
+            (CoreSpec, "core_class", "A", "core_class must be a CoreClass, got 'A'"),
+            (CoreSpec, "int_fu_count", 2.0, "int_fu_count must be an int, got 2.0"),
+            (WorkloadSegment, "ipc_demand", "2", "ipc_demand must be a number, got '2'"),
+            (WorkloadSpec, "seed", 1.5, "seed must be an int, got 1.5"),
+            (WorkloadSpec, "name", None, "name must be a string, got None"),
+            (ExperimentConfig, "mode", "fixed_tau", "mode must be a Mode, got 'fixed_tau'"),
+            (
+                ExperimentConfig, "preset_args", {"demand": "2"},
+                "ipc_demand must be a number, got '2'",
+            ),
+            (
+                ExperimentConfig, "detector", {"delta_th": 5.0},
+                "detector must be a DetectorConfig, got {'delta_th': 5.0}",
+            ),
+            (
+                ExperimentConfig, "machine_cores", ["A0"],
+                "machine_cores must be a list of CoreSpec, got ['A0']",
+            ),
+            (ExperimentConfig, "workload_preset", 7, "workload_preset must be a string, got 7"),
+            (ExperimentConfig, "start_core", 7, "start_core must be a string, got 7"),
+        ],
+    )
+    def test_wrong_type_is_refused_naming_the_field(
+        self, tmp_path, record, field, value, message
+    ):
+        match = f"^{re.escape(message)}$"
+        if record is ExperimentConfig:
+            out = tmp_path / "run"
+            with pytest.raises(ConfigError, match=match):
+                run_experiment(steady_config(**{field: value}), out_dir=out)
+            assert not out.exists()
+        else:
+            with pytest.raises(ValueError, match=match):
+                record(**{**_RECORD_BASE[record], field: value})
+
+    def test_an_int_in_a_float_field_is_held_as_a_float(self):
+        config = DetectorConfig(delta_th=100)
+        assert type(config.delta_th) is float
+        assert config == DetectorConfig()
+
+    def test_none_passes_where_the_annotation_allows_it(self):
+        config = steady_config(mode=Mode.VARIABLE, fixed_tau=None, start_core=None)
+        config.validate()
+        assert config.fixed_tau is None
 
 
 class TestSimulateVariable:

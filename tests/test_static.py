@@ -1,9 +1,10 @@
 """Checks that read the sources and the README instead of running a command:
 no dead module-level names in ``src/``, the file formats the README
 documents are the ones the record types state, the config keys it and
-``docs/example.conf`` document are the ones ``config.CONFIG_KEYS`` lists, and
+``docs/example.conf`` document are the ones ``config.CONFIG_KEYS`` lists,
 the summary fields it documents are those of ``experiment.SUMMARY_FIELDS``
-and ``experiment.PHASE_FIELDS``."""
+and ``experiment.PHASE_FIELDS``, and a field's type is read only from its
+annotation, by the records the README lists."""
 
 from __future__ import annotations
 
@@ -160,3 +161,53 @@ class TestSummaryFields:
 
     def test_readme_lists_each_phase_field_in_table_order_with_its_type(self):
         assert documented_summary_fields(4) == list(PHASE_FIELDS.items())
+
+
+def calls_of(tree: ast.AST, name: str) -> list[ast.Call]:
+    """The calls of the plain name ``name`` in ``tree``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
+def stray_typed_value_calls(tree: ast.Module) -> list[int]:
+    """Lines that call ``typed_value`` outside ``check_fields`` and
+    ``json_field``, the two places a field's type is read from its
+    annotation."""
+    allowed = {
+        id(call)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("check_fields", "json_field")
+        for call in calls_of(node, "typed_value")
+    }
+    return [call.lineno for call in calls_of(tree, "typed_value") if id(call) not in allowed]
+
+
+def documented_checked_records() -> list[str]:
+    """README's list of the records that check their own fields."""
+    body = readme_section("Value type rule")
+    sentence = body[body.index("The records that check their own fields"):].split(".", 1)[0]
+    return re.findall(r"`([A-Z]\w*)`", sentence)
+
+
+class TestFieldRule:
+    def test_the_check_finds_a_restated_type(self):
+        source = (
+            "def check_fields(record):\n    typed_value('a', 1, 'int')\n"
+            "def validate(self):\n    typed_value('seed', self.seed, 'int')\n"
+        )
+        assert stray_typed_value_calls(ast.parse(source)) == [4]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+    def test_typed_value_is_called_only_by_the_annotation_readers(self, path):
+        assert stray_typed_value_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+    def test_readme_lists_each_record_that_checks_its_fields(self):
+        checking = [
+            node.name
+            for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef) and calls_of(node, "check_fields")
+        ]
+        assert sorted(documented_checked_records()) == sorted(checking)

@@ -105,12 +105,17 @@ class TestPresets:
                 "workload name must be non-empty",
             ),
             (lambda: fmm_like(repeats=0), "repeats must be >= 1, got 0"),
+            (lambda: fmm_like(repeats=2.0), r"^repeats must be >= 1, got 2\.0$"),
+            (lambda: fmm_like(repeats="2"), "^repeats must be >= 1, got '2'$"),
             (
                 lambda: WorkloadSpec(name="s", segments=steady().segments, seed=-1),
                 "seed must be >= 0, got -1",
             ),
         ],
-        ids=["empty_name", "fmm_like_zero_repeats", "negative_seed"],
+        ids=[
+            "empty_name", "fmm_like_zero_repeats", "fmm_like_float_repeats",
+            "fmm_like_str_repeats", "negative_seed",
+        ],
     )
     def test_refusal_names_its_cause(self, call, message):
         with pytest.raises(ValueError, match=message):
