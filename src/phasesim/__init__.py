@@ -27,6 +27,8 @@ from .detector import (
     PhaseEvent,
     PhaseEventKind,
     PhaseState,
+    TraceError,
+    TraceValidationError,
     UtilizationClass,
     match_recurring_phase,
     utilization_class,
@@ -47,9 +49,7 @@ from .interval_control import IntervalController
 from .scheduler import decide_migration
 from .workload import (
     PRESETS,
-    TraceError,
     TraceParseError,
-    TraceValidationError,
     WorkloadSpec,
     detect_format,
     fft_like,

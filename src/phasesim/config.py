@@ -8,7 +8,6 @@ to the config file's directory.
 from __future__ import annotations
 
 import csv
-import reprlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -56,11 +55,6 @@ class ExperimentConfig:
             check_fields(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        cores = self.machine_cores
-        if type(cores) is not list or any(type(core) is not CoreSpec for core in cores):
-            raise ConfigError(
-                f"machine_cores must be a list of CoreSpec, got {reprlib.repr(cores)}"
-            )
         if self.workload_trace_path is not None:
             raise ConfigError("workload.trace is replayed by `phasesim detect`, not simulated")
         if (self.workload_preset is None) == (self.workload_spec_path is None):
@@ -85,7 +79,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"scheduler.migration_penalty must be >= 0, got {self.migration_penalty}"
             )
-        names = [core.name for core in cores]
+        names = [core.name for core in self.machine_cores]
         if not names:
             raise ConfigError("the machine lists no cores")
         for index, name in enumerate(names):

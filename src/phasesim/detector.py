@@ -12,6 +12,7 @@ around so a recurring phase can be recognised instead of minting a new id.
 
 from __future__ import annotations
 
+import builtins
 import math
 import reprlib
 import sys
@@ -81,11 +82,11 @@ def check_fields(record) -> None:
     declaration order, naming the first that fails in a ``ValueError``.
 
     A field annotated ``int``, ``float``, ``str`` or ``bool`` keeps the value
-    :func:`typed_value` returns for it; one annotated with the name of an
-    enum or a record class in the record's module must hold exactly that
-    class. An
-    annotation ``X | None`` also takes None. Other annotations (``Path``,
-    ``dict[...]``, ``list[...]``) are left to the record.
+    :func:`typed_value` returns for it; one annotated with the name ``R`` of
+    an enum or a record class in the record's module must hold exactly that
+    class, and one annotated ``list[R]`` or ``tuple[R, ...]`` exactly that
+    container of exactly ``R``. An annotation ``X | None`` also takes None.
+    Other annotations (``Path``, ``dict[...]``) are left to the record.
     """
     for name, f in record.__dataclass_fields__.items():
         value = getattr(record, name)
@@ -94,8 +95,18 @@ def check_fields(record) -> None:
             continue
         types = _VALUE_TYPES.get(annotation)
         if types is None:
-            kind = vars(sys.modules[type(record).__module__]).get(annotation)
-            if (isinstance(kind, EnumMeta) or is_dataclass(kind)) and type(value) is not kind:
+            outer, _, inner = annotation.partition("[")
+            inner = inner.removesuffix(", ...]" if outer == "tuple" else "]")
+            kind = vars(sys.modules[type(record).__module__]).get(inner or outer)
+            if not (isinstance(kind, EnumMeta) or is_dataclass(kind)):
+                continue
+            if inner:
+                container = getattr(builtins, outer)
+                if type(value) is not container or any(type(v) is not kind for v in value):
+                    raise ValueError(
+                        f"{name} must be a {outer} of {inner}, got {reprlib.repr(value)}"
+                    )
+            elif type(value) is not kind:
                 raise ValueError(f"{name} must be a {annotation}, got {reprlib.repr(value)}")
         elif type(value) is not types[0][0]:  # not the annotation's own type
             object.__setattr__(record, name, typed_value(name, value, annotation))
@@ -105,6 +116,18 @@ class UtilizationClass(Enum):
     UNDER = "under"
     NORMAL = "normal"
     OVER = "over"
+
+
+class TraceError(Exception):
+    pass
+
+
+class TraceValidationError(TraceError):
+    """A decoded row violates the sample invariants."""
+
+    def __init__(self, message: str, row_index: int) -> None:
+        super().__init__(f"row {row_index}: {message}")
+        self.row_index = row_index
 
 
 # Not frozen: built once per interval; frozen costs an object.__setattr__ per field.
@@ -375,15 +398,18 @@ class PhaseDetector:
         ``delta_over`` (or all below ``delta_under``); the new phase is a
         :func:`match_recurring_phase` hit or a fresh id. Events are returned
         exactly at a phase change, in a new list the caller may extend.
+
+        The stream rule is checked here alone, for trace files and samples in
+        memory alike: a sample whose index is not the next from 0, or that
+        does not start where the previous one ended, raises
+        :class:`TraceValidationError` naming its row.
         """
         expected = 0 if self.last_index is None else self.last_index + 1
-        if sample.index != expected:
-            raise ValueError(
-                f"out-of-order sample: got index {sample.index}, expected {expected}"
+        index, start = sample.index, sample.start_cycle
+        if index != expected or (expected and start != self._end_cycle):
+            raise TraceValidationError(
+                _sequence_error(expected, index, start, self._end_cycle), expected
             )
-        start = sample.start_cycle
-        if expected and start != self._end_cycle:
-            raise ValueError(f"start_cycle {start} leaves a gap (expected {self._end_cycle})")
         self.last_index, self._end_cycle = expected, start + sample.tau
 
         config = self.config
@@ -447,3 +473,13 @@ class PhaseDetector:
     def _seed_phase(self, phase_id: int, th: float, u: float) -> None:
         self.phases[phase_id] = PhaseState(phase_id, th, 1, u)
         self.current_phase_id = phase_id
+
+
+def _sequence_error(row_index: int, index: int, start: int, end: int) -> str:
+    """Why the sample holding ``index`` and starting at ``start`` cannot be
+    row ``row_index`` of a stream whose previous row ended at ``end``."""
+    if index == row_index:
+        return f"start_cycle {start} leaves a gap (expected {end})"
+    if row_index == 0:
+        return f"the first index is {index}, expected 0"
+    return f"index {index} does not follow {row_index - 1}"

@@ -352,9 +352,8 @@ def detect_over_samples(
     det_cfg: DetectorConfig,
     label: str = "trace",
 ) -> RunResult:
-    """Run the detector alone over recorded intervals. The detector refuses a
-    sample out of index order or one that does not start where the previous
-    ended.
+    """Run the detector alone over recorded intervals, which it holds to the
+    stream rule (see :meth:`PhaseDetector.observe`).
 
     A replay raises no tau or migration events: those are the interval
     controller's and the scheduler's decisions, which only ``simulate`` runs.

@@ -10,7 +10,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core_model import WorkloadSegment
-from .detector import IntervalSample, check_fields, typed_value
+from .detector import (
+    IntervalSample, TraceError, TraceValidationError, check_fields, typed_value,
+)
 
 SPEC_SCHEMA_VERSION = 1
 TRACE_SCHEMA_VERSION = 1
@@ -30,24 +32,12 @@ _SEGMENT_FIELDS = tuple(
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-class TraceError(Exception):
-    pass
-
-
 class TraceParseError(TraceError):
     """A line could not be decoded at all."""
 
     def __init__(self, message: str, line_number: int) -> None:
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-class TraceValidationError(TraceError):
-    """A decoded row violates the sample invariants."""
-
-    def __init__(self, message: str, row_index: int) -> None:
-        super().__init__(f"row {row_index}: {message}")
-        self.row_index = row_index
 
 
 @dataclass(frozen=True)
@@ -236,11 +226,12 @@ def save_trace(
 
 
 def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[IntervalSample]:
-    """Stream samples from a trace file, validating as it goes.
+    """Stream samples from a trace file, one per row, as it is read.
 
-    Each row must make an :class:`IntervalSample`, the first index is 0, and
-    each sample follows the previous one by index and starts where it ended;
-    an empty file yields an empty stream.
+    Each row is decoded and checked as an :class:`IntervalSample`; an empty
+    file yields an empty stream. Whether each sample follows the previous
+    one is the stream rule, checked when the samples are observed
+    (:meth:`PhaseDetector.observe`).
     """
     path = Path(path)
     return (_csv_samples if detect_format(path, fmt) == "csv" else _jsonl_samples)(path)
@@ -248,12 +239,11 @@ def load_trace(path: str | Path, fmt: str | None = None) -> Iterator[IntervalSam
 
 # Both loaders decode a row into locals and build the sample from them, so
 # IntervalSample's check converts its values (a JSONL int utilization, say)
-# or names the bad one; the loaders then check the stream rule.
+# or names the bad one.
 
 
 def _csv_samples(path: Path) -> Iterator[IntervalSample]:
     """The samples of a CSV trace, whose rows hold ``TRACE_COLUMNS`` in order."""
-    end = 0  # where the previous sample ended
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
@@ -284,9 +274,6 @@ def _csv_samples(path: Path) -> Iterator[IntervalSample]:
                         )
                     except ValueError as exc:
                         raise TraceValidationError(str(exc), row_index) from exc
-                    if index != row_index or (start != end and row_index):
-                        raise _sequence_error(row_index, index, start, end)
-                    end = start + tau
                     yield sample
             except csv.Error as exc:
                 raise TraceParseError(f"{exc} in {path}", reader.line_num) from exc
@@ -297,7 +284,6 @@ def _csv_samples(path: Path) -> Iterator[IntervalSample]:
 def _jsonl_samples(path: Path) -> Iterator[IntervalSample]:
     """The samples of a JSONL trace, one record a line; blank lines are skipped."""
     row_index = 0
-    end = 0  # where the previous sample ended
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
@@ -337,25 +323,10 @@ def _jsonl_samples(path: Path) -> Iterator[IntervalSample]:
                     sample = IntervalSample(index, start, tau, retired, util_int, util_fp, core)
                 except ValueError as exc:
                     raise TraceValidationError(str(exc), row_index) from exc
-                if index != row_index or (start != end and row_index):
-                    raise _sequence_error(row_index, index, start, end)
-                end = start + tau
                 row_index += 1
                 yield sample
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
-
-
-def _sequence_error(row_index: int, index: int, start: int, end: int) -> TraceValidationError:
-    """Why row ``row_index``, holding ``index`` and starting at ``start``,
-    does not follow a row that ended at ``end``."""
-    if index == row_index:
-        return TraceValidationError(
-            f"start_cycle {start} leaves a gap (expected {end})", row_index
-        )
-    if row_index == 0:
-        return TraceValidationError(f"the first index is {index}, expected 0", row_index)
-    return TraceValidationError(f"index {index} does not follow {row_index - 1}", row_index)
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> TraceError:

@@ -14,6 +14,7 @@ from phasesim import (
     PhaseDetector,
     PhaseEventKind,
     PhaseState,
+    TraceValidationError,
     UtilizationClass,
     detect_over_samples,
     load_trace,
@@ -240,8 +241,10 @@ class TestPhaseDetectorObserve:
             util_int=b.util_int,
             util_fp=b.util_fp,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(TraceValidationError) as exc:
             det.observe(skipped)
+        assert str(exc.value) == "row 1: index 5 does not follow 0"
+        assert exc.value.row_index == 1
 
     def test_step_up_triggers_throughput_change(self):
         det = PhaseDetector()

@@ -210,6 +210,15 @@ class TestFieldRule:
             (WorkloadSegment, "ipc_demand", "2", "ipc_demand must be a number, got '2'"),
             (WorkloadSpec, "seed", 1.5, "seed must be an int, got 1.5"),
             (WorkloadSpec, "name", None, "name must be a string, got None"),
+            (
+                WorkloadSpec, "segments", ["x"],
+                "segments must be a tuple of WorkloadSegment, got ['x']",
+            ),
+            (
+                WorkloadSpec, "segments", [WorkloadSegment(1000, 1.0)],
+                "segments must be a tuple of WorkloadSegment, got "
+                "[WorkloadSegme...amplitude=0.0)]",
+            ),
             (ExperimentConfig, "mode", "fixed_tau", "mode must be a Mode, got 'fixed_tau'"),
             (
                 ExperimentConfig, "preset_args", {"demand": "2"},
@@ -416,23 +425,6 @@ class TestDetectOverSamples:
         assert result.rows == []
         assert result.summary["sample_count"] == 0
         assert result.summary["phase_count"] == 0
-
-    @pytest.mark.parametrize(
-        "heads, message",
-        [
-            ([(0, 0), (2, 500)], "out-of-order sample: got index 2, expected 1"),
-            ([(1, 0)], "out-of-order sample: got index 1, expected 0"),
-            ([(0, 0), (1, 1000)], "start_cycle 1000 leaves a gap (expected 500)"),
-            ([(0, 0), (1, 499)], "start_cycle 499 leaves a gap (expected 500)"),
-        ],
-        ids=["skip", "first_not_zero", "gap", "overlap"],
-    )
-    def test_in_memory_samples_out_of_order_are_refused(self, heads, message):
-        # Each sample is (index, start_cycle) on a stream of 500-cycle intervals.
-        samples = build_stream([0.5] * len(heads), tau=500)
-        moved = [replace(s, index=i, start_cycle=c) for s, (i, c) in zip(samples, heads)]
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            detect_over_samples(moved, DetectorConfig())
 
 
 class TestReplayOfSimulatedSamples:

@@ -3,8 +3,9 @@ no dead module-level names in ``src/``, the file formats the README
 documents are the ones the record types state, the config keys it and
 ``docs/example.conf`` document are the ones ``config.CONFIG_KEYS`` lists,
 the summary fields it documents are those of ``experiment.SUMMARY_FIELDS``
-and ``experiment.PHASE_FIELDS``, and a field's type is read only from its
-annotation, by the records the README lists."""
+and ``experiment.PHASE_FIELDS``, a field's type is read only from its
+annotation, by the records the README lists, and the stream rule's messages
+are worded once, in the detector."""
 
 from __future__ import annotations
 
@@ -211,3 +212,35 @@ class TestFieldRule:
             if isinstance(node, ast.ClassDef) and calls_of(node, "check_fields")
         ]
         assert sorted(documented_checked_records()) == sorted(checking)
+
+
+#: Words of the stream rule's three messages, which ``PhaseDetector.observe``
+#: raises for trace files and samples in memory alike.
+STREAM_PHRASES = ("the first index is", "does not follow", "leaves a gap")
+
+
+def strings_holding(tree: ast.AST, phrase: str) -> list[int]:
+    """Lines of the string constants in ``tree``, f-string parts included,
+    that hold ``phrase``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and phrase in node.value
+    ]
+
+
+class TestStreamRule:
+    def test_the_check_finds_a_restated_message(self):
+        source = (
+            'def observe(i, k):\n    raise E(f"index {i} does not follow {k}")\n'
+            'def load(i, k):\n    raise E(f"index {i} does not follow {k}")\n'
+        )
+        assert strings_holding(ast.parse(source), "does not follow") == [2, 4]
+
+    @pytest.mark.parametrize("phrase", STREAM_PHRASES)
+    def test_each_message_is_worded_once_in_the_detector(self, phrase):
+        holders = [
+            path.name
+            for path in MODULES
+            for _ in strings_holding(ast.parse(path.read_text(encoding="utf-8")), phrase)
+        ]
+        assert holders == ["detector.py"]

@@ -4,6 +4,7 @@ import json
 import math
 import reprlib
 from dataclasses import replace
+from itertools import tee
 from unittest import mock
 
 import pytest
@@ -14,13 +15,16 @@ from conftest import build_stream
 from phasesim import (
     PRESETS,
     ConfigError,
+    DetectorConfig,
     IntervalSample,
     TraceError,
     TraceParseError,
     TraceValidationError,
     WorkloadSegment,
     WorkloadSpec,
+    cli,
     detect_format,
+    detect_over_samples,
     fft_like,
     fmm_like,
     load_summary,
@@ -285,6 +289,11 @@ class TestTraceFormats:
             assert list(load_trace(path)) == samples
 
 
+def replay(path):
+    """``detect``'s replay of the trace at ``path``."""
+    return detect_over_samples(load_trace(path), DetectorConfig())
+
+
 class TestTraceErrors:
     HEADER = "index,start_cycle,tau,retired_instructions,util_int,util_fp,source_core"
 
@@ -322,7 +331,7 @@ class TestTraceErrors:
         path = tmp_path / "trace.csv"
         save_trace(gapped, path)
         with pytest.raises(TraceValidationError):
-            list(load_trace(path))
+            replay(path)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize(
@@ -341,7 +350,7 @@ class TestTraceErrors:
         path = tmp_path / f"trace.{fmt}"
         save_trace([first, replace(second, **change)], path)
         with pytest.raises(TraceValidationError) as exc:
-            list(load_trace(path))
+            replay(path)
         assert str(exc.value) == message
         assert exc.value.row_index == 1
 
@@ -350,7 +359,7 @@ class TestTraceErrors:
         path = tmp_path / f"trace.{fmt}"
         save_trace([replace(s, index=s.index + 5) for s in build_stream([1.0, 1.0])], path)
         with pytest.raises(TraceValidationError, match="first index is 5") as exc:
-            list(load_trace(path))
+            replay(path)
         assert exc.value.row_index == 0
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -425,7 +434,7 @@ class TestTraceErrors:
         path = tmp_path / "trace.csv"
         save_trace([a, shifted], path)
         with pytest.raises(TraceValidationError):
-            list(load_trace(path))
+            replay(path)
 
     def test_jsonl_line_without_schema_version(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -535,16 +544,23 @@ class TestTraceErrors:
         )
 
 
-def two_row_trace(path, row: int, changes: dict) -> None:
-    """A valid two-row trace at ``path``, in the format its suffix names,
-    with ``changes`` laid over row ``row``: a value None drops the field. A
-    JSONL trace opens with a blank line, so in either format row ``i`` sits
-    on line ``i + 2``. Text is written with ``surrogateescape``, so "\\udcff"
-    in a value is the byte 0xff, which is not UTF-8."""
+def two_rows(row: int, changes: dict) -> list[dict]:
+    """Two contiguous trace rows, column to value, with ``changes`` laid
+    over row ``row``: a value None drops the field."""
     rows = [dict(zip(TRACE_COLUMNS, (i, i * 100_000, 100_000, 60_000, 0.6, 0.0, "A0")))
             for i in range(2)]
     rows[row].update(changes)
     rows[row] = {key: value for key, value in rows[row].items() if value is not None}
+    return rows
+
+
+def two_row_trace(path, row: int, changes: dict) -> None:
+    """The trace of ``two_rows(row, changes)`` at ``path``, in the format its
+    suffix names. A JSONL trace opens with a blank line, so in either format
+    row ``i`` sits on line ``i + 2``. Text is written with
+    ``surrogateescape``, so "\\udcff" in a value is the byte 0xff, which is
+    not UTF-8."""
+    rows = two_rows(row, changes)
     if path.suffix == ".csv":
         lines = [TRACE_COLUMNS, *(values.values() for values in rows)]
         text = "".join(",".join(map(str, line)) + "\n" for line in lines)
@@ -603,30 +619,6 @@ MALFORMED_ROWS = {
             1,
         ),
     ),
-    "first_index_not_0": (
-        0,
-        {"index": 1},
-        both_formats(TraceValidationError, "row 0: the first index is 1, expected 0", 0),
-    ),
-    "skipped_index": (
-        1,
-        {"index": 2},
-        both_formats(TraceValidationError, "row 1: index 2 does not follow 0", 1),
-    ),
-    "gap": (
-        1,
-        {"start_cycle": 100_001},
-        both_formats(
-            TraceValidationError, "row 1: start_cycle 100001 leaves a gap (expected 100000)", 1
-        ),
-    ),
-    "overlap": (
-        1,
-        {"start_cycle": 99_999},
-        both_formats(
-            TraceValidationError, "row 1: start_cycle 99999 leaves a gap (expected 100000)", 1
-        ),
-    ),
     "bad_utf8": (
         1,
         {"source_core": "A\udcff"},
@@ -637,7 +629,8 @@ MALFORMED_ROWS = {
 
 class TestMalformedRows:
     """Each class of malformed row fails the load with its own text and the
-    number of its line or row."""
+    number of its line or row. Rows that do not follow each other are the
+    detector's to refuse (``TestStreamRule``)."""
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("case", MALFORMED_ROWS)
@@ -654,6 +647,57 @@ class TestMalformedRows:
             assert exc.value.line_number == number
         elif error is TraceValidationError:
             assert exc.value.row_index == number
+
+
+#: One case per way a sample can break the stream rule: the row of two_rows
+#: to change, the change, and the message, which names that row.
+STREAM_VIOLATIONS = {
+    "first_index_not_0": (0, {"index": 1}, "row 0: the first index is 1, expected 0"),
+    "skipped_index": (1, {"index": 2}, "row 1: index 2 does not follow 0"),
+    "gap": (
+        1, {"start_cycle": 100_001}, "row 1: start_cycle 100001 leaves a gap (expected 100000)"
+    ),
+    "overlap": (
+        1, {"start_cycle": 99_999}, "row 1: start_cycle 99999 leaves a gap (expected 100000)"
+    ),
+}
+
+
+class TestStreamRule:
+    """The detector alone checks that samples follow each other: a CSV
+    trace, a JSONL trace and samples in memory that break the rule alike
+    fail with one message naming one row."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("case", STREAM_VIOLATIONS)
+    def test_detect_exits_two_naming_the_row(self, tmp_path, capsys, fmt, case):
+        row, changes, message = STREAM_VIOLATIONS[case]
+        path, out = tmp_path / f"trace.{fmt}", tmp_path / "out"
+        two_row_trace(path, row, changes)
+        assert cli.main(["detect", "--trace", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"i/o error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("case", STREAM_VIOLATIONS)
+    def test_replay_of_a_trace(self, tmp_path, fmt, case):
+        row, changes, message = STREAM_VIOLATIONS[case]
+        path = tmp_path / f"trace.{fmt}"
+        two_row_trace(path, row, changes)
+        self.assert_refused(load_trace(path), message, row)
+
+    @pytest.mark.parametrize("case", STREAM_VIOLATIONS)
+    def test_replay_of_samples_in_memory(self, case):
+        row, changes, message = STREAM_VIOLATIONS[case]
+        samples = [IntervalSample(*values.values()) for values in two_rows(row, changes)]
+        self.assert_refused(samples, message, row)
+
+    @staticmethod
+    def assert_refused(samples, message: str, row: int) -> None:
+        with pytest.raises(TraceValidationError) as exc:
+            detect_over_samples(samples, DetectorConfig())
+        assert str(exc.value) == message
+        assert exc.value.row_index == row
 
 
 #: One case per class of number spelling that Python's int() and float() read
@@ -781,7 +825,7 @@ class TestJsonlDecoding:
 
 
 class TestTraceLoaderFuzz:
-    """Whatever the bytes, a trace either loads or raises TraceError."""
+    """Whatever the bytes, a trace either replays or raises TraceError."""
 
     @given(
         fmt=st.sampled_from(["csv", "jsonl"]),
@@ -794,7 +838,7 @@ class TestTraceLoaderFuzz:
         path = tmp_path_factory.mktemp("fuzz") / f"trace.{fmt}"
         path.write_bytes(head + tail)
         try:
-            list(load_trace(path))
+            replay(path)
         except TraceError:
             pass
 
@@ -1008,15 +1052,18 @@ def raw_trace_rows(rows) -> list[dict]:
 
 
 def loaded(path):
-    """The samples a trace loads to, or the type and text of its error."""
+    """The samples of a trace that the detector replays, or the type and
+    text of the error that stops the replay."""
+    replayed, samples = tee(load_trace(path))
     try:
-        return list(load_trace(path))
+        detect_over_samples(replayed, DetectorConfig())
     except TraceError as exc:
         return type(exc), str(exc)
+    return list(samples)
 
 
 class TestCsvAndJsonlApplyOneRule:
-    """The same raw rows, written by hand as CSV and as JSONL, load to the
+    """The same raw rows, written by hand as CSV and as JSONL, replay as the
     same samples or fail with the same validation error. save_trace cannot
     write them: it takes samples, and a sample holds no invalid value."""
 
