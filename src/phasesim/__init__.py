@@ -38,12 +38,10 @@ from .experiment import (
     ScatterRow,
     detect_over_samples,
     emit_events_csv,
-    emit_scatter_csv,
     format_overhead_report,
     load_summary,
     overhead_report,
     run_experiment,
-    write_artifacts,
 )
 from .interval_control import IntervalController
 from .scheduler import decide_migration

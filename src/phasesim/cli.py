@@ -24,7 +24,6 @@ from .experiment import (
     format_overhead_report,
     overhead_report,
     run_experiment,
-    write_artifacts,
 )
 from .workload import (
     PRESETS,
@@ -116,9 +115,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args, config)
     check_paths(out_dir, {"trace": trace, "config file": args.config})
     result = detect_over_samples(
-        load_trace(trace, fmt=args.format), config.detector, label=trace.name
+        load_trace(trace, fmt=args.format), config.detector, trace.name, out_dir
     )
-    write_artifacts(result, out_dir)
     _print_summary(result.summary, out_dir)
     return 0
 

@@ -3,10 +3,11 @@
 Every run produces three files in its output directory: ``scatter.csv`` (one
 row per interval, annotated with the most significant event), ``events.csv``
 (every event, one row each) and ``summary.json`` (counts and per-phase
-means). Artifacts are written only after the run completes, so a failing run
-leaves no partial outputs. Scatter rows are built from ``RunResult.table``,
-five columns, and ``RunResult.events``, which annotate them;
-``RunResult.rows`` is a list of ``ScatterRow`` built at its first read and kept.
+means). One loop, :func:`_run_intervals`, handles each interval once: it
+formats the interval's scatter line and adds the interval to the per-phase
+sums. Each output, a ``simulate`` trace too, is written under a temporary
+name and moved into place when the loop completes, so a failing run leaves
+no partial outputs. ``RunResult.rows`` parses the run's lines at first read.
 """
 
 from __future__ import annotations
@@ -16,34 +17,20 @@ import math
 import operator
 import os
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .config import ConfigError, ExperimentConfig, Mode
 from .core_model import SegmentCursor, check_retire_range, simulate_interval
-from .detector import (
-    DetectorConfig,
-    IntervalSample,
-    PhaseDetector,
-    PhaseEvent,
-    PhaseEventKind,
-)
+from .detector import DetectorConfig, IntervalSample, PhaseDetector, PhaseEvent, PhaseEventKind
 from .interval_control import IntervalController
 from .scheduler import decide_migration
 from .workload import (
-    WorkloadSpec,
-    csv_writers,
-    detect_format,
-    generate_workload,
-    json_field,
-    load_workload_spec,
-    preset,
-    recorded,
+    WorkloadSpec, csv_writers, detect_format, generate_workload, json_field,
+    load_workload_spec, preset, recorded,
 )
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -91,8 +78,7 @@ EVENT_COLUMNS = tuple(f.name for f in fields(PhaseEvent) if f.name != "reason")
 #: Scatter rows carry a single annotation; when an interval produced several
 #: events the most significant one, the first here, wins. Recurrence notes
 #: never annotate the scatter (their cause event does); they still appear in
-#: events.csv. A tuple, not a dict: finding a member in it compares by
-#: identity, where a dict lookup calls ``Enum.__hash__`` in Python.
+#: events.csv.
 _SCATTER_PRIORITY = (
     PhaseEventKind.MIGRATION,
     PhaseEventKind.THROUGHPUT_CHANGE,
@@ -101,9 +87,6 @@ _SCATTER_PRIORITY = (
     PhaseEventKind.TAU_DOUBLED,
     PhaseEventKind.TAU_HALVED,
 )
-#: The annotation token of each interval's event code: 0 is "none", code i
-#: the kind at _SCATTER_PRIORITY[i - 1].
-_SCATTER_TOKENS = ("none", *(kind.value for kind in _SCATTER_PRIORITY))
 
 
 class ScatterRow(NamedTuple):
@@ -122,49 +105,25 @@ class ScatterRow(NamedTuple):
 SCATTER_COLUMNS = ScatterRow._fields
 
 
-class ScatterTable(NamedTuple):
-    """A run's scatter rows as columns: 64-bit integer arrays for the counts
-    and a double array for the utilization (an integer occupancy reads back
-    as a float, which the writer writes as repr(float)). ``interval_index``
-    is not stored: it is the row's position, as the detector observes
-    intervals in index order from 0. Nor is ``throughput_per_cycle``: it is
-    ``throughput_raw / tau``, the division the detector makes. Nor is
-    ``event``: it is read off the run's events.
-    """
-
-    start_cycle: array
-    tau: array
-    throughput_raw: array
-    utilization: array
-    phase_id: array
-
-
-def _row_fields(table: ScatterTable, events: list[PhaseEvent]) -> Iterator[tuple]:
-    """Each row's fields in ``SCATTER_COLUMNS`` order: the columns, and as
-    the annotation the most significant kind among the row's events."""
-    starts, taus, raws, utilizations, phase_ids = table
-    codes = bytearray(len(taus))
-    for event in events:
-        if event.kind in _SCATTER_PRIORITY:
-            code = _SCATTER_PRIORITY.index(event.kind) + 1
-            index = event.interval_index
-            codes[index] = min(codes[index] or code, code)
-    return zip(
-        range(len(taus)), starts, taus, raws, map(operator.truediv, raws, taus),
-        utilizations, phase_ids, map(_SCATTER_TOKENS.__getitem__, codes),
-    )
-
-
 @dataclass
 class RunResult:
-    table: ScatterTable = field(repr=False)
     events: list[PhaseEvent]
     summary: dict
+    #: Where the run's scatter lines went: their text, header first, for a
+    #: run without an output directory; else the path of its scatter.csv.
+    scatter: str | Path = field(repr=False)
 
     @cached_property
     def rows(self) -> list[ScatterRow]:
-        """The scatter rows, built from the table and events at first read, then kept."""
-        return list(map(ScatterRow._make, _row_fields(self.table, self.events)))
+        """The scatter rows, parsed from the run's lines at first read, then
+        kept. Ints, ``repr`` floats and the tokens read back exactly."""
+        text = self.scatter
+        if isinstance(text, Path):
+            text = text.read_text(encoding="utf-8")
+        return [
+            ScatterRow(int(i), int(s), int(t), int(r), float(p), float(u), int(ph), e)
+            for i, s, t, r, p, u, ph, e in (line.split(",") for line in text.splitlines()[1:])
+        ]
 
     @property
     def migrations(self) -> list[PhaseEvent]:
@@ -179,8 +138,8 @@ def run_experiment(
 ) -> RunResult:
     """Simulate one preset or workload-spec source and, given ``out_dir``,
     write its artifacts there. With ``trace``, each interval is also written
-    to that file as it is simulated, in the format its suffix picks (see
-    :func:`save_trace`). ``inputs`` names, by role, other files the caller
+    to that file, in the format its suffix picks (see :func:`save_trace`),
+    as the artifacts are. ``inputs`` names, by role, other files the caller
     read for the run (``simulate`` passes its config and machine files):
     :func:`check_paths` refuses an output that is one of them, the workload
     spec or another output.
@@ -192,10 +151,7 @@ def run_experiment(
     out = Path(out_dir) if out_dir is not None else None
     if out is not None or trace is not None:
         check_paths(out, {**(inputs or {}), "workload spec": config.workload_spec_path}, trace)
-    result = _simulate(config, out, trace)
-    if out is not None:
-        write_artifacts(result, out)
-    return result
+    return _simulate(config, out, trace)
 
 
 def check_paths(
@@ -262,14 +218,13 @@ def _resolve_workload(config: ExperimentConfig) -> WorkloadSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _simulate(
-    config: ExperimentConfig, out: Path | None, trace: str | Path | None
-) -> RunResult:
+def _simulate(config: ExperimentConfig, out: Path | None, trace: str | Path | None) -> RunResult:
     """Set up a run and simulate it. Set-up refuses a workload shorter than
     ``tau_min``, one on which an interval could retire past a 64-bit count on
     the widest core, and one whose demanded instructions do not sum to a
     float. The output directory is made after set-up and the trace file
-    opened after that: a refused run writes neither."""
+    opened after that (see :func:`_run_intervals`): a refused run writes
+    neither."""
     det_cfg = config.detector
     spec = _resolve_workload(config)
     if spec.total_cycles < det_cfg.tau_min:
@@ -338,33 +293,66 @@ def _simulate(
         "start_core": start.name,
         "scheduler_enabled": config.scheduler_enabled,
     }
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    if trace is None:
-        return _run_intervals(intervals(), detector, step, header)
-    with open(trace, "w", encoding="utf-8", newline="") as handle:
-        samples = recorded(intervals(), handle, detect_format(trace))
-        return _run_intervals(samples, detector, step, header)
+    return _run_intervals(intervals(), detector, step, header, out, trace)
 
 
 def detect_over_samples(
     samples: Iterable[IntervalSample],
     det_cfg: DetectorConfig,
     label: str = "trace",
+    out_dir: str | Path | None = None,
 ) -> RunResult:
     """Run the detector alone over recorded intervals, which it holds to the
-    stream rule (see :meth:`PhaseDetector.observe`).
+    stream rule (see :meth:`PhaseDetector.observe`), and, given ``out_dir``,
+    write the artifacts there. The caller applies :func:`check_paths` first,
+    as ``phasesim detect`` does with the trace it reads.
 
     A replay raises no tau or migration events: those are the interval
     controller's and the scheduler's decisions, which only ``simulate`` runs.
-    Every recorded length is in the table's ``tau`` column.
+    Every recorded length is in the scatter's ``tau`` column.
     """
     header = {"label": label, "mode": "detect", "seed": None}
-    return _run_intervals(samples, PhaseDetector(det_cfg), _detector_only, header)
+    # detect's step does nothing: the detector's events are the run's events.
+    return _run_intervals(samples, PhaseDetector(det_cfg), lambda *_: None, header, out_dir)
 
 
-def _detector_only(sample: IntervalSample, phase_id: int, events: list[PhaseEvent]) -> None:
-    """``detect``'s step: the detector's events are the run's events."""
+class _Staged:
+    """A run's output files, each written under a temporary name in its own
+    directory, then moved into place together by :meth:`commit`, or removed
+    by :meth:`discard` with every directory :meth:`make_dir` created."""
+
+    def __init__(self) -> None:
+        self.files: list[tuple[TextIO, Path, Path]] = []  # handle, temporary, final
+        self.made: list[Path] = []  # deepest first
+
+    def make_dir(self, path: Path) -> None:
+        self.made += [directory for directory in (path, *path.parents) if not directory.exists()]
+        path.mkdir(parents=True, exist_ok=True)
+
+    def open(self, path: Path, newline: str | None = "") -> TextIO:
+        """A new file beside ``path``, to be moved to it; mode "x" opens no file that exists."""
+        temporary = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        handle = open(temporary, "x", encoding="utf-8", newline=newline)
+        self.files.append((handle, temporary, path))
+        return handle
+
+    def commit(self) -> None:
+        for handle, _, _ in self.files:
+            handle.close()
+        for _, temporary, path in self.files:
+            os.replace(temporary, path)
+
+    def discard(self) -> None:
+        """Close and remove each file, then each directory made. A step that
+        fails (a flush, a file already moved, a directory another process
+        wrote in) does not stop the others."""
+        steps = [handle.close for handle, _, _ in self.files]
+        steps += [partial(os.unlink, temporary) for _, temporary, _ in self.files]
+        for undo in steps + [directory.rmdir for directory in self.made]:
+            try:
+                undo()
+            except OSError:
+                pass
 
 
 def _run_intervals(
@@ -372,64 +360,103 @@ def _run_intervals(
     detector: PhaseDetector,
     step: Callable[[IntervalSample, int, list[PhaseEvent]], None],
     header: dict,
+    out_dir: str | Path | None,
+    trace: str | Path | None = None,
 ) -> RunResult:
     """Every run's interval loop: observe, ``step`` (which may add events),
-    record the row and events; summarize under ``header`` at the end."""
-    table = ScatterTable(array("q"), array("q"), array("q"), array("d"), array("q"))
-    add_start, add_tau, add_raw, add_util, add_phase = (column.append for column in table)
-    emitted: list[PhaseEvent] = []
-    observe = detector.observe  # bound per run, after any tracer has wrapped it
-    for sample in samples:
-        phase_id, events = observe(sample)
-        step(sample, phase_id, events)
-        add_start(sample.start_cycle)
-        add_tau(sample.tau)
-        add_raw(sample.retired_instructions)
-        add_util(detector.last_utilization)
-        add_phase(phase_id)
-        emitted.extend(events)
-    return RunResult(table, emitted, _build_summary(table, emitted, header))
+    then format the interval's scatter line, final once ``step`` returns, and
+    add the interval to the sums; at the end, summarize under ``header``.
+    Each output (the scatter lines, the events, the summary and ``trace``)
+    is staged (see :class:`_Staged`): moved into place when the loop
+    completes, or removed on any exception, a ``BaseException`` too."""
+    staged = _Staged()
+    out = Path(out_dir) if out_dir is not None else None
+    try:
+        if out is None:
+            blocks: list[str] = []
+            write = blocks.append
+        else:
+            staged.make_dir(out)
+            write = staged.open(out / "scatter.csv").write
+        if trace is not None:
+            samples = recorded(samples, staged.open(Path(trace)), detect_format(trace))
+        write(",".join(SCATTER_COLUMNS) + "\n")
+        lines: list[str] = []
+        add_line = lines.append
+        emitted: list[PhaseEvent] = []
+        # Per phase: (intervals, raw sum, per-cycle sum, utilization sum),
+        # each sum accumulated in row order from 0.0. Rows come in runs of
+        # one phase: a run adds into locals, which go back to per_phase when
+        # the phase changes, so a revisited phase carries on from its sums.
+        per_phase: dict[int, tuple] = {}
+        open_id = None
+        cycles = 0
+        observe = detector.observe  # bound per run, after any tracer has wrapped it
+        for sample in samples:
+            phase_id, events = observe(sample)
+            step(sample, phase_id, events)
+            tau, raw = sample.tau, sample.retired_instructions
+            per_cycle = raw / tau
+            util = detector.last_utilization
+            if events:
+                # Every event of this interval is in the list by now.
+                emitted += events
+                kinds = [event.kind for event in events]
+                token = next((k._value_ for k in _SCATTER_PRIORITY if k in kinds), "none")
+            else:
+                token = "none"
+            add_line(_SCATTER_LINE % (
+                sample.index, sample.start_cycle, tau, raw, per_cycle, util, phase_id, token
+            ))
+            if len(lines) == _SCATTER_BLOCK:
+                write("".join(lines))
+                lines.clear()
+            if phase_id != open_id:
+                if open_id is not None:
+                    per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
+                open_id = phase_id
+                count, raw_sum, per_cycle_sum, util_sum = per_phase.get(
+                    phase_id, (0, 0.0, 0.0, 0.0)
+                )
+            count += 1
+            raw_sum += raw
+            per_cycle_sum += per_cycle
+            util_sum += util
+            cycles += tau
+        write("".join(lines))
+        if open_id is not None:
+            per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
+        summary = _summary(header, per_phase, cycles, emitted)
+        if out is None:
+            scatter: str | Path = "".join(blocks)
+        else:
+            scatter = out / "scatter.csv"
+            emit_events_csv(emitted, staged.open(out / "events.csv"))
+            handle = staged.open(out / "summary.json", newline=None)
+            json.dump(summary, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        staged.commit()
+    except BaseException:
+        staged.discard()
+        raise
+    return RunResult(emitted, summary, scatter)
 
 
-def _build_summary(table: ScatterTable, emitted: list[PhaseEvent], header: dict) -> dict:
+def _summary(header: dict, per_phase: dict, cycles: int, emitted: list[PhaseEvent]) -> dict:
     """The run's counts under ``header`` (label, mode, seed and, for
     ``simulate``, its settings), keyed and ordered as ``SUMMARY_FIELDS``."""
     # _value_ is the attribute the Enum.value property reads.
     event_counts = dict(Counter(map(operator.attrgetter("kind._value_"), emitted)))
-
-    # Per phase: (intervals, raw sum, per-cycle sum, utilization sum), each
-    # sum accumulated in row order from 0.0. Rows come in runs of one phase:
-    # a run adds into locals, which go back to per_phase when the phase
-    # changes, so a revisited phase carries on from its stored sums.
-    per_phase: dict[int, tuple] = {}
-    open_id = None
-    for phase_id, raw, tau, util in zip(
-        table.phase_id, table.throughput_raw, table.tau, table.utilization
-    ):
-        if phase_id != open_id:
-            if open_id is not None:
-                per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
-            open_id = phase_id
-            count, raw_sum, per_cycle_sum, util_sum = per_phase.get(
-                phase_id, (0, 0.0, 0.0, 0.0)
-            )
-        count += 1
-        raw_sum += raw
-        per_cycle_sum += raw / tau
-        util_sum += util
-    if open_id is not None:
-        per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
     # Each phase's values in PHASE_FIELDS order: its id, its interval count, its means.
     phases = [
         dict(zip(PHASE_FIELDS, (pid, count, raw / count, per_cycle / count, util / count)))
         for pid, (count, raw, per_cycle, util) in sorted(per_phase.items())
     ]
-
     values = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         **header,
-        "sample_count": len(table.tau),
-        "cycles_covered": sum(table.tau),
+        "sample_count": sum(count for count, *_ in per_phase.values()),
+        "cycles_covered": cycles,
         # Every phase id the detector mints is assigned to the interval that
         # opened it, so the rows hold every phase.
         "phase_count": len(per_phase),
@@ -450,51 +477,28 @@ _SCATTER_LINE = ",".join(["%s"] * len(SCATTER_COLUMNS)) + "\n"
 _SCATTER_BLOCK = 512
 
 
-def emit_scatter_csv(
-    table: ScatterTable, events: list[PhaseEvent], path: str | Path
-) -> None:
-    """Write the scatter rows of ``table`` and its run's ``events``,
-    formatting each line from the columns."""
-    lines = map(_SCATTER_LINE.__mod__, _row_fields(table, events))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(SCATTER_COLUMNS) + "\n")
-        while block := "".join(islice(lines, _SCATTER_BLOCK)):
-            handle.write(block)
-
-
 # The kind is written as its value.
 _EVENT_FIELDS = operator.attrgetter(
     *("kind._value_" if name == "kind" else name for name in EVENT_COLUMNS)
 )
 
 
-def emit_events_csv(events: list[PhaseEvent], path: str | Path) -> None:
-    """Write ``events``, one row each; the csv module writes None as an empty
-    field. Only a row that names a process or a core (a migration's) can hold
-    a "\\r" (see :func:`csv_writers`); the rows between two such rows are
-    written by the csv module alone, streamed."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        plain, quoting = csv_writers(handle, EVENT_COLUMNS)
-        written = 0
-        for position, event in enumerate(events):
-            if event.process or event.from_core or event.to_core:
-                plain.writerows(map(_EVENT_FIELDS, events[written:position]))
-                row = _EVENT_FIELDS(event)
-                carriage = any(type(value) is str and "\r" in value for value in row)
-                (quoting if carriage else plain).writerow(row)
-                written = position + 1
-        plain.writerows(map(_EVENT_FIELDS, events[written:]))
-
-
-def write_artifacts(result: RunResult, out_dir: str | Path) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    scatter_path, events_path, summary_path = (out / name for name in ARTIFACTS)
-    emit_scatter_csv(result.table, result.events, scatter_path)
-    emit_events_csv(result.events, events_path)
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(result.summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def emit_events_csv(events: list[PhaseEvent], handle: TextIO) -> None:
+    """Write ``events`` to ``handle``, opened with ``newline=""``, one row
+    each; the csv module writes None as an empty field. Only a row that
+    names a process or a core (a migration's) can hold a "\\r" (see
+    :func:`csv_writers`); the rows between two such rows are written by the
+    csv module alone, streamed."""
+    plain, quoting = csv_writers(handle, EVENT_COLUMNS)
+    written = 0
+    for position, event in enumerate(events):
+        if event.process or event.from_core or event.to_core:
+            plain.writerows(map(_EVENT_FIELDS, events[written:position]))
+            row = _EVENT_FIELDS(event)
+            carriage = any(type(value) is str and "\r" in value for value in row)
+            (quoting if carriage else plain).writerow(row)
+            written = position + 1
+    plain.writerows(map(_EVENT_FIELDS, events[written:]))
 
 
 def load_summary(run_dir: str | Path) -> dict:

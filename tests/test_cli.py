@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasesim
-from phasesim import ConfigError, cli, load_summary, overhead_report
+from phasesim import ConfigError, cli, experiment, load_summary, overhead_report
 from phasesim.detector import MAX_RETIRED
 from phasesim.experiment import ARTIFACTS
 
@@ -652,6 +652,107 @@ class TestEmitTrace:
         assert cli.main([*argv, "--emit-trace", ""]) == 0
         assert "samples=20 " in capsys.readouterr().out
         assert sorted(path.name for path in tmp_path.iterdir()) == ["run", "run.conf"]
+
+
+#: FIXED_STEADY over 200 intervals.
+LONG_STEADY = FIXED_STEADY.replace("2000000", "20000000")
+
+
+def failing_at(index: int, error: type[BaseException], watched: Path, seen: list):
+    """A ``simulate_interval`` that raises ``error`` on its call for interval
+    ``index``, first adding to ``seen`` the names of the files then under
+    ``watched``."""
+    simulate_interval = experiment.simulate_interval
+    calls = []
+
+    def simulate(*args):
+        if len(calls) == index:
+            seen.extend(sorted(path.name for path in watched.rglob("*")))
+            raise error(f"interval {index}")
+        calls.append(None)
+        return simulate_interval(*args)
+
+    return simulate
+
+
+class TestOutputsAppearWhole:
+    """Each output, the trace too, is written under a temporary name in its
+    directory and moved into place when the run completes: a run that fails
+    at any point leaves no trace, no artifact, no temporary file and no
+    directory it made."""
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+    def test_simulate_failing_mid_loop_leaves_nothing(
+        self, tmp_path, monkeypatch, capsys, suffix, error
+    ):
+        config = write_config(tmp_path, LONG_STEADY)
+        (tmp_path / "traces").mkdir()
+        trace, out = tmp_path / "traces" / f"t.{suffix}", tmp_path / "runs" / "run"
+        seen: list[str] = []
+        monkeypatch.setattr(
+            experiment, "simulate_interval", failing_at(100, error, tmp_path, seen)
+        )
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        argv += ["--emit-trace", str(trace)]
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == 3
+            assert "internal error: RuntimeError('interval 100')" in capsys.readouterr().err
+        # Mid-loop, the trace and scatter.csv were streaming to temporary files.
+        temporary = [name for name in seen if name.endswith(".tmp")]
+        assert [name.split(".")[1] for name in temporary] == ["scatter", "t"]
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["run.conf", "traces"]
+
+    def test_a_directory_that_existed_stays_empty(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, LONG_STEADY)
+        out = tmp_path / "run"
+        out.mkdir()
+        seen: list[str] = []
+        monkeypatch.setattr(
+            experiment, "simulate_interval", failing_at(100, RuntimeError, out, seen)
+        )
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 3
+        assert len(seen) == 1 and seen[0].startswith(".scatter.csv.")
+        assert list(out.iterdir()) == []
+
+    def test_a_writer_failing_after_the_scatter_leaves_no_artifact(
+        self, tmp_path, monkeypatch
+    ):
+        def fail(events, handle):
+            raise OSError("disk full")
+
+        config = write_config(tmp_path, LONG_STEADY)
+        out = tmp_path / "run"
+        monkeypatch.setattr(experiment, "emit_events_csv", fail)
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_an_output_that_is_a_symlink_is_replaced_not_written_through(self, tmp_path):
+        config = write_config(tmp_path, FIXED_STEADY)
+        out = tmp_path / "run"
+        out.mkdir()
+        target = tmp_path / "elsewhere.json"
+        target.write_text("kept\n")
+        (out / "summary.json").symlink_to(target)
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert not (out / "summary.json").is_symlink()
+        assert load_summary(out)["sample_count"] == 20
+        assert target.read_text() == "kept\n"
+
+    def test_an_output_that_is_a_hard_link_keeps_its_other_name(self, tmp_path):
+        config = write_config(tmp_path, FIXED_STEADY)
+        out = tmp_path / "run"
+        out.mkdir()
+        other = tmp_path / "other.csv"
+        other.write_text("kept\n")
+        os.link(other, out / "scatter.csv")
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        assert cli.main([*argv, "--emit-trace", str(tmp_path / "t.csv")]) == 0
+        assert len((out / "scatter.csv").read_text().splitlines()) == 21
+        assert other.read_text() == "kept\n"
 
 
 class TestDetectCommand:

@@ -3,10 +3,8 @@ from __future__ import annotations
 import csv
 import gc
 import io
-import math
 import re
 import tracemalloc
-from array import array
 from dataclasses import replace
 
 import pytest
@@ -23,6 +21,7 @@ from phasesim import (
     ExperimentConfig,
     IntervalSample,
     Mode,
+    PhaseDetector,
     PhaseEvent,
     PhaseEventKind,
     RunResult,
@@ -32,7 +31,6 @@ from phasesim import (
     cli,
     detect_over_samples,
     emit_events_csv,
-    emit_scatter_csv,
     experiment,
     fft_like,
     load_summary,
@@ -42,14 +40,13 @@ from phasesim import (
     save_trace,
     save_workload_spec,
     simulate_interval,
-    write_artifacts,
 )
 from phasesim.experiment import (
     _SCATTER_BLOCK,
     _SCATTER_PRIORITY,
     EVENT_COLUMNS,
     SCATTER_COLUMNS,
-    ScatterTable,
+    _run_intervals,
 )
 
 
@@ -78,6 +75,12 @@ def replay_rows(rows):
         )
         for r in rows
     ]
+
+
+def table(run: RunResult) -> list[tuple]:
+    """A run's scatter rows but their ``event`` column: what a replay, which
+    raises no tau or migration event, repeats."""
+    return [row[:-1] for row in run.rows]
 
 
 class TestSimulateFixed:
@@ -359,8 +362,8 @@ class TestDetectOverSamples:
         assert doubled == [75, 150, 225, 300]
         result = detect_over_samples(replay_rows(sim.rows), DetectorConfig())
         assert result.events == []
-        taus = result.table.tau
-        assert taus == sim.table.tau
+        taus = [row.tau for row in result.rows]
+        assert taus == [row.tau for row in sim.rows]
         assert [i for i in range(1, len(taus)) if taus[i] == 2 * taus[i - 1]] == [
             76, 151, 226, 301
         ]
@@ -385,7 +388,7 @@ class TestDetectOverSamples:
         samples = build_stream([1.0] * len(taus), utils=0.5, tau=taus)
         result = detect_over_samples(samples, DetectorConfig())
         assert result.events == []
-        assert list(result.table.tau) == taus
+        assert [row.tau for row in result.rows] == taus
         assert result.summary["mode"] == "detect"
 
     @pytest.mark.parametrize(
@@ -417,7 +420,7 @@ class TestDetectOverSamples:
         assert all(e.interval_index < len(sim.rows) - 1 for e in sim.events)
 
         replay = detect_over_samples(replay_rows(sim.rows), config.detector)
-        assert replay.table == sim.table
+        assert table(replay) == table(sim)
         assert replay.events == []
 
     def test_empty_stream_gives_an_empty_run(self):
@@ -429,7 +432,8 @@ class TestDetectOverSamples:
 
 class TestReplayOfSimulatedSamples:
     """``detect_over_samples`` over the samples ``simulate`` drew repeats the
-    run's table and every event but the controller's and the scheduler's."""
+    run's scatter rows but their annotations, and every event but the
+    controller's and the scheduler's."""
 
     @given(
         spec=workload_specs(),
@@ -466,7 +470,7 @@ class TestReplayOfSimulatedSamples:
         replayed = detect_over_samples(recorded, config.detector)
 
         # Every row, the final one too, whatever its length.
-        assert replayed.table == simulated.table
+        assert table(replayed) == table(simulated)
         assert replayed.events == detector_only(simulated.events)
 
 
@@ -588,24 +592,18 @@ class TestEventsWriter:
     @settings(max_examples=300, deadline=None)
     def test_same_bytes_as_the_row_by_row_rule(self, tmp_path_factory, events):
         path = tmp_path_factory.mktemp("events") / "events.csv"
-        emit_events_csv(events, path)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            emit_events_csv(events, handle)
         assert path.read_bytes() == row_by_row_events(events)
 
 
 SCATTER_TOKENS = ["none", *(kind.value for kind in _SCATTER_PRIORITY)]
-INT64 = st.integers(-(2**63), 2**63 - 1)
-SCATTER_FLOATS = st.one_of(
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, 1e22, 1e16, 0.1, math.inf, -math.inf, math.nan]),
+#: Utilizations a sample may hold: both ends, a signed zero, the smallest
+#: subnormal, the float below 1.0, and any float between.
+SCATTER_UTILS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0, 1.0 - 2**-53]),
+    st.floats(0.0, 1.0),
 )
-
-
-def scatter_table(starts, taus, raws, utilizations, phase_ids) -> ScatterTable:
-    """A table holding the given columns, in ``ScatterTable`` field order."""
-    return ScatterTable(
-        array("q", starts), array("q", taus), array("q", raws),
-        array("d", utilizations), array("q", phase_ids),
-    )
 
 
 def scatter_event(index: int, kind: PhaseEventKind) -> PhaseEvent:
@@ -619,93 +617,145 @@ def scatter_event(index: int, kind: PhaseEventKind) -> PhaseEvent:
 
 
 @st.composite
-def scatter_tables(draw):
-    """A table of 0-12 rows: any 64-bit counts (a tau of at least 1, as a
-    sample's), any double as the utilization; and 0-3 events of any kind at
-    each row, in row order as a run emits them."""
-    n = draw(st.integers(0, 12))
-
-    def column(elements):
-        return draw(st.lists(elements, min_size=n, max_size=n))
-
-    table = scatter_table(
-        column(INT64),
-        column(st.integers(1, 2**63 - 1)),
-        column(INT64),
-        column(SCATTER_FLOATS),
-        column(INT64),
+def sample_streams(draw):
+    """0-12 samples that tile the cycle axis from any first start: 64-bit
+    counts (a tau of at least 1, up to 2**59 so that 12 of them still start
+    within a 64-bit count), any utilization; a detector config whose
+    thresholds and window make phase changes, recurrences and utilization
+    events common; and 0-3 more events of any kind at each interval, in
+    interval order as a step adds them."""
+    samples = []
+    start = draw(st.integers(0, 2**62))
+    for index in range(draw(st.integers(0, 12))):
+        tau = draw(st.one_of(st.integers(1, 1000), st.integers(1, 2**59)))
+        raw = draw(st.one_of(st.integers(0, 1000), st.integers(0, 2**63 - 1)))
+        samples.append(
+            IntervalSample(index, start, tau, raw, draw(SCATTER_UTILS), draw(SCATTER_UTILS))
+        )
+        start += tau
+    config = DetectorConfig(
+        delta_th=draw(st.sampled_from([3.0, 100.0])),
+        util_window=draw(st.integers(1, 3)),
+        recurrence_matching=draw(st.booleans()),
     )
-    events = [
-        scatter_event(index, kind)
-        for index in range(n)
-        for kind in draw(st.lists(st.sampled_from(PhaseEventKind), max_size=3))
-    ]
-    return table, events
+    extra = {
+        sample.index: [
+            scatter_event(sample.index, kind)
+            for kind in draw(st.lists(st.sampled_from(PhaseEventKind), max_size=3))
+        ]
+        for sample in samples
+    }
+    return samples, config, extra
 
 
-def csv_module_scatter(table: ScatterTable, events: list[PhaseEvent]) -> bytes:
-    """The scatter rows as the csv module writes them from the columns and
-    the events: the reference for the format-string writer. A row's token is
-    the first kind in ``_SCATTER_PRIORITY`` found among its events."""
+def csv_module_scatter(
+    samples: list[IntervalSample], config: DetectorConfig, extra: dict | None = None
+) -> bytes:
+    """The scatter rows of a run over ``samples`` as the csv module writes
+    them: the phase ids, utilizations and events from a detector of its
+    own, plus the events ``extra`` holds for each interval index. The
+    reference for the loop's format-string lines: a row's token is the
+    first kind in ``_SCATTER_PRIORITY`` found among its events."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCATTER_COLUMNS)
-    starts, taus, raws, utilizations, phase_ids = table
-    for i in range(len(taus)):
-        kinds = [e.kind for e in events if e.interval_index == i]
+    detector = PhaseDetector(config)
+    for s in samples:
+        phase_id, events = detector.observe(s)
+        kinds = [e.kind for e in [*events, *(extra or {}).get(s.index, [])]]
         token = next((k.value for k in _SCATTER_PRIORITY if k in kinds), "none")
         writer.writerow(
-            [i, starts[i], taus[i], raws[i], raws[i] / taus[i], utilizations[i],
-             phase_ids[i], token]
+            [s.index, s.start_cycle, s.tau, s.retired_instructions,
+             s.retired_instructions / s.tau, detector.last_utilization, phase_id, token]
         )
     return buffer.getvalue().encode("utf-8")
 
 
+def injected_run(
+    samples: list[IntervalSample], config: DetectorConfig, extra: dict, out_dir=None
+) -> RunResult:
+    """The interval loop over ``samples`` with a step that adds, at each
+    interval, the events ``extra`` holds for its index, as ``simulate``'s
+    step adds the controller's and the scheduler's."""
+
+    def step(sample, phase_id, events):
+        events += extra.get(sample.index, [])
+
+    header = {"label": "t", "mode": "detect", "seed": None}
+    return _run_intervals(samples, PhaseDetector(config), step, header, out_dir)
+
+
+def scatter_bytes(tmp_path, run) -> bytes:
+    """The scatter ``run(out_dir)`` writes, checked equal in memory (an
+    ``out_dir`` of None) and in the file written under ``tmp_path``."""
+    in_memory = run(None).scatter.encode("utf-8")
+    run(tmp_path / "run")
+    assert (tmp_path / "run" / "scatter.csv").read_bytes() == in_memory
+    return in_memory
+
+
 class TestScatterWriter:
-    @given(drawn=scatter_tables())
+    @given(drawn=sample_streams())
     @settings(max_examples=200, deadline=None)
     def test_bytes_equal_the_csv_module(self, tmp_path_factory, drawn):
-        path = tmp_path_factory.mktemp("scatter") / "scatter.csv"
-        emit_scatter_csv(*drawn, path)
-        assert path.read_bytes() == csv_module_scatter(*drawn)
+        samples, config, extra = drawn
+        scatter = scatter_bytes(
+            tmp_path_factory.mktemp("detect"),
+            lambda out: detect_over_samples(samples, config, out_dir=out),
+        )
+        assert scatter == csv_module_scatter(samples, config)
+        scatter = scatter_bytes(
+            tmp_path_factory.mktemp("injected"),
+            lambda out: injected_run(samples, config, extra, out),
+        )
+        assert scatter == csv_module_scatter(samples, config, extra)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, _SCATTER_BLOCK + 3])
     def test_bytes_across_write_blocks(self, tmp_path, extra):
         n = _SCATTER_BLOCK + extra
-        special = [-0.0, 5e-324, 1e22, 0.1, math.inf, -math.inf, math.nan]
+        special = [-0.0, 5e-324, 1.0, 0.1, 0.0, 0.97, 0.5]
         kinds = list(PhaseEventKind)
-        table = scatter_table(
-            [7**i % 2**63 for i in range(n)],
-            [1 + 3**i % 2**40 for i in range(n)],
-            [-(5**i % 2**63) for i in range(n)],
-            [special[i % len(special)] for i in range(n)],
-            [i // 5 for i in range(n)],
-        )
-        # Row i holds i % 4 events, of kinds that rotate with i.
-        events = [
-            scatter_event(i, kinds[(i + j) % len(kinds)])
+        taus = [1 + 3**i % 2**40 for i in range(n)]
+        starts = [7 + sum(taus[:i]) for i in range(n)]
+        samples = [
+            IntervalSample(i, starts[i], taus[i], 5**i % 2**63, special[i % len(special)], 0.0)
             for i in range(n)
-            for j in range(i % 4)
         ]
-        path = tmp_path / "scatter.csv"
-        emit_scatter_csv(table, events, path)
-        assert path.read_bytes() == csv_module_scatter(table, events)
+        config = DetectorConfig()
+        scatter = scatter_bytes(
+            tmp_path / "detect", lambda out: detect_over_samples(samples, config, out_dir=out)
+        )
+        assert scatter == csv_module_scatter(samples, config)
+        # Row i also holds i % 4 events, of kinds that rotate with i.
+        events = {
+            i: [scatter_event(i, kinds[(i + j) % len(kinds)]) for j in range(i % 4)]
+            for i in range(n)
+        }
+        scatter = scatter_bytes(
+            tmp_path / "injected", lambda out: injected_run(samples, config, events, out)
+        )
+        assert scatter == csv_module_scatter(samples, config, events)
 
     def test_rows_that_share_events_take_the_most_significant(self, tmp_path):
-        table = scatter_table([0, 100, 200], [100] * 3, [50] * 3, [0.5] * 3, [0, 1, 2])
-        events = [
-            scatter_event(0, PhaseEventKind.OVER_UTILIZATION),
-            scatter_event(0, PhaseEventKind.PHASE_RECURRED),
-            scatter_event(0, PhaseEventKind.MIGRATION),
-            scatter_event(1, PhaseEventKind.THROUGHPUT_CHANGE),
-            scatter_event(1, PhaseEventKind.PHASE_RECURRED),
-        ]
-        path = tmp_path / "scatter.csv"
-        emit_scatter_csv(table, events, path)
-        assert path.read_bytes() == csv_module_scatter(table, events)
+        samples = build_stream([0.5] * 3, tau=100)
+        config = DetectorConfig()
+        events = {
+            0: [
+                scatter_event(0, PhaseEventKind.OVER_UTILIZATION),
+                scatter_event(0, PhaseEventKind.PHASE_RECURRED),
+                scatter_event(0, PhaseEventKind.MIGRATION),
+            ],
+            1: [
+                scatter_event(1, PhaseEventKind.THROUGHPUT_CHANGE),
+                scatter_event(1, PhaseEventKind.PHASE_RECURRED),
+            ],
+        }
+        scatter = scatter_bytes(tmp_path, lambda out: injected_run(samples, config, events, out))
+        assert scatter == csv_module_scatter(samples, config, events)
         tokens = ["migration", "throughput_change", "none"]
+        path = tmp_path / "run" / "scatter.csv"
         assert [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]] == tokens
-        assert [row.event for row in RunResult(table, events, {}).rows] == tokens
+        assert [row.event for row in injected_run(samples, config, events).rows] == tokens
 
     @pytest.mark.parametrize("token", SCATTER_TOKENS)
     def test_annotation_tokens_need_no_quoting(self, token):
@@ -779,8 +829,9 @@ class TestRunRowsAreAListOfScatterRows:
         assert_behaves_as(result.rows, expected)
         assert result.rows == run_experiment(config).rows
 
-        replay = detect_over_samples(replay_rows(result.rows), DetectorConfig())
-        write_artifacts(replay, tmp_path / "replay")
+        replay = detect_over_samples(
+            replay_rows(result.rows), DetectorConfig(), out_dir=tmp_path / "replay"
+        )
         replayed = scatter_csv_rows(tmp_path / "replay" / "scatter.csv")
         assert_behaves_as(replay.rows, replayed)
         assert [r.tau for r in replay.rows] == [r.tau for r in result.rows]
@@ -809,10 +860,12 @@ def retained_bytes_per_interval(run) -> float:
 
 
 class TestRetainedMemory:
-    """A run keeps its rows as columns: 5 eight-byte fields per interval,
-    plus the arrays' over-allocation."""
+    """A run without an output directory keeps its scatter lines, one str of
+    about 45 bytes per steady interval; a run that writes its artifacts
+    keeps nothing that grows with the run."""
 
     BUDGET = 64
+    WRITTEN_BUDGET = 1
 
     def test_detect_over_a_steady_trace(self, tmp_path):
         path = tmp_path / "steady.csv"
@@ -826,6 +879,19 @@ class TestRetainedMemory:
         config = steady_config(preset_args={"total_cycles": 2_000_000_000})
         retained = retained_bytes_per_interval(lambda: run_experiment(config))
         assert retained <= self.BUDGET
+
+    def test_detect_with_an_output_directory(self, tmp_path):
+        path = tmp_path / "steady.csv"
+        save_trace(build_stream([1.5] * 20_000), path)
+        retained = retained_bytes_per_interval(
+            lambda: detect_over_samples(load_trace(path), DetectorConfig(), out_dir=tmp_path / "run")
+        )
+        assert retained <= self.WRITTEN_BUDGET
+
+    def test_simulate_with_an_output_directory(self, tmp_path):
+        config = steady_config(preset_args={"total_cycles": 2_000_000_000})
+        retained = retained_bytes_per_interval(lambda: run_experiment(config, tmp_path / "run"))
+        assert retained <= self.WRITTEN_BUDGET
 
 
 class TestStreamedTraceMemory:

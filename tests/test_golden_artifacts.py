@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from phasesim import PhaseDetector, cli, experiment
+from phasesim import PhaseDetector, cli, detect_over_samples, experiment, run_experiment
 
 ARTIFACTS = ("scatter.csv", "events.csv", "summary.json")
 
@@ -275,6 +275,39 @@ def test_simulate_artifacts_match_pinned_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(DETECT_CASES))
 def test_detect_artifacts_match_pinned_digests(name, tmp_path):
     assert run_detect_case(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CASES) + sorted(DETECT_CASES))
+def test_runs_in_memory_and_on_disk_agree(name, tmp_path, monkeypatch):
+    # Each call the CLI makes, with its output directory, is made again
+    # without one: the two runs give equal rows, events and summaries, and
+    # the lines kept in memory are scatter.csv byte for byte.
+    runs = []
+
+    def simulate(config, out_dir, trace=None, inputs=None):
+        on_disk = run_experiment(config, out_dir, trace, inputs)
+        runs.append((run_experiment(config), on_disk, out_dir))
+        return on_disk
+
+    def detect(samples, det_cfg, label, out_dir):
+        samples = list(samples)
+        on_disk = detect_over_samples(samples, det_cfg, label, out_dir)
+        runs.append((detect_over_samples(samples, det_cfg, label), on_disk, out_dir))
+        return on_disk
+
+    monkeypatch.setattr(cli, "run_experiment", simulate)
+    monkeypatch.setattr(cli, "detect_over_samples", detect)
+    run = run_simulate_case if name in SIMULATE_CASES else run_detect_case
+    assert run(name, tmp_path) == GOLDEN[name]
+    # A detect case simulates its trace first.
+    assert len(runs) == (1 if name in SIMULATE_CASES else 2)
+    for in_memory, on_disk, out in runs:
+        assert in_memory.scatter.encode("utf-8") == (out / "scatter.csv").read_bytes()
+        assert in_memory.rows == on_disk.rows
+        assert in_memory.events == on_disk.events
+        assert in_memory.summary == on_disk.summary == json.loads(
+            (out / "summary.json").read_text()
+        )
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_CASES) + sorted(DETECT_CASES))

@@ -4,8 +4,9 @@
 for speed. Each is checked against a model in ``tests/reference_model.py``
 written from the README's description: the detector against
 ``ReferenceDetector``, the core model against ``blended_interval``, which
-walks the segment list itself. ``_build_summary`` is checked against
-``summary_phases``, which sums each phase's rows on its own in row order.
+walks the segment list itself. The summary ``detect_over_samples`` builds in
+its interval loop is checked against ``summary_phases``, which sums each
+phase's rows on its own in row order.
 Results must be equal, not close: the artifacts are byte-identical only if
 every float rounds the same way.
 """
@@ -13,7 +14,6 @@ every float rounds the same way.
 from __future__ import annotations
 
 import random
-from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,9 +28,9 @@ from phasesim import (
     WorkloadSegment,
     a_core,
     b_core,
+    detect_over_samples,
     simulate_interval,
 )
-from phasesim.experiment import ScatterTable, _build_summary
 from reference_model import ReferenceDetector, blended_interval
 
 
@@ -188,12 +188,22 @@ class TestSimulateIntervalMatchesSpanFormulas:
         assert rng.random() == twin_rng.random()
 
 
-def summary_phases(table: ScatterTable) -> list[dict]:
+def phase_rows(samples, config: DetectorConfig) -> list[tuple]:
+    """Each sample's (phase id, retired count, tau, utilization), the phase
+    id and the utilization as a detector of its own gives them."""
+    detector = PhaseDetector(config)
+    rows = []
+    for sample in samples:
+        phase_id, _ = detector.observe(sample)
+        rows.append((phase_id, sample.retired_instructions, sample.tau, detector.last_utilization))
+    return rows
+
+
+def summary_phases(rows: list[tuple]) -> list[dict]:
     """The summary's per-phase block, one phase at a time: each phase's rows
     picked out in row order and summed from 0.0."""
-    rows = list(zip(table.phase_id, table.throughput_raw, table.tau, table.utilization))
     phases = []
-    for pid in sorted(set(table.phase_id)):
+    for pid in sorted({row[0] for row in rows}):
         count, raw_sum, per_cycle_sum, util_sum = 0, 0.0, 0.0, 0.0
         for phase_id, raw, tau, util in rows:
             if phase_id == pid:
@@ -213,16 +223,23 @@ def summary_phases(table: ScatterTable) -> list[dict]:
     return phases
 
 
+#: Per-cycle throughput levels at least 4x apart: under ``SUMMARY_CONFIG``
+#: each change of level is a phase change, and a return to a level can recur.
+PHASE_LEVELS = (0.5, 2.0, 8.0, 2.0**20)
+SUMMARY_CONFIG = DetectorConfig(delta_th=20.0)
+
+
 @st.composite
-def scatter_tables(draw):
-    """Tables whose rows come in runs of one phase, with phases that recur
-    (for example 0, 1, 0, 2, 1)."""
-    phase_ids = []
+def phase_runs(draw):
+    """Samples in runs of one level, with levels that return (for example
+    0, 1, 0, 2, 1), so rows come in runs of one phase and phases recur; any
+    utilization, so utilization events open phases too."""
+    levels = []
     for _ in range(draw(st.integers(0, 12))):
-        phase_ids += [draw(st.integers(0, 3))] * draw(st.integers(1, 6))
-    rows = len(phase_ids)
-    taus = draw(st.lists(st.integers(1, 10**6), min_size=rows, max_size=rows))
-    raws = draw(st.lists(st.integers(0, 2**40), min_size=rows, max_size=rows))
+        levels += [draw(st.integers(0, 3))] * draw(st.integers(1, 6))
+    rows = len(levels)
+    taus = draw(st.lists(st.integers(1_000, 10**6), min_size=rows, max_size=rows))
+    jitters = draw(st.lists(st.integers(0, 30), min_size=rows, max_size=rows))
     utils = draw(
         st.lists(
             st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)),
@@ -230,27 +247,29 @@ def scatter_tables(draw):
             max_size=rows,
         )
     )
-    starts = [sum(taus[:i]) for i in range(rows)]
-    return ScatterTable(
-        array("q", starts), array("q", taus), array("q", raws),
-        array("d", utils), array("q", phase_ids),
-    )
+    samples = []
+    start = 0
+    for index, (level, tau, jitter, util) in enumerate(zip(levels, taus, jitters, utils)):
+        raw = int(PHASE_LEVELS[level] * tau) + jitter
+        samples.append(IntervalSample(index, start, tau, raw, util, 0.0))
+        start += tau
+    return samples
 
 
 class TestBuildSummaryMatchesRowOrderSums:
-    @given(scatter_tables())
-    @example(
-        ScatterTable(
-            array("q", range(0, 500, 100)), array("q", [100] * 5),
-            array("q", [10, 30, 7, 50, 90]), array("d", [0.1, 0.7, 0.2, 0.3, 0.9]),
-            array("q", [0, 1, 0, 2, 1]),
-        )
-    )
+    @given(phase_runs())
+    # Phases 0, 1, 0, 2, 1: levels 1, 3, 1, 9, 3, each return a recurrence.
+    @example(build_stream([1.0, 3.0, 1.0, 9.0, 3.0], utils=[0.1, 0.7, 0.2, 0.3, 0.9], tau=100))
     @settings(max_examples=200, deadline=None)
-    def test_per_phase_sums_follow_row_order(self, table):
-        summary = _build_summary(table, [], {"label": "t"})
+    def test_per_phase_sums_follow_row_order(self, samples):
+        rows = phase_rows(samples, SUMMARY_CONFIG)
+        summary = detect_over_samples(samples, SUMMARY_CONFIG).summary
         # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not.
-        assert repr(summary["phases"]) == repr(summary_phases(table))
-        assert summary["phase_count"] == len(set(table.phase_id))
-        assert summary["sample_count"] == len(table.tau)
-        assert summary["cycles_covered"] == sum(table.tau)
+        assert repr(summary["phases"]) == repr(summary_phases(rows))
+        assert summary["phase_count"] == len({row[0] for row in rows})
+        assert summary["sample_count"] == len(samples)
+        assert summary["cycles_covered"] == sum(sample.tau for sample in samples)
+
+    def test_the_example_recurs(self):
+        samples = build_stream([1.0, 3.0, 1.0, 9.0, 3.0], utils=[0.1, 0.7, 0.2, 0.3, 0.9], tau=100)
+        assert [row[0] for row in phase_rows(samples, SUMMARY_CONFIG)] == [0, 1, 0, 2, 1]

@@ -189,7 +189,7 @@ class TestLadderOracle:
     def test_tau_column_is_the_closed_form_ladder(self, run):
         spec, config = run
         result = run_experiment(config)
-        taus = list(result.table.tau)
+        taus = [row.tau for row in result.rows]
         # Every verdict but the cut-short final interval's was steady.
         assert all(
             event.kind is PhaseEventKind.TAU_DOUBLED

@@ -184,12 +184,11 @@ def simulate_spec(
 def decisions(run: RunResult) -> tuple:
     """Every verdict of a run: its phase ids and interval lengths, and each
     event without d_i."""
-    table = run.table
     events = [
         (e.interval_index, e.kind, e.old_phase_id, e.new_phase_id, e.to_core)
         for e in run.events
     ]
-    return table.phase_id, table.tau, events
+    return [row.phase_id for row in run.rows], [row.tau for row in run.rows], events
 
 
 def assert_split_matches_whole(split_run: RunResult, whole: RunResult, cut: int) -> None:
@@ -198,17 +197,15 @@ def assert_split_matches_whole(split_run: RunResult, whole: RunResult, cut: int)
     cut, where they may differ by exactly 1; utilizations agree to a relative
     error of 16 machine epsilons."""
     assert decisions(split_run) == decisions(whole)
-    table = whole.table
-    for start, tau, split_raw, whole_raw in zip(
-        table.start_cycle, table.tau, split_run.table.throughput_raw,
-        table.throughput_raw, strict=True,
-    ):
-        if start < cut < start + tau:
-            assert abs(split_raw - whole_raw) <= 1
+    for split_row, row in zip(split_run.rows, whole.rows, strict=True):
+        if row.start_cycle < cut < row.start_cycle + row.tau:
+            assert abs(split_row.throughput_raw - row.throughput_raw) <= 1
         else:
-            assert split_raw == whole_raw
-    for a, b in zip(split_run.table.utilization, table.utilization, strict=True):
-        assert math.isclose(a, b, rel_tol=16 * sys.float_info.epsilon, abs_tol=0.0)
+            assert split_row.throughput_raw == row.throughput_raw
+        assert math.isclose(
+            split_row.utilization, row.utilization,
+            rel_tol=16 * sys.float_info.epsilon, abs_tol=0.0,
+        )
 
 
 class TestSplittingASegment:
@@ -269,7 +266,7 @@ class TestSplittingASegment:
             tmp_path_factory.mktemp("split"), split, Mode.FIXED, "A0", False
         )
         assert_split_matches_whole(split_run, whole, cut=6_741_605 + 203)
-        assert whole.table.start_cycle[67] == 6_700_000
-        assert (whole.table.throughput_raw[67], split_run.table.throughput_raw[67]) == (
+        assert whole.rows[67].start_cycle == 6_700_000
+        assert (whole.rows[67].throughput_raw, split_run.rows[67].throughput_raw) == (
             224_234, 224_235
         )

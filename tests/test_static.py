@@ -4,8 +4,9 @@ documents are the ones the record types state, the config keys it and
 ``docs/example.conf`` document are the ones ``config.CONFIG_KEYS`` lists,
 the summary fields it documents are those of ``experiment.SUMMARY_FIELDS``
 and ``experiment.PHASE_FIELDS``, a field's type is read only from its
-annotation, by the records the README lists, and the stream rule's messages
-are worded once, in the detector."""
+annotation, by the records the README lists, the stream rule's messages
+are worded once, in the detector, and ``experiment.py`` handles each
+interval in one loop, which alone formats the scatter line."""
 
 from __future__ import annotations
 
@@ -244,3 +245,68 @@ class TestStreamRule:
             for _ in strings_holding(ast.parse(path.read_text(encoding="utf-8")), phrase)
         ]
         assert holders == ["detector.py"]
+
+
+def enclosing_functions(tree: ast.Module) -> dict[int, str]:
+    """Each node's innermost enclosing function, by the node's id."""
+    owner: dict[int, str] = {}
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    # Outer functions first, so an inner one overwrites its nodes' owner.
+    for function in sorted(functions, key=lambda f: (f.lineno, -f.end_lineno)):
+        for node in ast.walk(function):
+            owner[id(node)] = function.name
+    return owner
+
+
+def sample_loops(tree: ast.Module) -> list[str]:
+    """The function of each loop or comprehension over samples: a ``for``
+    whose target is the name ``sample`` or whose iterable is ``samples``."""
+    owner = enclosing_functions(tree)
+    loops = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and any(
+            isinstance(part, ast.Name) and part.id == name
+            for part, name in ((node.target, "sample"), (node.iter, "samples"))
+        )
+    ]
+    return [owner.get(id(loop), "<module>") for loop in loops]
+
+
+def name_reads(tree: ast.Module, name: str) -> list[str]:
+    """The function of each place that reads the name ``name``, and how:
+    ``%`` when it is the left side of a ``%``."""
+    owner = enclosing_functions(tree)
+    formats = {
+        id(node.left) for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+    }
+    return [
+        f"{owner.get(id(node), '<module>')}:{'%' if id(node) in formats else 'read'}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+    ]
+
+
+EXPERIMENT = ROOT / "src" / "phasesim" / "experiment.py"
+
+
+class TestOneIntervalLoop:
+    def test_the_checks_find_a_second_loop_and_a_second_format(self):
+        source = (
+            "def _run_intervals(samples):\n    for sample in samples:\n"
+            "        _SCATTER_LINE % sample\n"
+            "def summary(samples):\n    return [s for s in samples]\n"
+            "def write(rows):\n    lines = map(_SCATTER_LINE.__mod__, rows)\n"
+        )
+        tree = ast.parse(source)
+        assert sample_loops(tree) == ["_run_intervals", "summary"]
+        assert name_reads(tree, "_SCATTER_LINE") == ["_run_intervals:%", "write:read"]
+
+    def test_experiment_loops_over_samples_once(self):
+        tree = ast.parse(EXPERIMENT.read_text(encoding="utf-8"))
+        assert sample_loops(tree) == ["_run_intervals"]
+
+    def test_the_scatter_line_is_formatted_at_one_site(self):
+        tree = ast.parse(EXPERIMENT.read_text(encoding="utf-8"))
+        assert name_reads(tree, "_SCATTER_LINE") == ["_run_intervals:%"]
