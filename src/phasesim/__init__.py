@@ -22,13 +22,10 @@ from .core_model import (
 from .detector import (
     PHASE_CHANGE_KINDS,
     DetectorConfig,
-    IntervalSample,
     PhaseDetector,
     PhaseEvent,
     PhaseEventKind,
     PhaseState,
-    TraceError,
-    TraceValidationError,
     UtilizationClass,
     match_recurring_phase,
     utilization_class,
@@ -44,10 +41,10 @@ from .experiment import (
     run_experiment,
 )
 from .interval_control import IntervalController
+from .records import IntervalSample, TraceError, TraceParseError, TraceValidationError
 from .scheduler import decide_migration
 from .workload import (
     PRESETS,
-    TraceParseError,
     WorkloadSpec,
     detect_format,
     fft_like,

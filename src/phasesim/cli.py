@@ -25,9 +25,9 @@ from .experiment import (
     overhead_report,
     run_experiment,
 )
+from .records import TraceError
 from .workload import (
     PRESETS,
-    TraceError,
     load_trace,
     preset,
     save_workload_spec,

@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .core_model import CoreClass, CoreSpec, a_core, b_core
-from .detector import DetectorConfig, check_fields
+from .detector import DetectorConfig
+from .records import check_fields
 
 
 class ConfigError(Exception):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .detector import MAX_RETIRED, IntervalSample, check_fields
+from .records import MAX_RETIRED, IntervalSample, check_fields
 
 
 class CoreClass(Enum):

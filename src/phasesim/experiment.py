@@ -25,12 +25,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .config import ConfigError, ExperimentConfig, Mode
 from .core_model import SegmentCursor, check_retire_range, simulate_interval
-from .detector import DetectorConfig, IntervalSample, PhaseDetector, PhaseEvent, PhaseEventKind
+from .detector import DetectorConfig, PhaseDetector, PhaseEvent, PhaseEventKind
 from .interval_control import IntervalController
+from .records import IntervalSample, json_field
 from .scheduler import decide_migration
 from .workload import (
-    WorkloadSpec, csv_writers, detect_format, generate_workload, json_field,
-    load_workload_spec, preset, recorded,
+    WorkloadSpec, csv_writers, detect_format, generate_workload, load_workload_spec,
+    preset, recorded,
 )
 
 SUMMARY_SCHEMA_VERSION = 1

@@ -10,8 +10,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core_model import WorkloadSegment
-from .detector import (
-    IntervalSample, TraceError, TraceValidationError, check_fields, typed_value,
+from .records import (
+    IntervalSample, TraceError, TraceParseError, TraceValidationError, check_fields,
 )
 
 SPEC_SCHEMA_VERSION = 1
@@ -30,14 +30,6 @@ _SEGMENT_FIELDS = tuple(
     (f.name, None if f.default is MISSING else f.default) for f in fields(WorkloadSegment)
 )
 _raw_decode = json.JSONDecoder().raw_decode
-
-
-class TraceParseError(TraceError):
-    """A line could not be decoded at all."""
-
-    def __init__(self, message: str, line_number: int) -> None:
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -164,14 +156,6 @@ def load_workload_spec(path: str | Path) -> WorkloadSpec:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def json_field(record: dict, name: str, annotation: str, default=None):
-    """``record[name]``, required unless a default is given, as a field
-    annotated ``annotation`` holds it (see :func:`typed_value`)."""
-    if default is None and name not in record:
-        raise ValueError(f"missing required field {name!r}")
-    return typed_value(name, record.get(name, default), annotation)
 
 
 def detect_format(path: str | Path, explicit: str | None = None) -> str:

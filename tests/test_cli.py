@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import phasesim
 from phasesim import ConfigError, cli, experiment, load_summary, overhead_report
-from phasesim.detector import MAX_RETIRED
+from phasesim.records import MAX_RETIRED
 from phasesim.experiment import ARTIFACTS
 
 
@@ -1266,8 +1266,20 @@ class TestCompareCommand:
                 b'"label": "steady", "mode": "fixed_tau"}',
                 "bad/summary.json: sample_count must be an int, got '20'",
             ),
+            (
+                b'{"sample_count": 20, "label": "steady", "mode": "fixed_tau"}',
+                "bad/summary.json: missing required field 'cycles_covered'",
+            ),
+            (
+                b'{"sample_count": 20, "label": "steady", "mode": "fixed_tau", '
+                b'"cycles_covered": null}',
+                "bad/summary.json: cycles_covered must be an int, got None",
+            ),
         ],
-        ids=["invalid_utf8", "deep_nesting", "empty_object", "not_an_object", "string_count"],
+        ids=[
+            "invalid_utf8", "deep_nesting", "empty_object", "not_an_object", "string_count",
+            "missing_key", "null_value",
+        ],
     )
     def test_malformed_summary_exits_one(self, tmp_path, capsys, content, named):
         config = write_config(tmp_path, FIXED_STEADY)

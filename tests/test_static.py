@@ -5,8 +5,10 @@ documents are the ones the record types state, the config keys it and
 the summary fields it documents are those of ``experiment.SUMMARY_FIELDS``
 and ``experiment.PHASE_FIELDS``, a field's type is read only from its
 annotation, by the records the README lists, the stream rule's messages
-are worded once, in the detector, and ``experiment.py`` handles each
-interval in one loop, which alone formats the scatter line."""
+are worded once, in the detector, the record layer is imported first and
+only from ``records``, the detection oracle imports no checked code, and
+``experiment.py`` handles each interval in one loop, which alone formats the
+scatter line."""
 
 from __future__ import annotations
 
@@ -245,6 +247,101 @@ class TestStreamRule:
             for _ in strings_holding(ast.parse(path.read_text(encoding="utf-8")), phrase)
         ]
         assert holders == ["detector.py"]
+
+
+def phasesim_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, name) for each name ``tree`` imports from phasesim, the
+    module given without the package: ``from .records import X`` and
+    ``from phasesim.records import X`` both give ``("records", "X")``,
+    ``from phasesim import X`` gives ``("", "X")`` and ``import phasesim.cli``
+    gives ``("cli", "")``. Relative imports are read as phasesim's own."""
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.partition(".")[0] != "phasesim":
+                continue
+            source = module if node.level else module.removeprefix("phasesim").lstrip(".")
+            pairs += [(source, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            pairs += [
+                (alias.name.removeprefix("phasesim").lstrip("."), "")
+                for alias in node.names
+                if alias.name.partition(".")[0] == "phasesim"
+            ]
+    return pairs
+
+
+def import_order_faults(trees: dict[str, ast.Module]) -> list[str]:
+    """Breaks of the import order among the modules of ``trees``, by name:
+    ``records`` importing any phasesim module, ``core_model`` or
+    ``workload`` importing from ``detector``, and any module taking a name
+    that ``records`` defines from a module other than ``records``."""
+    record_names = {
+        name
+        for node in trees["records"].body
+        for name in (
+            [node.name] if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            else [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+        )
+    }
+    faults = []
+    for module, tree in trees.items():
+        for source, name in phasesim_imports(tree):
+            if module == "records":
+                faults.append(f"records imports {source or 'phasesim'}")
+            elif source == "detector" and module in ("core_model", "workload"):
+                faults.append(f"{module} imports {name} from detector")
+            elif name in record_names and source != "records":
+                faults.append(f"{module} imports {name} from {source or 'phasesim'}")
+    return faults
+
+
+#: The names the detection oracle may import from phasesim: record, config
+#: and enum types, none of the code it checks.
+ORACLE_IMPORTS = {
+    "CoreSpec", "DetectorConfig", "ExperimentConfig", "IntervalSample", "PhaseEvent",
+    "PhaseEventKind", "PhaseState", "WorkloadSegment", "WorkloadSpec",
+}
+
+
+def oracle_extras(tree: ast.Module) -> set[str]:
+    """What ``tree`` imports from phasesim beyond :data:`ORACLE_IMPORTS`;
+    ``""`` stands for a whole module."""
+    return {name for _, name in phasesim_imports(tree)} - ORACLE_IMPORTS
+
+
+class TestImportOrder:
+    def test_the_check_finds_each_break(self):
+        trees = {
+            "records": ast.parse("from . import cli\nMAX = 1\nclass Sample:\n    pass\n"),
+            "core_model": ast.parse("from .detector import PhaseEvent\n"),
+            "workload": ast.parse("from phasesim.records import Sample\n"),
+            "cli": ast.parse("from .workload import Sample\nfrom .records import MAX\n"),
+            "experiment": ast.parse("from phasesim import MAX\nimport phasesim.cli\n"),
+        }
+        assert import_order_faults(trees) == [
+            "records imports phasesim",
+            "core_model imports PhaseEvent from detector",
+            "cli imports Sample from workload",
+            "experiment imports MAX from phasesim",
+        ]
+
+    def test_records_come_first_and_only_from_records(self):
+        trees = {
+            path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in (ROOT / "src" / "phasesim").glob("*.py")
+        }
+        assert import_order_faults(trees) == []
+
+    @pytest.mark.parametrize("name", ["PhaseDetector", "match_recurring_phase", "simulate_interval"])
+    def test_the_check_finds_the_oracle_importing_checked_code(self, name):
+        tree = ast.parse(f"from phasesim import CoreSpec, {name}\nimport phasesim.detector\n")
+        assert oracle_extras(tree) == {name, ""}
+
+    def test_the_oracle_imports_only_record_and_config_types(self):
+        oracle = ROOT / "tests" / "reference_model.py"
+        assert oracle_extras(ast.parse(oracle.read_text(encoding="utf-8"))) == set()
 
 
 def enclosing_functions(tree: ast.Module) -> dict[int, str]:

@@ -35,7 +35,7 @@ from phasesim import (
     save_workload_spec,
     steady,
 )
-from phasesim.detector import MAX_RETIRED
+from phasesim.records import MAX_RETIRED
 from phasesim.workload import TRACE_COLUMNS
 
 #: Core names that a CSV trace has to quote or that a line reader could split
