@@ -34,7 +34,6 @@ from .experiment import (
     RunResult,
     ScatterRow,
     detect_over_samples,
-    emit_events_csv,
     format_overhead_report,
     load_summary,
     overhead_report,

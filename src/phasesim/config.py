@@ -278,23 +278,29 @@ def load_machine_file(path: str | Path) -> list[CoreSpec]:
     ``int_fu_count``/``fp_fu_count`` may be left blank to take the defaults.
     """
     path = Path(path)
+    # Read as a CSV trace is: only the csv module ends a row, at a "\r" or a
+    # "\n" outside quotes, so a name keeps any other character.
+    rows: list[tuple[int, list[str]]] = []  # each row with the line it starts on
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            start = 1
+            try:
+                for row in reader:
+                    rows.append((start, row))
+                    start = reader.line_num + 1
+            except csv.Error as exc:
+                raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
     except (OSError, ValueError) as exc:
         # ValueError: not UTF-8, or a NUL byte in the path.
         raise ConfigError(f"cannot read machine file {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: empty machine file")
-    header = rows[0]
+    _, header = rows[0]
     if tuple(header) != MACHINE_COLUMNS:
         raise ConfigError(f"{path}: bad header {header!r}, expected {list(MACHINE_COLUMNS)}")
     cores: list[CoreSpec] = []
-    for row_number, row in enumerate(rows[1:], start=2):
+    for row_number, row in rows[1:]:
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) != len(MACHINE_COLUMNS):

@@ -5,13 +5,17 @@ row per interval, annotated with the most significant event), ``events.csv``
 (every event, one row each) and ``summary.json`` (counts and per-phase
 means). One loop, :func:`_run_intervals`, handles each interval once: it
 formats the interval's scatter line and adds the interval to the per-phase
-sums. Each output, a ``simulate`` trace too, is written under a temporary
-name and moved into place when the loop completes, so a failing run leaves
-no partial outputs. ``RunResult.rows`` parses the run's lines at first read.
+sums, and writes the scatter lines and the events a block of intervals at a
+time, so a run keeps neither. Each output, a ``simulate`` trace too, is
+written under a temporary name and moved into place when the loop
+completes, so a failing run leaves no partial outputs. ``RunResult.rows``
+and ``RunResult.events`` parse the run's rows at first read.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import operator
@@ -20,6 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
@@ -108,11 +113,12 @@ SCATTER_COLUMNS = ScatterRow._fields
 
 @dataclass
 class RunResult:
-    events: list[PhaseEvent]
     summary: dict
     #: Where the run's scatter lines went: their text, header first, for a
     #: run without an output directory; else the path of its scatter.csv.
     scatter: str | Path = field(repr=False)
+    #: Where the run's event rows went, as ``scatter`` says for its lines.
+    event_rows: str | Path = field(repr=False)
 
     @cached_property
     def rows(self) -> list[ScatterRow]:
@@ -125,6 +131,34 @@ class RunResult:
             ScatterRow(int(i), int(s), int(t), int(r), float(p), float(u), int(ph), e)
             for i, s, t, r, p, u, ph, e in (line.split(",") for line in text.splitlines()[1:])
         ]
+
+    @cached_property
+    def events(self) -> list[PhaseEvent]:
+        """Every event in order, parsed from the run's rows at first read,
+        then kept. Ints and ``repr`` floats read back exactly, and an empty
+        field as None. events.csv holds no ``reason``: a migration's is the
+        kind of the first event of its interval, the phase change that
+        ``_simulate``'s step decided it on."""
+        source = self.event_rows
+        if isinstance(source, Path):
+            handle: TextIO = open(source, encoding="utf-8", newline="")
+        else:
+            handle = io.StringIO(source, newline="")
+        events: list[PhaseEvent] = []
+        with handle:
+            rows = csv.reader(handle)
+            next(rows)  # the header, EVENT_COLUMNS
+            for index, kind, old, new, d_i, process, from_core, to_core in rows:
+                index, kind = int(index), PhaseEventKind(kind)
+                if not events or events[-1].interval_index != index:
+                    first = kind
+                events.append(PhaseEvent(
+                    index, kind, int(old) if old else None, int(new) if new else None,
+                    float(d_i) if d_i else None,
+                    process or None, from_core or None, to_core or None,
+                    first if kind is PhaseEventKind.MIGRATION else None,
+                ))
+        return events
 
     @property
     def migrations(self) -> list[PhaseEvent]:
@@ -366,25 +400,32 @@ def _run_intervals(
 ) -> RunResult:
     """Every run's interval loop: observe, ``step`` (which may add events),
     then format the interval's scatter line, final once ``step`` returns, and
-    add the interval to the sums; at the end, summarize under ``header``.
-    Each output (the scatter lines, the events, the summary and ``trace``)
-    is staged (see :class:`_Staged`): moved into place when the loop
-    completes, or removed on any exception, a ``BaseException`` too."""
+    add the interval to the sums. The loop takes ``_SCATTER_BLOCK`` samples
+    at a time: at a block's end it writes the block's scatter lines and
+    events, counts the events by kind and keeps none of them. At the end it
+    summarizes under ``header``. Each output (the scatter lines, the events,
+    the summary and ``trace``) is staged (see :class:`_Staged`): moved into
+    place when the loop completes, or removed on any exception, a
+    ``BaseException`` too. A run without an output directory keeps its lines
+    and event rows in memory instead."""
     staged = _Staged()
     out = Path(out_dir) if out_dir is not None else None
     try:
         if out is None:
-            blocks: list[str] = []
-            write = blocks.append
+            scatter_file, events_file = io.StringIO(), io.StringIO()
         else:
             staged.make_dir(out)
-            write = staged.open(out / "scatter.csv").write
+            scatter_file = staged.open(out / "scatter.csv")
+            events_file = staged.open(out / "events.csv")
+        write = scatter_file.write
         if trace is not None:
             samples = recorded(samples, staged.open(Path(trace)), detect_format(trace))
         write(",".join(SCATTER_COLUMNS) + "\n")
+        plain, quoting = csv_writers(events_file, EVENT_COLUMNS)
         lines: list[str] = []
         add_line = lines.append
-        emitted: list[PhaseEvent] = []
+        block_events: list[PhaseEvent] = []
+        event_counts: Counter[str] = Counter()  # by kind, in the order first seen
         # Per phase: (intervals, raw sum, per-cycle sum, utilization sum),
         # each sum accumulated in row order from 0.0. Rows come in runs of
         # one phase: a run adds into locals, which go back to per_phase when
@@ -393,46 +434,51 @@ def _run_intervals(
         open_id = None
         cycles = 0
         observe = detector.observe  # bound per run, after any tracer has wrapped it
-        for sample in samples:
-            phase_id, events = observe(sample)
-            step(sample, phase_id, events)
-            tau, raw = sample.tau, sample.retired_instructions
-            per_cycle = raw / tau
-            util = detector.last_utilization
-            if events:
-                # Every event of this interval is in the list by now.
-                emitted += events
-                kinds = [event.kind for event in events]
-                token = next((k._value_ for k in _SCATTER_PRIORITY if k in kinds), "none")
-            else:
-                token = "none"
-            add_line(_SCATTER_LINE % (
-                sample.index, sample.start_cycle, tau, raw, per_cycle, util, phase_id, token
-            ))
-            if len(lines) == _SCATTER_BLOCK:
-                write("".join(lines))
-                lines.clear()
-            if phase_id != open_id:
-                if open_id is not None:
-                    per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
-                open_id = phase_id
-                count, raw_sum, per_cycle_sum, util_sum = per_phase.get(
-                    phase_id, (0, 0.0, 0.0, 0.0)
-                )
-            count += 1
-            raw_sum += raw
-            per_cycle_sum += per_cycle
-            util_sum += util
-            cycles += tau
-        write("".join(lines))
+        samples = iter(samples)
+        while True:
+            for sample in islice(samples, _SCATTER_BLOCK):
+                phase_id, events = observe(sample)
+                step(sample, phase_id, events)
+                tau, raw = sample.tau, sample.retired_instructions
+                per_cycle = raw / tau
+                util = detector.last_utilization
+                if events:
+                    # Every event of this interval is in the list by now.
+                    block_events += events
+                    kinds = [event.kind for event in events]
+                    token = next((k._value_ for k in _SCATTER_PRIORITY if k in kinds), "none")
+                else:
+                    token = "none"
+                add_line(_SCATTER_LINE % (
+                    sample.index, sample.start_cycle, tau, raw, per_cycle, util, phase_id, token
+                ))
+                if phase_id != open_id:
+                    if open_id is not None:
+                        per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
+                    open_id = phase_id
+                    count, raw_sum, per_cycle_sum, util_sum = per_phase.get(
+                        phase_id, (0, 0.0, 0.0, 0.0)
+                    )
+                count += 1
+                raw_sum += raw
+                per_cycle_sum += per_cycle
+                util_sum += util
+                cycles += tau
+            write("".join(lines))
+            _write_events(block_events, plain, quoting)
+            # _value_ is the attribute the Enum.value property reads.
+            event_counts.update(map(operator.attrgetter("kind._value_"), block_events))
+            if len(lines) < _SCATTER_BLOCK:  # the samples ran out
+                break
+            lines.clear()
+            block_events.clear()
         if open_id is not None:
             per_phase[open_id] = count, raw_sum, per_cycle_sum, util_sum
-        summary = _summary(header, per_phase, cycles, emitted)
+        summary = _summary(header, per_phase, cycles, dict(event_counts))
         if out is None:
-            scatter: str | Path = "".join(blocks)
+            scatter, event_rows = scatter_file.getvalue(), events_file.getvalue()
         else:
-            scatter = out / "scatter.csv"
-            emit_events_csv(emitted, staged.open(out / "events.csv"))
+            scatter, event_rows = out / "scatter.csv", out / "events.csv"
             handle = staged.open(out / "summary.json", newline=None)
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -440,14 +486,13 @@ def _run_intervals(
     except BaseException:
         staged.discard()
         raise
-    return RunResult(emitted, summary, scatter)
+    return RunResult(summary, scatter, event_rows)
 
 
-def _summary(header: dict, per_phase: dict, cycles: int, emitted: list[PhaseEvent]) -> dict:
+def _summary(header: dict, per_phase: dict, cycles: int, event_counts: dict[str, int]) -> dict:
     """The run's counts under ``header`` (label, mode, seed and, for
-    ``simulate``, its settings), keyed and ordered as ``SUMMARY_FIELDS``."""
-    # _value_ is the attribute the Enum.value property reads.
-    event_counts = dict(Counter(map(operator.attrgetter("kind._value_"), emitted)))
+    ``simulate``, its settings), keyed and ordered as ``SUMMARY_FIELDS``;
+    ``event_counts`` holds the number of events of each kind, by its value."""
     # Each phase's values in PHASE_FIELDS order: its id, its interval count, its means.
     phases = [
         dict(zip(PHASE_FIELDS, (pid, count, raw / count, per_cycle / count, util / count)))
@@ -474,7 +519,8 @@ def _summary(header: dict, per_phase: dict, cycles: int, emitted: list[PhaseEven
 _SCATTER_LINE = ",".join(["%s"] * len(SCATTER_COLUMNS)) + "\n"
 
 
-#: Lines per write: a few tens of KB, joined, cost less than a write per line.
+#: Intervals per block: a block's lines, a few tens of KB joined, cost less
+#: written at once than a write per line, and its events are written with them.
 _SCATTER_BLOCK = 512
 
 
@@ -484,13 +530,12 @@ _EVENT_FIELDS = operator.attrgetter(
 )
 
 
-def emit_events_csv(events: list[PhaseEvent], handle: TextIO) -> None:
-    """Write ``events`` to ``handle``, opened with ``newline=""``, one row
-    each; the csv module writes None as an empty field. Only a row that
-    names a process or a core (a migration's) can hold a "\\r" (see
-    :func:`csv_writers`); the rows between two such rows are written by the
-    csv module alone, streamed."""
-    plain, quoting = csv_writers(handle, EVENT_COLUMNS)
+def _write_events(events: list[PhaseEvent], plain, quoting) -> None:
+    """Write ``events`` one row each through the ``plain`` and ``quoting``
+    writers of :func:`csv_writers`; the csv module writes None as an empty
+    field. Only a row that names a process or a core (a migration's) can
+    hold a "\\r", which takes ``quoting``; the rows between two such rows are
+    written by ``plain`` alone, streamed."""
     written = 0
     for position, event in enumerate(events):
         if event.process or event.from_core or event.to_core:

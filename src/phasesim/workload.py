@@ -174,9 +174,12 @@ def csv_writers(handle: TextIO, header: Sequence[str]) -> tuple:
     ``quoting``. Lines end in "\\n". Under that line end the csv module leaves
     a "\\r" unquoted, and a reader ends the line there: a row with a "\\r" in
     a string goes to ``quoting``, which quotes every string."""
+    # The column names need no quoting. Joined here, they leave the writers
+    # unused until a row comes: a csv writer's first row allocates its 128
+    # KiB record buffer, which a run that raises no event then never holds.
+    handle.write(",".join(header) + "\n")
     plain = csv.writer(handle, lineterminator="\n")
     quoting = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-    plain.writerow(header)
     return plain, quoting
 
 

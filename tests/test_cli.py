@@ -701,9 +701,10 @@ class TestOutputsAppearWhole:
         else:
             assert cli.main(argv) == 3
             assert "internal error: RuntimeError('interval 100')" in capsys.readouterr().err
-        # Mid-loop, the trace and scatter.csv were streaming to temporary files.
+        # Mid-loop, the trace, scatter.csv and events.csv were streaming to
+        # temporary files.
         temporary = [name for name in seen if name.endswith(".tmp")]
-        assert [name.split(".")[1] for name in temporary] == ["scatter", "t"]
+        assert [name.split(".")[1] for name in temporary] == ["events", "scatter", "t"]
         assert sorted(path.name for path in tmp_path.rglob("*")) == ["run.conf", "traces"]
 
     def test_a_directory_that_existed_stays_empty(self, tmp_path, monkeypatch):
@@ -715,20 +716,30 @@ class TestOutputsAppearWhole:
             experiment, "simulate_interval", failing_at(100, RuntimeError, out, seen)
         )
         assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 3
-        assert len(seen) == 1 and seen[0].startswith(".scatter.csv.")
+        assert [name.split(".")[1] for name in seen] == ["events", "scatter"]
         assert list(out.iterdir()) == []
 
-    def test_a_writer_failing_after_the_scatter_leaves_no_artifact(
-        self, tmp_path, monkeypatch
+    def test_an_events_writer_failing_after_a_block_leaves_nothing(
+        self, tmp_path, monkeypatch, capsys
     ):
-        def fail(events, handle):
-            raise OSError("disk full")
+        # FIXED_STEADY over 2000 intervals: the first block of 512 is
+        # written, then the events writer fails at the second's end, mid-loop.
+        config = write_config(tmp_path, FIXED_STEADY.replace("2000000", "200000000"))
+        out = tmp_path / "runs" / "run"
+        write_events = experiment._write_events
+        seen: list[str] = []
 
-        config = write_config(tmp_path, LONG_STEADY)
-        out = tmp_path / "run"
-        monkeypatch.setattr(experiment, "emit_events_csv", fail)
+        def fail_on_the_second_block(events, plain, quoting):
+            if seen:
+                raise OSError("disk full")
+            write_events(events, plain, quoting)
+            seen.extend(sorted(path.name for path in out.iterdir()))
+
+        monkeypatch.setattr(experiment, "_write_events", fail_on_the_second_block)
         assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
-        assert not out.exists()
+        assert "disk full" in capsys.readouterr().err
+        assert [name.split(".")[1] for name in seen] == ["events", "scatter"]
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["run.conf"]
 
     def test_an_output_that_is_a_symlink_is_replaced_not_written_through(self, tmp_path):
         config = write_config(tmp_path, FIXED_STEADY)

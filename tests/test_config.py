@@ -349,6 +349,32 @@ class TestMachineFile:
         with refused(f"{path}: empty machine file"):
             load_machine_file(path)
 
+    @pytest.mark.parametrize(
+        "name, cell",
+        [
+            ("A\r0", '"A\r0"'),
+            ("A\n0", '"A\n0"'),
+            ("A\r\n0", '"A\r\n0"'),
+            ('A,"0', '"A,""0"'),
+            # Characters str.splitlines ends a line at, which CSV does not.
+            *((f"A{c}0", f"A{c}0") for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+        ],
+    )
+    def test_names_read_back_exactly(self, tmp_path, name, cell):
+        path = tmp_path / "machine.csv"
+        path.write_bytes(
+            (MACHINE_CSV.splitlines()[0] + f"\n{cell},A,4,80,32,,\nB0,B,2,56,16,,\n").encode()
+        )
+        assert [core.name for core in load_machine_file(path)] == [name, "B0"]
+
+    def test_a_row_is_named_by_the_line_it_starts_on(self, tmp_path):
+        path = tmp_path / "machine.csv"
+        path.write_bytes(
+            (MACHINE_CSV.splitlines()[0] + '\n"A\n0",A,4,80,32,,\nX0,C,4,80,32,,\n').encode()
+        )
+        with refused(f"{path}:4: 'C' is not a valid CoreClass"):
+            load_machine_file(path)
+
     def test_bad_class_rejected(self, tmp_path):
         path = tmp_path / "machine.csv"
         path.write_text(

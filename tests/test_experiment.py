@@ -3,9 +3,11 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import math
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +32,9 @@ from phasesim import (
     WorkloadSpec,
     cli,
     detect_over_samples,
-    emit_events_csv,
     experiment,
     fft_like,
+    load_machine_file,
     load_summary,
     load_trace,
     overhead_report,
@@ -47,7 +49,9 @@ from phasesim.experiment import (
     EVENT_COLUMNS,
     SCATTER_COLUMNS,
     _run_intervals,
+    _write_events,
 )
+from phasesim.workload import csv_writers
 
 
 def fft_config(**kwargs):
@@ -588,13 +592,162 @@ def row_by_row_events(events: list[PhaseEvent]) -> bytes:
 
 
 class TestEventsWriter:
-    @given(events=event_lists())
+    @given(events=event_lists(), data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_same_bytes_as_the_row_by_row_rule(self, tmp_path_factory, events):
+    def test_blocks_give_the_bytes_of_the_row_by_row_rule(self, tmp_path_factory, events, data):
+        # The loop writes each block's events as the block ends: any split
+        # of the list into blocks writes the file the rule writes.
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=4)))
         path = tmp_path_factory.mktemp("events") / "events.csv"
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            emit_events_csv(events, handle)
+            plain, quoting = csv_writers(handle, EVENT_COLUMNS)
+            for start, end in zip([0, *cuts], [*cuts, len(events)]):
+                _write_events(events[start:end], plain, quoting)
         assert path.read_bytes() == row_by_row_events(events)
+
+
+#: Names that round-trip through events.csv: an empty one reads back as None.
+NAMES = AWKWARD_NAMES.filter(bool)
+UTILIZATION_KINDS = [PhaseEventKind.OVER_UTILIZATION, PhaseEventKind.UNDER_UTILIZATION]
+#: Deviations a row may hold. Runs never raise NaN (the detector's deviation
+#: is finite or +inf), so none is drawn.
+DEVIATIONS = st.one_of(
+    st.none(), st.sampled_from([math.inf, -math.inf, -0.0, 0.0]), st.floats(allow_nan=False)
+)
+
+
+@st.composite
+def event_runs(draw):
+    """A stream of 1 to two blocks and one interval whose utilization swings
+    at a few drawn intervals, near its ends and at a block edge (where a
+    util_window of 1 raises utilization events, with recurrences), and the
+    events a step adds there: 0-3 of any kind, with None or any phase ids and
+    deviation, and names: always on a migration, rarely on another kind. A
+    migration is drawn with the utilization kind that causes it (see
+    ``adding_step``)."""
+    edge = _SCATTER_BLOCK
+    n = draw(st.sampled_from([1, 2, edge - 1, edge, edge + 1, 2 * edge + 1]))
+    near = {0, 1, edge - 2, edge - 1, edge, edge + 1, n - 2, n - 1}
+    indices = sorted(i for i in near if 0 <= i < n)
+    utils = {i: draw(st.sampled_from([0.1, 0.6, 0.97])) for i in indices}
+    samples = build_stream([1.5] * n, [utils.get(i, 0.6) for i in range(n)], tau=100)
+    extra = {}
+    for i in indices:
+        events = []
+        for kind in draw(st.lists(st.sampled_from(PhaseEventKind), max_size=3)):
+            if kind is PhaseEventKind.MIGRATION:
+                process = draw(NAMES)
+                from_core, to_core = draw(st.lists(NAMES, min_size=2, max_size=2, unique=True))
+                cause = draw(st.sampled_from(UTILIZATION_KINDS))
+                events.append((kind, process, from_core, to_core, cause))
+            else:
+                names = draw(st.one_of(
+                    *[st.just((None, None, None))] * 3,
+                    st.tuples(*[st.one_of(st.none(), NAMES)] * 3),
+                ))
+                ids = draw(st.tuples(*[st.one_of(st.none(), st.integers(0, 10**6))] * 2))
+                events.append((kind, *ids, draw(DEVIATIONS), *names))
+        extra[i] = events
+    return samples, extra
+
+
+def adding_step(extra: dict, emitted: list):
+    """A step that adds the events ``extra`` holds for each interval, as
+    ``simulate``'s step adds the controller's and the scheduler's, and keeps
+    in ``emitted`` every event of the interval. A migration follows its
+    interval's first event, which must be a utilization event: drawn as its
+    cause when the interval has none, skipped when the first is another."""
+
+    def step(sample, phase_id, events):
+        for kind, *values in extra.get(sample.index, []):
+            if kind is not PhaseEventKind.MIGRATION:
+                events.append(PhaseEvent(sample.index, kind, *values))
+                continue
+            *names, cause = values
+            if not events:
+                events.append(PhaseEvent(sample.index, cause, phase_id, phase_id, 0.0))
+            if events[0].kind in UTILIZATION_KINDS:
+                events.append(PhaseEvent(
+                    sample.index, kind, None, None, None, *names, reason=events[0].kind
+                ))
+        emitted.extend(events)
+
+    return step
+
+
+def assert_read_back(result: RunResult, emitted: list[PhaseEvent]) -> None:
+    """``result.events`` equals the events the loop wrote, value for value:
+    repr tells -0.0 from 0.0 and an int from a float."""
+    assert result.events == emitted
+    assert [repr(event) for event in result.events] == [repr(event) for event in emitted]
+    assert result.migrations == [e for e in emitted if e.kind is PhaseEventKind.MIGRATION]
+
+
+class TestEventsReadBack:
+    """``RunResult.events``, parsed from the run's rows at first read, equals
+    the events the loop wrote, in memory and on disk."""
+
+    @given(drawn=event_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_events_read_back_as_written(self, tmp_path_factory, drawn):
+        samples, extra = drawn
+        config = DetectorConfig(util_window=1)
+        header = {"label": "t", "mode": "detect", "seed": None}
+        for out in (None, tmp_path_factory.mktemp("run") / "run"):
+            emitted: list[PhaseEvent] = []
+            result = _run_intervals(
+                samples, PhaseDetector(config), adding_step(extra, emitted), header, out
+            )
+            assert_read_back(result, emitted)
+            assert result.summary["event_counts"] == {
+                kind.value: count
+                for kind in PhaseEventKind
+                if (count := sum(e.kind is kind for e in emitted))
+            }
+
+    def test_migrations_between_cores_named_in_a_machine_file(self, tmp_path):
+        # Quoted core names that hold a comma, a quote, a line feed and a
+        # carriage return load as they are, and each migration's names and
+        # reason read back from events.csv.
+        machine = tmp_path / "machine.csv"
+        machine.write_bytes(
+            b"name,core_class,issue_width,int_window,fp_window,int_fu_count,fp_fu_count\n"
+            b'"A,\n""0",A,4,80,32,,\n"B\r0",B,2,56,16,,\n'
+        )
+        cores = load_machine_file(machine)
+        assert [core.name for core in cores] == ['A,\n"0', "B\r0"]
+        spec = tmp_path / "spec.json"
+        save_workload_spec(replace(fft_like(), name='fft,"\r\nlike'), spec)
+        config = ExperimentConfig(
+            workload_spec_path=spec, mode=Mode.VARIABLE, machine_cores=cores, start_core="B\r0"
+        )
+        for out in (None, tmp_path / "run"):
+            emitted: list[PhaseEvent] = []
+            write = experiment._write_events
+
+            def record(events, plain, quoting):
+                emitted.extend(events)
+                write(events, plain, quoting)
+
+            with mock.patch.object(experiment, "_write_events", record):
+                result = run_experiment(config, out)
+            assert_read_back(result, emitted)
+            assert [(m.process, m.from_core, m.to_core, m.reason) for m in result.migrations] == [
+                ('fft,"\r\nlike', "B\r0", 'A,\n"0', PhaseEventKind.OVER_UTILIZATION),
+                ('fft,"\r\nlike', 'A,\n"0', "B\r0", PhaseEventKind.UNDER_UTILIZATION),
+            ]
+
+    def test_a_migration_after_another_first_event_is_refused(self):
+        # events.csv holds no reason: a migration's is its interval's first
+        # event, which PhaseEvent requires to be a utilization event.
+        moved = PhaseEvent(
+            0, PhaseEventKind.MIGRATION, None, None, None, "p", "B0", "A0",
+            PhaseEventKind.OVER_UTILIZATION,
+        )
+        extra = {0: [scatter_event(0, PhaseEventKind.TAU_DOUBLED), moved]}
+        result = injected_run(build_stream([1.5], tau=100), DetectorConfig(), extra)
+        with pytest.raises(ValueError, match="migrations are utilization-driven"):
+            result.events
 
 
 SCATTER_TOKENS = ["none", *(kind.value for kind in _SCATTER_PRIORITY)]
@@ -859,10 +1012,22 @@ def retained_bytes_per_interval(run) -> float:
     return (after - before) / len(result.rows)
 
 
+def churn_stream(n: int) -> list[IntervalSample]:
+    """``n`` intervals whose throughput swings between two levels every 6
+    intervals: under ``CHURN`` each swing is a phase change back to the
+    other level's phase, with its recurrence note, so the phase table stays
+    at two phases while the events grow with the run."""
+    return build_stream([1.0 if i // 6 % 2 == 0 else 2.5 for i in range(n)])
+
+
+CHURN = DetectorConfig(delta_th=50.0)
+
+
 class TestRetainedMemory:
     """A run without an output directory keeps its scatter lines, one str of
-    about 45 bytes per steady interval; a run that writes its artifacts
-    keeps nothing that grows with the run."""
+    about 45 bytes per steady interval, and its event rows; a run that
+    writes its artifacts keeps nothing that grows with the run, its events
+    neither."""
 
     BUDGET = 64
     WRITTEN_BUDGET = 1
@@ -893,6 +1058,28 @@ class TestRetainedMemory:
         retained = retained_bytes_per_interval(lambda: run_experiment(config, tmp_path / "run"))
         assert retained <= self.WRITTEN_BUDGET
 
+    def test_detect_over_a_churn_trace_with_an_output_directory(self, tmp_path):
+        path = tmp_path / "churn.csv"
+        save_trace(churn_stream(20_000), path)
+        run = lambda: detect_over_samples(load_trace(path), CHURN, out_dir=tmp_path / "run")
+        assert run().summary["event_counts"] == {"throughput_change": 3333, "phase_recurred": 3332}
+        assert retained_bytes_per_interval(run) <= self.WRITTEN_BUDGET
+
+    def test_simulate_with_migrations_and_an_output_directory(self, tmp_path):
+        # Work that over-utilizes either core class, then work that
+        # under-utilizes either, 500 intervals each: the process migrates at
+        # each swing, and a utilization event every 5 intervals between,
+        # with its recurrence note, adds to the events but not the phases.
+        swing = (WorkloadSegment(50_000_000, 4.0, 0.5), WorkloadSegment(50_000_000, 0.3, 0.0))
+        spec = tmp_path / "swing.json"
+        save_workload_spec(WorkloadSpec("swing", swing * 20), spec)
+        config = ExperimentConfig(workload_spec_path=spec, fixed_tau=100_000, start_core="B0")
+        run = lambda: run_experiment(config, tmp_path / "run")
+        summary = run().summary
+        assert (summary["migration_count"], summary["phase_count"]) == (40, 21)
+        assert sum(summary["event_counts"].values()) > 7_000
+        assert retained_bytes_per_interval(run) <= self.WRITTEN_BUDGET
+
 
 class TestStreamedTraceMemory:
     """simulate --emit-trace writes each sample as it is simulated, so the
@@ -921,6 +1108,35 @@ class TestStreamedTraceMemory:
         assert "samples=20000 " in capsys.readouterr().out
         assert len((tmp_path / "steady.csv").read_text().splitlines()) == 20_001
         assert peaks[3] - peaks[2] < self.BUDGET
+
+
+class TestStreamedEventsMemory:
+    """A run writes each block's events with its lines as the block ends and
+    keeps none, so its peak does not grow with its events: doubling a churn
+    stream (one phase change in 6 intervals) raises the peak of a detect with
+    an output directory by less than one block's worth, its 512 lines, their
+    joined text and its events. A list of every event would add about 0.5
+    MiB here."""
+
+    BUDGET = 1 << 17
+
+    def test_peak_does_not_grow_with_the_events(self, tmp_path):
+        for n in (10_000, 20_000):
+            save_trace(churn_stream(n), tmp_path / f"churn{n}.csv")
+
+        def peak(n: int) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                detect_over_samples(
+                    load_trace(tmp_path / f"churn{n}.csv"), CHURN, out_dir=tmp_path / "run"
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        detect_over_samples(churn_stream(10), CHURN, out_dir=tmp_path / "run")  # fills caches
+        assert peak(20_000) - peak(10_000) < self.BUDGET
 
 
 class TestOverheadReport:

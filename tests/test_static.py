@@ -8,7 +8,7 @@ annotation, by the records the README lists, the stream rule's messages
 are worded once, in the detector, the record layer is imported first and
 only from ``records``, the detection oracle imports no checked code, and
 ``experiment.py`` handles each interval in one loop, which alone formats the
-scatter line."""
+scatter line and writes the event rows."""
 
 from __future__ import annotations
 
@@ -407,3 +407,30 @@ class TestOneIntervalLoop:
     def test_the_scatter_line_is_formatted_at_one_site(self):
         tree = ast.parse(EXPERIMENT.read_text(encoding="utf-8"))
         assert name_reads(tree, "_SCATTER_LINE") == ["_run_intervals:%"]
+
+    def test_the_check_finds_an_events_writer_outside_the_loop(self):
+        source = (
+            "def _run_intervals(samples, handle):\n"
+            "    plain, quoting = csv_writers(handle, EVENT_COLUMNS)\n"
+            "    _write_events(block, plain, quoting)\n"
+            "def _write_events(events, plain, quoting):\n"
+            "    plain.writerows(map(_EVENT_FIELDS, events))\n"
+            "def emit(events, handle):\n"
+            "    _write_events(events, *csv_writers(handle, EVENT_COLUMNS))\n"
+            "def dump(events, writer):\n"
+            "    writer.writerows(map(_EVENT_FIELDS, events))\n"
+        )
+        tree = ast.parse(source)
+        assert name_reads(tree, "_write_events") == ["_run_intervals:read", "emit:read"]
+        assert name_reads(tree, "EVENT_COLUMNS") == ["_run_intervals:read", "emit:read"]
+        assert name_reads(tree, "_EVENT_FIELDS") == ["_write_events:read", "dump:read"]
+
+    def test_event_rows_are_written_at_one_site_in_the_loop(self):
+        # events.csv's header and rows are written by the interval loop
+        # alone, each block's rows through one call: no writer at the end of
+        # a run, over a list of every event, can come back.
+        tree = ast.parse(EXPERIMENT.read_text(encoding="utf-8"))
+        assert name_reads(tree, "_write_events") == ["_run_intervals:read"]
+        header = sorted(name_reads(tree, "EVENT_COLUMNS"))
+        assert header == ["<module>:read", "_run_intervals:read"]
+        assert set(name_reads(tree, "_EVENT_FIELDS")) == {"_write_events:read"}
